@@ -43,6 +43,8 @@ from simultraj.simulator import (
     PROMPT_MODES,
     ScriptedModel,
     SelectStrategy,
+    SimRun,
+    SimulationError,
     dump_events_jsonl,
     load_events_jsonl,
     run as simulate_run,
@@ -233,21 +235,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.src, encoding="utf-8") as f:
         sources = [line.split() for line in f if line.strip()]
     scripts = _load_scripts(args.model, len(sources))
-    runs = []
-    for idx, (source, script) in enumerate(zip(sources, scripts)):
-        model = ScriptedModel.from_obj(script)
-        runs.append(
-            simulate_run(
-                source,
-                model,
-                chunk_size=args.chunk,
-                strategy=strategy,
-                prompt_mode=args.prompt,
-                beam=args.beam,
-                pair_id=idx,
-            )
-        )
-    dump_events_jsonl(runs, args.out)
+
+    def runs() -> Iterator[SimRun]:
+        # Each session is written as soon as it ends, then dropped.
+        for idx, (source, script) in enumerate(zip(sources, scripts)):
+            model = ScriptedModel.from_obj(script)
+            try:
+                yield simulate_run(
+                    source,
+                    model,
+                    chunk_size=args.chunk,
+                    strategy=strategy,
+                    prompt_mode=args.prompt,
+                    beam=args.beam,
+                    pair_id=idx,
+                )
+            except SimulationError as exc:
+                raise SimulationError(f"session {idx}: {exc}") from None
+
+    dump_events_jsonl(runs(), args.out)
     return 0
 
 
@@ -257,13 +263,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_config("eval", args)
     cost = CostModel(args.cost_recompute, args.cost_word)
     report = events_report(load_events_jsonl(args.events), cost, args.prompt)
-    print(json.dumps(report.to_dict(), ensure_ascii=False))
+    data = report.to_dict()
+    print(json.dumps(data, ensure_ascii=False, allow_nan=False))
     print(report.table())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as f:
-            data = report.to_dict()
             f.write(",".join(data.keys()) + "\n")
-            f.write(",".join(str(v) for v in data.values()) + "\n")
+            f.write(",".join("" if v is None else str(v) for v in data.values()) + "\n")
     return 0
 
 
@@ -338,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
-    except (AlignmentError, ValueError, OSError) as exc:
+    except (AlignmentError, SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

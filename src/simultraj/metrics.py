@@ -67,8 +67,6 @@ class CostModel:
 
 def simulated_wwt(sim: SimRun, cost: CostModel, prompt_mode: str | None = None) -> float:
     """Simulated cost per committed word: recompute at c1 plus generation at c2."""
-    if not sim.finished:
-        raise ValueError("simulated_wwt needs a finished run")
     mode = prompt_mode or sim.prompt_mode
     total = 0.0
     generated = 0
@@ -170,9 +168,11 @@ def corpus_stats_table(stats: CorpusStats) -> str:
 
 @dataclass(frozen=True)
 class LatencyReport:
+    """Latency over an event log; the means are None when no run committed a word."""
+
     runs: int
-    al_mean: float
-    wwt_simulated_mean: float
+    al_mean: float | None
+    wwt_simulated_mean: float | None
     rounds_total: int
     recompute_total_conversational: int
     recompute_total_offline: int
@@ -190,14 +190,18 @@ class LatencyReport:
     def table(self) -> str:
         rows = [
             ("runs", str(self.runs)),
-            ("AL (words, mean)", f"{self.al_mean:.4f}"),
-            ("WWT (simulated, mean)", f"{self.wwt_simulated_mean:.4f}"),
+            ("AL (words, mean)", _fixed4(self.al_mean)),
+            ("WWT (simulated, mean)", _fixed4(self.wwt_simulated_mean)),
             ("rounds total", str(self.rounds_total)),
             ("recompute total conversational", str(self.recompute_total_conversational)),
             ("recompute total offline", str(self.recompute_total_offline)),
         ]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
+
+
+def _fixed4(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def events_report(event_runs: list[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:
@@ -230,8 +234,8 @@ def events_report(event_runs: list[list[dict]], cost: CostModel, prompt_mode: st
             wwt_values.append(cost_total / len(g))
     return LatencyReport(
         runs=len(event_runs),
-        al_mean=fmean(al_values) if al_values else float("nan"),
-        wwt_simulated_mean=fmean(wwt_values) if wwt_values else float("nan"),
+        al_mean=fmean(al_values) if al_values else None,
+        wwt_simulated_mean=fmean(wwt_values) if wwt_values else None,
         rounds_total=rounds,
         recompute_total_conversational=total_conv,
         recompute_total_offline=total_off,

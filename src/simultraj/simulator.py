@@ -8,9 +8,14 @@ exhausted the round flushes: the top candidate is accepted in full.
 The simulation is word-level and model-agnostic. Every round records, for both
 prompt modes, how many prompt words a cache-aware engine would have to ingest
 anew: the word length of the round's prompt minus its longest common word
-prefix with the previous round's prompt. Conversational prompts only ever grow
-at the end, so their recompute telescopes to the final prompt length; offline
-prompts insert source ahead of the translation history and re-pay it each round.
+prefix with the previous round's prompt (words as ``str.split()`` cuts them).
+Conversational prompts only ever grow at the end, so a round's recompute is the
+word count of what it appends, and the total telescopes to the final prompt
+length. Offline prompts insert source ahead of the translation history and
+re-pay it each round. Both counts are kept from what each round adds, so a
+round costs time in its chunk and commit, not in the prompt length; only the
+active mode's prompt is rendered, for the model. ``replay_prompts`` re-renders
+every round's prompts for audits.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Protocol, Sequence
 
 from simultraj.alignment import SentencePair
-from simultraj.sftformat import dialogue_prompt, get_template, offline_prompt
+from simultraj.sftformat import ChatTemplate, dialogue_prompt, get_template, offline_prompt
 
 DEFAULT_BEAM = 5
 DEFAULT_GAMMA = 0.6
@@ -147,10 +152,6 @@ class SimEvent:
     recompute_tokens_conversational: int
     recompute_tokens_offline: int
     cumulative_source_read: int
-    # Rendered prompts, kept for auditing the append-only property; not serialized.
-    prompt_conversational: str = ""
-    prompt_offline: str = ""
-    prompt_plus_commit: str = ""
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,6 @@ class SimRun:
     pair_id: int
     source: tuple[str, ...]
     events: tuple[SimEvent, ...]
-    finished: bool
     prompt_mode: str
     chunk_size: int
     beam: int
@@ -173,18 +173,70 @@ class SimRun:
         return len(self.events)
 
 
-def _word_prefix_len(a: list[str], b: list[str]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+def _words(texts: Iterable[str]) -> list[str]:
+    """The words of ``" ".join(texts)``, without building the joined string."""
+    return [w for t in texts for w in t.split()]
 
 
-def _recompute(cur: str, prev: str) -> int:
-    cur_words = cur.split()
-    return len(cur_words) - _word_prefix_len(cur_words, prev.split())
+def _fuses(left: str, right: str) -> bool:
+    """Whether left's last word and right's first word become one word in left + right."""
+    return bool(left) and bool(right) and not left[-1].isspace() and not right[0].isspace()
+
+
+class _OfflineCount:
+    """Per-round offline recompute without rendering the offline prompt.
+
+    The prompt is ``head + " ".join(source read) + tail``: head is the
+    instruction up to its trailing space, and tail's words are the response
+    trigger's words followed by the history's. Between rounds the prompt keeps
+    head and the old source, so the common word prefix covers them, then runs
+    on only while the new chunk's words (and, past them, the new tail's) equal
+    the old tail's words. The last source word fuses with the tail's first word
+    when neither side has whitespace at the seam (never with llama2, whose
+    trigger starts with a space).
+    """
+
+    def __init__(self, tpl: ChatTemplate) -> None:
+        self.head = len((tpl.turn_open + tpl.offline_instruction).split())
+        self.trigger = tpl.turn_sep + tpl.offline_response_header
+        self.tail = self.trigger.split()
+        self.tail_before = 0  # len(self.tail) in the previous round's prompt
+        self.source = 0  # words of the source read before this round
+        self.fused = False  # the previous round's prompt fused source and tail
+        self.started = False
+
+    def round(self, chunk: Sequence[str]) -> int:
+        new = _words(chunk)
+        fused = _fuses(chunk[-1], self.trigger)
+        words = self.head + self.source + len(new) + len(self.tail) - fused
+        if not self.started:
+            common = 0
+        elif self.fused:
+            common = self.head + self.source - 1
+        else:
+            common = self.head + self.source + self._tail_overlap(new, fused)
+        self.source += len(new)
+        self.fused = fused
+        self.started = True
+        self.tail_before = len(self.tail)
+        return words - common
+
+    def _tail_overlap(self, new: list[str], fused: bool) -> int:
+        """Common word prefix of (new chunk words, then the tail) and the previous tail."""
+        tail, skip = self.tail, 0
+        if fused:
+            new, skip = new[:-1] + [new[-1] + tail[0]], 1
+        limit = min(self.tail_before, len(new) + len(tail) - skip)
+        n = 0
+        while n < limit:
+            word = new[n] if n < len(new) else tail[n - len(new) + skip]
+            if word != tail[n]:
+                break
+            n += 1
+        return n
+
+    def commit(self, words: Sequence[str]) -> None:
+        self.tail.extend(_words(words))
 
 
 def run(
@@ -211,27 +263,45 @@ def run(
     if not source:
         raise ValueError("empty source")
     tpl = get_template(template_id)
+    conversational = prompt_mode == CONVERSATIONAL
 
-    closed_turns: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    open_source: list[str] = []
-    committed_all: list[str] = []
+    offline = _OfflineCount(tpl)
+    # The offline prompt's source and history, each joined into one text that
+    # grows at the end; the history is () until the first commit.
+    source_text = ""
+    history_text: tuple[str, ...] = ()
+    prompt = ""  # the conversational prompt; it only ever grows at the end
+    selected: tuple[str, ...] = ()
     events: list[SimEvent] = []
-    prev_conv = ""
-    prev_off = ""
     read = 0
     rnd = 0
     while read < len(source):
         chunk = source[read : read + chunk_size]
         read += len(chunk)
-        open_source.extend(chunk)
 
-        prompt_conv = dialogue_prompt(closed_turns, open_source, tpl, system_msg)
-        prompt_off = offline_prompt(source[:read], committed_all, tpl)
-        rc_conv = _recompute(prompt_conv, prev_conv)
-        rc_off = _recompute(prompt_off, prev_off)
+        if rnd == 0:
+            system = tpl.system_wrap.format(system_msg) if system_msg else ""
+            appended = tpl.turn_open + system + " ".join(chunk)
+        elif selected:
+            # The previous round committed: close its turn, open a new one.
+            appended = (
+                tpl.turn_sep + " ".join(selected) + tpl.turn_close + tpl.turn_open + " ".join(chunk)
+            )
+        else:
+            appended = " " + " ".join(chunk)
+        rc_conv = len(appended.split())
+        rc_off = offline.round(chunk)
 
-        context = prompt_conv if prompt_mode == CONVERSATIONAL else prompt_off
-        candidates = model.generate(context, beam)
+        if conversational:
+            # No other reference to prompt may outlive the round, so that
+            # += extends the string in place instead of copying it.
+            prompt += appended
+            candidates = model.generate(prompt, beam)
+        else:
+            source_text += (" " if rnd else "") + " ".join(chunk)
+            # offline_prompt joins each sequence with spaces, so one-element
+            # sequences of pre-joined text render the same string.
+            candidates = model.generate(offline_prompt((source_text,), history_text, tpl), beam)
         if not candidates:
             raise SimulationError(f"model returned no candidates at round {rnd}")
         beam_words = tuple(tuple(c.words) for c in candidates)
@@ -242,7 +312,6 @@ def run(
             # Source exhausted: flush the best full hypothesis.
             selected = beam_words[0]
 
-        plus_commit = prompt_conv + (tpl.turn_sep + " ".join(selected) if selected else "")
         events.append(
             SimEvent(
                 round=rnd,
@@ -252,24 +321,19 @@ def run(
                 recompute_tokens_conversational=rc_conv,
                 recompute_tokens_offline=rc_off,
                 cumulative_source_read=read,
-                prompt_conversational=prompt_conv,
-                prompt_offline=prompt_off,
-                prompt_plus_commit=plus_commit,
             )
         )
         if selected:
-            closed_turns.append((tuple(open_source), selected))
-            open_source = []
-            committed_all.extend(selected)
-        prev_conv = prompt_conv
-        prev_off = prompt_off
+            offline.commit(selected)
+            if not conversational:
+                joined = " ".join(selected)
+                history_text = (history_text[0] + " " + joined,) if history_text else (joined,)
         rnd += 1
 
     return SimRun(
         pair_id=pair_id,
         source=source,
         events=tuple(events),
-        finished=True,
         prompt_mode=prompt_mode,
         chunk_size=chunk_size,
         beam=beam,
@@ -277,10 +341,45 @@ def run(
     )
 
 
+@dataclass(frozen=True)
+class RoundPrompts:
+    """One round's rendered prompts, re-rendered from a run for audits."""
+
+    conversational: str
+    offline: str
+    # The conversational prompt followed by the round's committed continuation.
+    conversational_plus_commit: str
+
+
+def replay_prompts(
+    sim: SimRun, template_id: str = "llama2", system_msg: str = ""
+) -> list[RoundPrompts]:
+    """Render every round's prompts of a run, as the model saw them in each mode.
+
+    Pass the template and system message the run used. Each round is rendered
+    in full, so time and memory grow with the square of the session length.
+    """
+    tpl = get_template(template_id)
+    closed: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    open_source: list[str] = []
+    history: list[str] = []
+    out: list[RoundPrompts] = []
+    for event in sim.events:
+        open_source.extend(event.read_words)
+        conv = dialogue_prompt(closed, open_source, tpl, system_msg)
+        off = offline_prompt(sim.source[: event.cumulative_source_read], history, tpl)
+        commit = event.committed_words
+        plus = conv + (tpl.turn_sep + " ".join(commit) if commit else "")
+        out.append(RoundPrompts(conv, off, plus))
+        if commit:
+            closed.append((tuple(open_source), commit))
+            open_source = []
+            history.extend(commit)
+    return out
+
+
 def cache_savings(sim: SimRun) -> dict[str, int]:
     """Total prompt words a cache-aware engine must recompute, per prompt mode."""
-    if not sim.finished:
-        raise ValueError("cache_savings needs a finished run")
     return {
         "total_conversational": sum(e.recompute_tokens_conversational for e in sim.events),
         "total_offline": sum(e.recompute_tokens_offline for e in sim.events),

@@ -1,7 +1,10 @@
 import random
+from typing import NamedTuple, Sequence
 
 from simultraj.alignment import AlignmentSet, SentencePair, sufficient_sets
 from simultraj.monotonic import MonotonicPlan, monotonicize
+from simultraj.sftformat import dialogue_prompt, get_template, offline_prompt
+from simultraj.simulator import CONVERSATIONAL, SelectStrategy, select_prefix
 from simultraj.trajectory import Trajectory, build_meta
 
 
@@ -72,3 +75,73 @@ def brute_min_read_counts(plan: MonotonicPlan) -> list[int]:
         if plan.prefix_req[writes] <= reads:
             stack.append((reads, writes + 1, g + (reads,)))
     return best
+
+
+class OracleRound(NamedTuple):
+    committed_words: tuple[str, ...]
+    recompute_tokens_conversational: int
+    recompute_tokens_offline: int
+    prompt_conversational: str
+    prompt_offline: str
+    prompt_plus_commit: str
+
+
+def _recompute(cur: str, prev: str) -> int:
+    cur_words, prev_words = cur.split(), prev.split()
+    common = 0
+    for x, y in zip(cur_words, prev_words):
+        if x != y:
+            break
+        common += 1
+    return len(cur_words) - common
+
+
+def oracle_run(
+    source: Sequence[str],
+    model,
+    chunk_size: int,
+    strategy: SelectStrategy,
+    prompt_mode: str = CONVERSATIONAL,
+    beam: int = 5,
+    template_id: str = "llama2",
+    system_msg: str = "",
+) -> list[OracleRound]:
+    """Render-and-diff reference for simulator.run: every round renders both
+    full prompts and counts recompute as prompt words minus the common word
+    prefix with the previous round's prompt. Quadratic; small runs only."""
+    tpl = get_template(template_id)
+    closed_turns: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    open_source: list[str] = []
+    committed_all: list[str] = []
+    rounds: list[OracleRound] = []
+    prev_conv = prev_off = ""
+    read = 0
+    while read < len(source):
+        chunk = source[read : read + chunk_size]
+        read += len(chunk)
+        open_source.extend(chunk)
+        prompt_conv = dialogue_prompt(closed_turns, open_source, tpl, system_msg)
+        prompt_off = offline_prompt(source[:read], committed_all, tpl)
+        context = prompt_conv if prompt_mode == CONVERSATIONAL else prompt_off
+        beam_words = tuple(tuple(c.words) for c in model.generate(context, beam))
+        if read < len(source):
+            selected = tuple(select_prefix(beam_words, strategy))
+        else:
+            selected = beam_words[0]
+        plus_commit = prompt_conv + (tpl.turn_sep + " ".join(selected) if selected else "")
+        rounds.append(
+            OracleRound(
+                selected,
+                _recompute(prompt_conv, prev_conv),
+                _recompute(prompt_off, prev_off),
+                prompt_conv,
+                prompt_off,
+                plus_commit,
+            )
+        )
+        if selected:
+            closed_turns.append((tuple(open_source), selected))
+            open_source = []
+            committed_all.extend(selected)
+        prev_conv, prev_off = prompt_conv, prompt_off
+    return rounds

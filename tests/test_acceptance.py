@@ -32,6 +32,7 @@ from simultraj.simulator import (
     ScriptedModel,
     cache_savings,
     ralcp,
+    replay_prompts,
     run,
     select_prefix,
 )
@@ -212,7 +213,7 @@ def test_criterion_07_cache_reuse_inequality_1000_runs():
     strict_checked = 0
     for sim in random_scripted_runs(1_000, seed=777):
         totals = cache_savings(sim)
-        final_prompt_words = len(sim.events[-1].prompt_conversational.split())
+        final_prompt_words = len(replay_prompts(sim)[-1].conversational.split())
         assert totals["total_conversational"] == final_prompt_words
         assert totals["total_conversational"] <= totals["total_offline"]
         history_before_last = any(e.committed_words for e in sim.events[:-1])
@@ -228,8 +229,9 @@ def test_criterion_07_cache_reuse_inequality_1000_runs():
 
 def test_criterion_08_append_only_prompts_1000_runs():
     for sim in random_scripted_runs(1_000, seed=778):
-        for prev, cur in zip(sim.events, sim.events[1:]):
-            assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
+        prompts = replay_prompts(sim)
+        for prev, cur in zip(prompts, prompts[1:]):
+            assert cur.conversational.startswith(prev.conversational_plus_commit)
     report("criterion 8 PASS: every round prompt extends previous prompt+commit on 1,000 runs")
 
 

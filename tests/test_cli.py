@@ -81,6 +81,18 @@ def test_simulate_rejects_malformed_model_file(tmp_path, capsys):
     assert "rounds" in capsys.readouterr().err
 
 
+def test_simulate_script_too_short_is_hard_error_naming_session(tmp_path, capsys):
+    (tmp_path / "src.txt").write_text("a b\nc d e\n", encoding="utf-8")
+    scripts = [{"rounds": [[["A", "B"]]]}, {"rounds": [[["C"]]]}]  # session 1 needs 2 rounds
+    (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
+                 str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
+                 "--select", "greedy", "--out", str(tmp_path / "e.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "error: session 1: script exhausted at round 1" in err
+    assert "Traceback" not in err
+
+
 def test_augment_seed_repeatable(tmp_path):
     _, meta = curate(tmp_path, n_pairs=6, seed=3)
     out1, out2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
@@ -218,3 +230,26 @@ def test_workers_do_not_change_output(tmp_path):
                      "--workers", str(workers)]) == 0
         outs.append((meta.read_bytes(), aug.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
+    (tmp_path / "src.txt").write_text("a b\n", encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps({"rounds": [[[]]]}), encoding="utf-8")
+    events = tmp_path / "events.jsonl"
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
+                 str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
+                 "--select", "greedy", "--out", str(events)]) == 0
+    csv_path = tmp_path / "report.csv"
+    assert main(["eval", "--events", str(events), "--csv", str(csv_path)]) == 0
+    out = capsys.readouterr().out
+    line = json.loads(out.splitlines()[0], parse_constant=_reject_constant)
+    assert line["al_mean"] is None
+    assert line["wwt_simulated_mean"] is None
+    assert line["runs"] == 1
+    assert "n/a" in out
+    assert "nan" not in out.lower()
+    assert csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")[1:3] == ["", ""]

@@ -1,10 +1,14 @@
 import json
 import random
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_run
+from simultraj.sftformat import TEMPLATES, ChatTemplate
 from simultraj.simulator import (
     GREEDY,
     LCP,
@@ -16,6 +20,7 @@ from simultraj.simulator import (
     dump_events_jsonl,
     load_events_jsonl,
     ralcp,
+    replay_prompts,
     run,
     scripted_echo,
     select_prefix,
@@ -101,7 +106,7 @@ def test_echo_run_two_rounds_commits_chunks():
 
 def test_conversational_recompute_is_words_appended():
     sim = echo_run()
-    lengths = [len(e.prompt_conversational.split()) for e in sim.events]
+    lengths = [len(p.conversational.split()) for p in replay_prompts(sim)]
     assert sim.events[0].recompute_tokens_conversational == lengths[0]
     assert sim.events[1].recompute_tokens_conversational == lengths[1] - lengths[0]
 
@@ -125,13 +130,13 @@ def test_ralcp_stall_then_flush_commits_everything():
     )
     sim = run(["s1", "s2", "s3"], model, chunk_size=1, strategy=ralcp(0.6), beam=3)
     assert [e.committed_words for e in sim.events] == [(), (), ("FULL", "OUT")]
-    assert sim.finished
 
 
 def test_append_only_prompts():
     sim = echo_run(n=1, source_len=5)
-    for prev, cur in zip(sim.events, sim.events[1:]):
-        assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
+    prompts = replay_prompts(sim)
+    for prev, cur in zip(prompts, prompts[1:]):
+        assert cur.conversational.startswith(prev.conversational_plus_commit)
 
 
 def test_append_only_holds_with_system_message():
@@ -139,9 +144,10 @@ def test_append_only_holds_with_system_message():
     model = scripted_echo(source, 2, beam=1)
     sim = run(source, model, chunk_size=2, strategy=GREEDY, beam=1,
               system_msg="Translate incrementally.")
-    assert "<<SYS>>" in sim.events[0].prompt_conversational
-    for prev, cur in zip(sim.events, sim.events[1:]):
-        assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
+    prompts = replay_prompts(sim, system_msg="Translate incrementally.")
+    assert "<<SYS>>" in prompts[0].conversational
+    for prev, cur in zip(prompts, prompts[1:]):
+        assert cur.conversational.startswith(prev.conversational_plus_commit)
 
 
 def test_monotone_commit_prefix_stability():
@@ -170,7 +176,7 @@ def test_cache_savings_totals_and_telescoping():
     sim = echo_run()
     totals = cache_savings(sim)
     assert totals["total_conversational"] < totals["total_offline"]
-    final_prompt_words = len(sim.events[-1].prompt_conversational.split())
+    final_prompt_words = len(replay_prompts(sim)[-1].conversational.split())
     assert totals["total_conversational"] == final_prompt_words
 
 
@@ -199,8 +205,8 @@ def test_model_sees_prompt_of_active_mode():
                    prompt_mode="conversational")
     sim_off = run(source, off_model, chunk_size=2, strategy=GREEDY, beam=1,
                   prompt_mode="offline")
-    assert conv_model.contexts == [e.prompt_conversational for e in sim_conv.events]
-    assert off_model.contexts == [e.prompt_offline for e in sim_off.events]
+    assert conv_model.contexts == [p.conversational for p in replay_prompts(sim_conv)]
+    assert off_model.contexts == [p.offline for p in replay_prompts(sim_off)]
 
 
 def test_zero_candidates_mid_stream_raises():
@@ -240,3 +246,84 @@ def test_event_log_round_trip(tmp_path):
     assert len(grouped) == 2
     assert [len(g) for g in grouped] == [sims[0].rounds, sims[1].rounds]
     assert grouped[0][0]["read_words"] == ["w1", "w2"]
+
+
+# Words equal to template tokens, empty, or holding whitespace: the counts must
+# follow str.split() however a prompt's pieces meet.
+TRICKY_WORDS = (
+    "a", "b", "text:", "[/INST]", "Translation:", "</s><s>[INST]", "<s>[INST]",
+    "Out:", "[/INST]Out:", "", " ", "x y", "z\n", "　",
+)
+
+# No whitespace at any seam, so source, history and template words fuse.
+TIGHT = ChatTemplate("tight", "<s>[INST]", "[/INST]", "</s>", "<<SYS>>{}<</SYS>>", "Translate:", "Out:")
+
+
+class ScriptRecorder:
+    """A scripted model that also logs the contexts it saw."""
+
+    def __init__(self, rounds):
+        self.script = ScriptedModel(rounds)
+        self.contexts = []
+
+    def generate(self, context, beam):
+        self.contexts.append(context)
+        return self.script.generate(context, beam)
+
+
+@st.composite
+def sim_cases(draw):
+    source = draw(st.lists(st.sampled_from(TRICKY_WORDS), min_size=1, max_size=10))
+    chunk = draw(st.integers(1, 4))
+    beam = draw(st.integers(1, 4))
+    words = st.lists(st.sampled_from(TRICKY_WORDS), max_size=4).map(tuple)
+    rounds = []
+    for _ in range(-(-len(source) // chunk)):
+        if draw(st.booleans()):  # agreeing beam: something commits
+            agreed = draw(words)
+            rounds.append(tuple(Candidate(agreed) for _ in range(beam)))
+        else:
+            rounds.append(tuple(Candidate(draw(words)) for _ in range(beam)))
+    kwargs = {
+        "chunk_size": chunk,
+        "strategy": draw(st.sampled_from([LCP, GREEDY, ralcp(0.6)])),
+        "prompt_mode": draw(st.sampled_from(["conversational", "offline"])),
+        "beam": beam,
+        "template_id": draw(st.sampled_from(["llama2", "tight"])),
+        "system_msg": draw(st.sampled_from(["", "Translate incrementally."])),
+    }
+    return source, tuple(rounds), kwargs
+
+
+@settings(max_examples=600, deadline=None)
+@given(sim_cases())
+def test_counts_and_contexts_match_render_and_diff_oracle(case):
+    source, rounds, kwargs = case
+    model, oracle_model = ScriptRecorder(rounds), ScriptRecorder(rounds)
+    with mock.patch.dict(TEMPLATES, {"tight": TIGHT}):
+        sim = run(source, model, **kwargs)
+        expected = oracle_run(source, oracle_model, **kwargs)
+        prompts = replay_prompts(sim, kwargs["template_id"], kwargs["system_msg"])
+    assert [
+        (e.committed_words, e.recompute_tokens_conversational, e.recompute_tokens_offline)
+        for e in sim.events
+    ] == [r[:3] for r in expected]
+    assert [
+        (p.conversational, p.offline, p.conversational_plus_commit) for p in prompts
+    ] == [r[3:] for r in expected]
+    assert model.contexts == [getattr(p, kwargs["prompt_mode"]) for p in prompts]
+    assert model.contexts == oracle_model.contexts
+
+
+def test_long_session_runs_in_under_half_a_second():
+    # 6,400 words at chunk 1 is 6,400 rounds; re-rendering each round's prompt
+    # made this take tens of seconds.
+    source = [f"w{i}" for i in range(6_400)]
+    elapsed = []
+    for _ in range(2):
+        model = scripted_echo(source, 1, beam=5)
+        t0 = time.perf_counter()
+        sim = run(source, model, chunk_size=1, strategy=ralcp(0.6), beam=5)
+        elapsed.append(time.perf_counter() - t0)
+    assert sim.committed == tuple(w.upper() for w in source)
+    assert min(elapsed) < 0.5
