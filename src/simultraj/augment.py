@@ -64,12 +64,7 @@ def merge(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajector
     while pos < len(traj.chunks):
         delta = rng.randint(cfg.delta_min, cfg.delta_max)
         group = traj.chunks[pos : pos + delta]
-        merged.append(
-            Chunk(
-                tuple(i for c in group for i in c.read),
-                tuple(j for c in group for j in c.write),
-            )
-        )
+        merged.append(Chunk(sum(c.n_read for c in group), sum(c.n_write for c in group)))
         pos += len(group)
     return Trajectory(tuple(merged), traj.pair, MERGED)
 
@@ -81,18 +76,18 @@ def shift(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajector
     chunks = list(traj.chunks)
     for c in range(len(chunks) - 1):
         cur = chunks[c]
-        if len(cur.write) < 2:
+        if cur.n_write < 2:
             continue
         if rng.random() >= cfg.beta:
             continue
         rho = rng.uniform(cfg.rho_min, RHO_MAX)
-        k = max(1, int(rho * len(cur.write)))
-        moved = cur.write[k:]
-        if not moved:
+        k = max(1, int(rho * cur.n_write))
+        moved = cur.n_write - k
+        if moved < 1:
             continue
         nxt = chunks[c + 1]
-        chunks[c] = Chunk(cur.read, cur.write[:k], min(cur.shifted_prefix_len, k))
-        chunks[c + 1] = Chunk(nxt.read, moved + nxt.write, len(moved))
+        chunks[c] = Chunk(cur.n_read, k, min(cur.shifted_prefix_len, k))
+        chunks[c + 1] = Chunk(nxt.n_read, moved + nxt.n_write, moved)
     return Trajectory(tuple(chunks), traj.pair, MERGED_SHIFTED)
 
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -53,22 +52,6 @@ from simultraj.trajectory import META, build_meta, from_record, to_record, verif
 
 DEFAULT_CHUNK_SIZES = (3, 5, 7, 9, 11, 13)
 DEFAULT_TEMPLATE = "llama2"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved knobs of the full pipeline, with the standard defaults."""
-
-    delta_min: int = DEFAULT_DELTA_MIN
-    delta_max: int = DEFAULT_DELTA_MAX
-    beta: float = DEFAULT_BETA
-    rho_min: float = DEFAULT_RHO_MIN
-    seed: int = 0
-    chunk_sizes: tuple[int, ...] = DEFAULT_CHUNK_SIZES
-    beam: int = DEFAULT_BEAM
-    gamma: float = DEFAULT_GAMMA
-    template: str = DEFAULT_TEMPLATE
-    prompt_mode: str = CONVERSATIONAL
 
 
 def _print_config(command: str, args: argparse.Namespace) -> None:
@@ -152,7 +135,7 @@ def _augment_record(line: str, cfg: AugmentConfig, debug: bool) -> tuple[str, st
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         return ("ok", json.dumps(to_record(augmented, debug), ensure_ascii=False))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         return ("err", f"record rejected: {exc}")
 
 
@@ -183,9 +166,12 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def _format_record(line: str, system_msg: str, template: str) -> tuple[str, str]:
     try:
         traj = from_record(json.loads(line))
+        problems = verify(traj)
+        if problems:
+            return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         record = render_conversational(traj, system_msg, template)
         return ("ok", json.dumps(record_to_dict(record), ensure_ascii=False))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         return ("err", f"record rejected: {exc}")
 
 

@@ -55,6 +55,8 @@ def run_average_lagging(sim: SimRun) -> float:
 
 
 def trajectory_average_lagging(traj: Trajectory) -> float:
+    """AL on the flush-inclusive schedule `write_read_counts`, not on
+    `read_counts_before_write`, which reads the final flush after the writes."""
     g = write_read_counts(traj)
     return average_lagging(g, traj.pair.source_len, traj.pair.target_len)
 
@@ -129,8 +131,8 @@ def corpus_stats(trajs: Iterable[Trajectory]) -> CorpusStats:
         chunks, src, tgt = accs.setdefault(traj.provenance, (_Acc(), _Acc(), _Acc()))
         chunks.add(len(traj.chunks))
         for c in traj.chunks:
-            src.add(len(c.read))
-            tgt.add(len(c.write))
+            src.add(c.n_read)
+            tgt.add(c.n_write)
     if not accs:
         raise ValueError("empty trajectory corpus")
     return CorpusStats(
@@ -204,16 +206,17 @@ def _fixed4(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def events_report(event_runs: list[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:
-    """Aggregate a parsed event log (as loaded from JSONL) into one report."""
-    if not event_runs:
-        raise ValueError("no runs in event log")
+def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:
+    """Aggregate a parsed event log, one list of event records per run, into one
+    report. Each run is reduced as it arrives, so the runs may be streamed."""
     al_values: list[float] = []
     wwt_values: list[float] = []
+    runs = 0
     rounds = 0
     total_conv = 0
     total_off = 0
     for events in event_runs:
+        runs += 1
         rounds += len(events)
         source_len = events[-1]["cumulative_source_read"]
         g: list[int] = []
@@ -232,8 +235,10 @@ def events_report(event_runs: list[list[dict]], cost: CostModel, prompt_mode: st
         if g:
             al_values.append(average_lagging(g, source_len, len(g)))
             wwt_values.append(cost_total / len(g))
+    if not runs:
+        raise ValueError("no runs in event log")
     return LatencyReport(
-        runs=len(event_runs),
+        runs=runs,
         al_mean=fmean(al_values) if al_values else None,
         wwt_simulated_mean=fmean(wwt_values) if wwt_values else None,
         rounds_total=rounds,

@@ -87,15 +87,14 @@ def render_conversational(
         parts.append(s)
         pos += len(s)
 
-    for t, chunk in enumerate(traj.chunks):
+    for t, (chunk, reads, words) in enumerate(traj.segments()):
         emit(tpl.turn_open)
         if t == 0 and system_msg:
             emit(tpl.system_wrap.format(system_msg))
-        user_text = " ".join(traj.read_words(chunk))
+        user_text = " ".join(reads)
         user_span = (pos, pos + len(user_text))
         emit(user_text)
         emit(tpl.turn_sep)
-        words = traj.write_words(chunk)
         assistant_text = " ".join(words)
         assistant_span = (pos, pos + len(assistant_text))
         emit(assistant_text)

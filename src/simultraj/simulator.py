@@ -23,7 +23,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Protocol, Sequence
+from itertools import groupby
+from typing import IO, Iterable, Iterator, Protocol, Sequence
 
 from simultraj.alignment import SentencePair
 from simultraj.sftformat import ChatTemplate, dialogue_prompt, get_template, offline_prompt
@@ -414,18 +415,18 @@ def dump_events_jsonl(runs: Iterable[SimRun], out: str | IO[str]) -> int:
             f.close()
 
 
-def load_events_jsonl(path: str) -> list[list[dict]]:
-    """Group event records back into runs, preserving file order of run ids."""
-    by_id: dict[int, list[dict]] = {}
-    order: list[int] = []
+def load_events_jsonl(path: str) -> Iterator[list[dict]]:
+    """Yield the event records of one run at a time, in file order.
+
+    `dump_events_jsonl` writes each run as one block of consecutive records
+    with the same id, so only one run is held at a time. An id that reappears
+    after another run's records raises ValueError.
+    """
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            rid = record.get("id", 0)
-            if rid not in by_id:
-                by_id[rid] = []
-                order.append(rid)
-            by_id[rid].append(record)
-    return [by_id[rid] for rid in order]
+        records = (json.loads(line) for line in f if line.strip())
+        for rid, events in groupby(records, key=lambda record: record.get("id", 0)):
+            if rid in seen:
+                raise ValueError(f"run id {rid} reappears after another run in {path}")
+            seen.add(rid)
+            yield list(events)

@@ -25,14 +25,17 @@ PROVENANCES = (META, MERGED, MERGED_SHIFTED)
 
 @dataclass(frozen=True)
 class Chunk:
-    """One READ/WRITE pair over 1-based source and target positions.
+    """One READ/WRITE pair: the next n_read source words, then the next n_write
+    target words.
 
+    Every trajectory reads and writes contiguous spans in order, so counts fix
+    a chunk's words; `Trajectory.segments` cuts them from running offsets.
     shifted_prefix_len counts leading write tokens moved in from the previous
     chunk by the shift augmentation; it is 0 in meta and merged trajectories.
     """
 
-    read: tuple[int, ...]
-    write: tuple[int, ...]
+    n_read: int
+    n_write: int
     shifted_prefix_len: int = 0
 
 
@@ -46,33 +49,31 @@ class Trajectory:
     def pair_id(self) -> int:
         return self.pair.id
 
-    def read_words(self, chunk: Chunk) -> tuple[str, ...]:
-        return tuple(self.pair.source[i - 1] for i in chunk.read)
-
-    def write_words(self, chunk: Chunk) -> tuple[str, ...]:
-        return tuple(self.pair.target[j - 1] for j in chunk.write)
+    def segments(self) -> Iterator[tuple[Chunk, tuple[str, ...], tuple[str, ...]]]:
+        """Each chunk with the source words it reads and the target words it writes."""
+        i = j = 0
+        for chunk in self.chunks:
+            yield chunk, self.pair.source[i : i + chunk.n_read], self.pair.target[j : j + chunk.n_write]
+            i += chunk.n_read
+            j += chunk.n_write
 
 
 def build_meta(plan: MonotonicPlan, pair: SentencePair) -> Trajectory:
     """Minimum-latency trajectory for a plan: one chunk per requirement increase."""
     if plan.target_len != pair.target_len or plan.source_len != pair.source_len:
         raise ValueError(f"record {pair.id}: plan shape does not match sentence pair")
-    chunks: list[tuple[list[int], list[int]]] = []
+    counts: list[list[int]] = []  # [n_read, n_write] per chunk
     consumed = 0
-    for j, m in enumerate(plan.prefix_req, start=1):
+    for m in plan.prefix_req:
         if m > consumed:
-            chunks.append((list(range(consumed + 1, m + 1)), [j]))
+            counts.append([m - consumed, 1])
             consumed = m
         else:
-            chunks[-1][1].append(j)
+            counts[-1][1] += 1
     # Trailing source the last write never waited on: flush into the final READ.
     if consumed < plan.source_len:
-        chunks[-1][0].extend(range(consumed + 1, plan.source_len + 1))
-    return Trajectory(
-        tuple(Chunk(tuple(r), tuple(w)) for r, w in chunks),
-        pair,
-        META,
-    )
+        counts[-1][0] += plan.source_len - consumed
+    return Trajectory(tuple(Chunk(r, w) for r, w in counts), pair, META)
 
 
 def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
@@ -81,123 +82,123 @@ def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
     The sufficiency check needs the plan and is skipped when plan is None.
     """
     violations: list[str] = []
-    source_len = traj.pair.source_len
-    target_len = traj.pair.target_len
-
-    expected = 1
-    ordered = True
-    for c, chunk in enumerate(traj.chunks):
-        for i in chunk.read:
-            if i != expected:
-                violations.append(f"source order violated @chunk {c}")
-                ordered = False
-                break
-            expected += 1
-        if not ordered:
-            break
-    if ordered and expected != source_len + 1:
+    if sum(c.n_read for c in traj.chunks) != traj.pair.source_len:
         violations.append("source coverage violated")
-
-    expected = 1
-    ordered = True
-    for c, chunk in enumerate(traj.chunks):
-        for j in chunk.write:
-            if j != expected:
-                violations.append(f"target order violated @chunk {c}")
-                ordered = False
-                break
-            expected += 1
-        if not ordered:
-            break
-    if ordered and expected != target_len + 1:
+    if sum(c.n_write for c in traj.chunks) != traj.pair.target_len:
         violations.append("target coverage violated")
-
-    if len(traj.chunks) > source_len:
+    if len(traj.chunks) > traj.pair.source_len:
         violations.append("chunk count violated")
 
     for c, chunk in enumerate(traj.chunks):
-        if not chunk.write:
+        if chunk.n_write < 1:
             violations.append(f"empty write @chunk {c}")
-        if chunk.shifted_prefix_len > len(chunk.write):
+        if not 0 <= chunk.shifted_prefix_len <= chunk.n_write:
             violations.append(f"shifted prefix violated @chunk {c}")
 
     if plan is not None:
-        cum = 0
+        read = written = 0
         for c, chunk in enumerate(traj.chunks):
-            cum += len(chunk.read)
-            for j in chunk.write:
-                if 1 <= j <= plan.target_len and plan.prefix_req[j - 1] > cum:
-                    violations.append(f"write sufficiency violated @chunk {c}")
-                    break
+            read += chunk.n_read
+            if any(m > read for m in plan.prefix_req[written : written + chunk.n_write]):
+                violations.append(f"write sufficiency violated @chunk {c}")
+            written += chunk.n_write
     return violations
 
 
 def write_read_counts(traj: Trajectory) -> list[int]:
-    """g[t] = source tokens read when target t is written, chunk reads before writes."""
+    """g[t] = source tokens read when target t is written, chunk reads before writes.
+
+    This is the flush-inclusive schedule: the final chunk's trailing source
+    counts as read before its writes. `metrics.trajectory_average_lagging`
+    uses it.
+    """
     counts: list[int] = []
-    cum = 0
+    read = 0
     for chunk in traj.chunks:
-        cum += len(chunk.read)
-        counts.extend([cum] * len(chunk.write))
+        read += chunk.n_read
+        counts.extend([read] * chunk.n_write)
     return counts
 
 
 def read_counts_before_write(traj: Trajectory, plan: MonotonicPlan) -> list[int]:
     """Like write_read_counts, but the final chunk's trailing flush (source past
-    every write requirement) is read after the writes, not before."""
+    every write requirement) is read after the writes, not before.
+
+    This is the schedule the minimum-latency claim is stated on: acceptance
+    gate 3 compares it with a brute-force optimum.
+    """
     counts = write_read_counts(traj)
     last = traj.chunks[-1]
-    if last.write:
-        need = max(plan.prefix_req[j - 1] for j in last.write)
-        drained = sum(1 for i in last.read if i > need)
-        for t in range(len(counts) - len(last.write), len(counts)):
+    if last.n_write:
+        first = len(counts) - last.n_write
+        need = max(plan.prefix_req[first : len(counts)])
+        drained = min(last.n_read, max(0, counts[-1] - need))
+        for t in range(first, len(counts)):
             counts[t] -= drained
     return counts
 
 
 def to_record(traj: Trajectory, debug_indices: bool = False) -> dict:
-    """JSON-ready record with words materialized; positions only under debug."""
+    """JSON-ready record with words materialized; 1-based positions only under debug."""
     record: dict = {
         "id": traj.pair_id,
         "provenance": traj.provenance,
         "chunks": [
-            {
-                "read": list(traj.read_words(chunk)),
-                "write": list(traj.write_words(chunk)),
-                "shifted": chunk.shifted_prefix_len,
-            }
-            for chunk in traj.chunks
+            {"read": list(reads), "write": list(writes), "shifted": chunk.shifted_prefix_len}
+            for chunk, reads, writes in traj.segments()
         ],
     }
     if debug_indices:
-        record["indices"] = [
-            {"read": list(chunk.read), "write": list(chunk.write)} for chunk in traj.chunks
-        ]
+        indices = []
+        i = j = 0
+        for chunk in traj.chunks:
+            indices.append(
+                {
+                    "read": list(range(i + 1, i + chunk.n_read + 1)),
+                    "write": list(range(j + 1, j + chunk.n_write + 1)),
+                }
+            )
+            i += chunk.n_read
+            j += chunk.n_write
+        record["indices"] = indices
     return record
 
 
-def from_record(record: dict) -> Trajectory:
-    """Rebuild a trajectory from its JSONL record.
+def from_record(record: object) -> Trajectory:
+    """Rebuild a trajectory from its JSONL record; chunk counts are list lengths.
 
-    Reads and writes are contiguous 1..I / 1..J in order, so positions are
-    recovered by running counters over the word lists.
+    A record that breaks the format (an object with an integer id, a known
+    provenance, and chunks holding lists of string words and an integer
+    shifted count) raises ValueError naming what is wrong.
     """
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
+    rid = record.get("id")
+    if type(rid) is not int:
+        raise ValueError(f"record id {rid!r} is not an integer")
+    provenance = record.get("provenance")
+    if provenance not in PROVENANCES:
+        raise ValueError(f"record {rid}: unknown provenance {provenance!r}")
+    chunks = record.get("chunks")
+    if not isinstance(chunks, list):
+        raise ValueError(f"record {rid}: chunks is not a list")
     src: list[str] = []
     tgt: list[str] = []
-    chunks: list[Chunk] = []
-    for chunk in record["chunks"]:
-        r0, w0 = len(src), len(tgt)
-        src.extend(chunk["read"])
-        tgt.extend(chunk["write"])
-        chunks.append(
-            Chunk(
-                tuple(range(r0 + 1, len(src) + 1)),
-                tuple(range(w0 + 1, len(tgt) + 1)),
-                chunk.get("shifted", 0),
-            )
-        )
-    pair = SentencePair(tuple(src), tuple(tgt), record["id"])
-    return Trajectory(tuple(chunks), pair, record["provenance"])
+    counts: list[Chunk] = []
+    for c, chunk in enumerate(chunks):
+        if not isinstance(chunk, dict):
+            raise ValueError(f"record {rid}: chunk {c} is not an object")
+        read, write, shifted = chunk.get("read"), chunk.get("write"), chunk.get("shifted", 0)
+        for key, words in (("read", read), ("write", write)):
+            if not isinstance(words, list) or not all(type(w) is str for w in words):
+                raise ValueError(f"record {rid}: chunk {c} {key} is not a list of strings")
+        if type(shifted) is not int:
+            raise ValueError(f"record {rid}: chunk {c} shifted {shifted!r} is not an integer")
+        src.extend(read)
+        tgt.extend(write)
+        counts.append(Chunk(len(read), len(write), shifted))
+    pair = SentencePair(tuple(src), tuple(tgt), rid)
+    return Trajectory(tuple(counts), pair, provenance)
 
 
 def dump_jsonl(trajs: Iterable[Trajectory], path: str, debug_indices: bool = False) -> int:

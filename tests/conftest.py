@@ -2,10 +2,11 @@ import random
 from typing import NamedTuple, Sequence
 
 from simultraj.alignment import AlignmentSet, SentencePair, sufficient_sets
+from simultraj.augment import RHO_MAX, AugmentConfig
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import dialogue_prompt, get_template, offline_prompt
 from simultraj.simulator import CONVERSATIONAL, SelectStrategy, select_prefix
-from simultraj.trajectory import Trajectory, build_meta
+from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Trajectory, build_meta
 
 
 def make_pair(source_len: int, target_len: int, pair_id: int = 0) -> SentencePair:
@@ -145,3 +146,128 @@ def oracle_run(
             committed_all.extend(selected)
         prev_conv, prev_off = prompt_conv, prompt_off
     return rounds
+
+
+# Position-tuple reference for trajectory construction, augmentation, records
+# and verify: each chunk lists the 1-based source and target positions it reads
+# and writes. The library stores counts instead; the differential test in
+# test_augment.py checks that both give the same records and verdicts.
+
+
+class RefChunk(NamedTuple):
+    read: tuple[int, ...]
+    write: tuple[int, ...]
+    shifted_prefix_len: int = 0
+
+
+class RefTrajectory(NamedTuple):
+    chunks: tuple[RefChunk, ...]
+    pair: SentencePair
+    provenance: str
+
+
+def ref_build_meta(plan: MonotonicPlan, pair: SentencePair) -> RefTrajectory:
+    chunks: list[tuple[list[int], list[int]]] = []
+    consumed = 0
+    for j, m in enumerate(plan.prefix_req, start=1):
+        if m > consumed:
+            chunks.append((list(range(consumed + 1, m + 1)), [j]))
+            consumed = m
+        else:
+            chunks[-1][1].append(j)
+    if consumed < plan.source_len:
+        chunks[-1][0].extend(range(consumed + 1, plan.source_len + 1))
+    return RefTrajectory(tuple(RefChunk(tuple(r), tuple(w)) for r, w in chunks), pair, META)
+
+
+def ref_merge(traj: RefTrajectory, cfg: AugmentConfig, rng: random.Random) -> RefTrajectory:
+    merged: list[RefChunk] = []
+    pos = 0
+    while pos < len(traj.chunks):
+        delta = rng.randint(cfg.delta_min, cfg.delta_max)
+        group = traj.chunks[pos : pos + delta]
+        merged.append(
+            RefChunk(
+                tuple(i for c in group for i in c.read),
+                tuple(j for c in group for j in c.write),
+            )
+        )
+        pos += len(group)
+    return RefTrajectory(tuple(merged), traj.pair, MERGED)
+
+
+def ref_shift(traj: RefTrajectory, cfg: AugmentConfig, rng: random.Random) -> RefTrajectory:
+    chunks = list(traj.chunks)
+    for c in range(len(chunks) - 1):
+        cur = chunks[c]
+        if len(cur.write) < 2:
+            continue
+        if rng.random() >= cfg.beta:
+            continue
+        rho = rng.uniform(cfg.rho_min, RHO_MAX)
+        k = max(1, int(rho * len(cur.write)))
+        moved = cur.write[k:]
+        if not moved:
+            continue
+        nxt = chunks[c + 1]
+        chunks[c] = RefChunk(cur.read, cur.write[:k], min(cur.shifted_prefix_len, k))
+        chunks[c + 1] = RefChunk(nxt.read, moved + nxt.write, len(moved))
+    return RefTrajectory(tuple(chunks), traj.pair, MERGED_SHIFTED)
+
+
+def ref_verify(traj: RefTrajectory, plan: MonotonicPlan | None = None) -> list[str]:
+    """Order and coverage are walked position by position."""
+    violations: list[str] = []
+    for side, length, positions in (
+        ("source", traj.pair.source_len, [c.read for c in traj.chunks]),
+        ("target", traj.pair.target_len, [c.write for c in traj.chunks]),
+    ):
+        expected = 1
+        ordered = True
+        for c, chunk_positions in enumerate(positions):
+            for p in chunk_positions:
+                if p != expected:
+                    violations.append(f"{side} order violated @chunk {c}")
+                    ordered = False
+                    break
+                expected += 1
+            if not ordered:
+                break
+        if ordered and expected != length + 1:
+            violations.append(f"{side} coverage violated")
+    if len(traj.chunks) > traj.pair.source_len:
+        violations.append("chunk count violated")
+    for c, chunk in enumerate(traj.chunks):
+        if not chunk.write:
+            violations.append(f"empty write @chunk {c}")
+        if not 0 <= chunk.shifted_prefix_len <= len(chunk.write):
+            violations.append(f"shifted prefix violated @chunk {c}")
+    if plan is not None:
+        cum = 0
+        for c, chunk in enumerate(traj.chunks):
+            cum += len(chunk.read)
+            for j in chunk.write:
+                if 1 <= j <= plan.target_len and plan.prefix_req[j - 1] > cum:
+                    violations.append(f"write sufficiency violated @chunk {c}")
+                    break
+    return violations
+
+
+def ref_to_record(traj: RefTrajectory, debug_indices: bool = False) -> dict:
+    record: dict = {
+        "id": traj.pair.id,
+        "provenance": traj.provenance,
+        "chunks": [
+            {
+                "read": [traj.pair.source[i - 1] for i in chunk.read],
+                "write": [traj.pair.target[j - 1] for j in chunk.write],
+                "shifted": chunk.shifted_prefix_len,
+            }
+            for chunk in traj.chunks
+        ],
+    }
+    if debug_indices:
+        record["indices"] = [
+            {"read": list(chunk.read), "write": list(chunk.write)} for chunk in traj.chunks
+        ]
+    return record

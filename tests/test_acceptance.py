@@ -40,6 +40,7 @@ from simultraj.trajectory import (
     build_meta,
     from_record,
     read_counts_before_write,
+    to_record,
     verify,
 )
 
@@ -73,10 +74,11 @@ def test_criterion_02_trajectory_soundness_10k():
         shifted = shift(merged, cfg, pair_rng)
         for stage in (meta, merged, shifted):
             assert verify(stage, plan) == []
-            assert [i for c in stage.chunks for i in c.read] == list(
+            indices = to_record(stage, debug_indices=True)["indices"]
+            assert [i for c in indices for i in c["read"]] == list(
                 range(1, pair.source_len + 1)
             )
-            assert [j for c in stage.chunks for j in c.write] == list(
+            assert [j for c in indices for j in c["write"]] == list(
                 range(1, pair.target_len + 1)
             )
     elapsed = time.perf_counter() - t0
@@ -262,7 +264,7 @@ def test_criterion_10_sft_golden():
     from simultraj.trajectory import META, Chunk, Trajectory
 
     pair = SentencePair(("Hallo",), ("Hello",), 0)
-    traj = Trajectory((Chunk((1,), (1,)),), pair, META)
+    traj = Trajectory((Chunk(1, 1),), pair, META)
     record = render_conversational(traj, system_msg="", template_id="llama2")
     assert record.text == "<s>[INST] Hallo [/INST] Hello</s>"
     assert len(record.loss_mask_spans) == 1

@@ -1,17 +1,21 @@
 import json
 
-from simultraj.cli import PipelineConfig, main
+import pytest
+
+from simultraj.cli import DEFAULT_CHUNK_SIZES, build_parser, main
 from conftest import write_toy_corpus
 
 
 def test_pipeline_config_defaults():
-    cfg = PipelineConfig()
-    assert (cfg.delta_min, cfg.delta_max, cfg.beta, cfg.rho_min) == (2, 10, 0.5, 0.5)
-    assert cfg.chunk_sizes == (3, 5, 7, 9, 11, 13)
-    assert cfg.beam == 5
-    assert cfg.gamma == 0.6
-    assert cfg.template == "llama2"
-    assert cfg.prompt_mode == "conversational"
+    parser = build_parser()
+    aug = parser.parse_args(["augment", "--in", "i", "--out", "o"])
+    assert (aug.delta_min, aug.delta_max, aug.beta, aug.rho_min) == (2, 10, 0.5, 0.5)
+    assert DEFAULT_CHUNK_SIZES == (3, 5, 7, 9, 11, 13)
+    sim = parser.parse_args(["simulate", "--src", "s", "--model", "m", "--out", "o"])
+    assert sim.beam == 5
+    assert sim.gamma == 0.6
+    assert parser.parse_args(["format", "--in", "i", "--out", "o"]).template == "llama2"
+    assert sim.prompt == "conversational"
 
 
 def curate(tmp_path, out_name="meta.jsonl", n_pairs=2, seed=0):
@@ -253,3 +257,69 @@ def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
     assert "n/a" in out
     assert "nan" not in out.lower()
     assert csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")[1:3] == ["", ""]
+
+
+GOOD_META = {"id": 7, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1, 2],
+        "meta",
+        {"id": 0, "provenance": "meta", "chunks": 5},
+        {"id": 0, "provenance": "meta", "chunks": [5]},
+        {"id": 0, "provenance": "meta", "chunks": [{"read": [1], "write": ["x"], "shifted": 0}]},
+        {"id": 0, "provenance": "meta", "chunks": [{"read": ["a"], "write": "x", "shifted": 0}]},
+        {"id": 0, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": "0"}]},
+        {"id": "0", "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
+        {"provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
+        {"id": 0, "provenance": "raw", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
+    ],
+    ids=["list", "string", "chunks-int", "chunk-int", "read-int", "write-string",
+         "shifted-string", "id-string", "no-id", "unknown-provenance"],
+)
+def test_malformed_record_rejected_and_run_goes_on(tmp_path, capsys, bad):
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
+    for command in ("augment", "format"):
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, "--in", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "record rejected" in err
+        assert "Traceback" not in err
+        (line,) = out.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["id"] == 7
+    assert main(["stats", "--in", str(src)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shifted", [-3, 5])
+def test_format_rejects_shifted_outside_write(tmp_path, capsys, shifted):
+    bad = {"id": 0, "provenance": "merged+shifted",
+           "chunks": [{"read": ["a"], "write": ["x", "y"], "shifted": shifted}]}
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
+    out = tmp_path / "sft.jsonl"
+    assert main(["format", "--in", str(src), "--out", str(out)]) == 1
+    assert "record 0 rejected: shifted prefix violated @chunk 0" in capsys.readouterr().err
+    (line,) = out.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["id"] == 7
+
+
+def test_eval_run_id_reappearing_is_hard_error(tmp_path, capsys):
+    (tmp_path / "src.txt").write_text("a b\nc d e\n", encoding="utf-8")
+    scripts = [{"rounds": [[["A", "B"]]]}, {"rounds": [[["C"]], [["D", "E"]]]}]
+    (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
+    events = tmp_path / "events.jsonl"
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
+                 str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
+                 "--select", "greedy", "--out", str(events)]) == 0
+    lines = events.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in lines] == [0, 1, 1]
+    events.write_text("\n".join([lines[1], lines[0], lines[2]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--events", str(events)]) == 2
+    err = capsys.readouterr().err
+    assert "error: run id 1 reappears" in err
+    assert "Traceback" not in err

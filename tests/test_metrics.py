@@ -73,15 +73,8 @@ def test_run_and_trajectory_schedules_agree():
     # must produce one AL value through both code paths.
     source = [f"w{i}" for i in range(1, 7)]
     sim = run(source, scripted_echo(source, 2, beam=1), chunk_size=2, strategy=GREEDY, beam=1)
-    chunks = []
-    read_base = tgt_base = 0
-    for event in sim.events:
-        reads = tuple(range(read_base + 1, read_base + 1 + len(event.read_words)))
-        writes = tuple(range(tgt_base + 1, tgt_base + 1 + len(event.committed_words)))
-        read_base += len(event.read_words)
-        tgt_base += len(event.committed_words)
-        chunks.append(Chunk(reads, writes))
-    pair = make_pair(read_base, tgt_base)
+    chunks = [Chunk(len(e.read_words), len(e.committed_words)) for e in sim.events]
+    pair = make_pair(sum(c.n_read for c in chunks), sum(c.n_write for c in chunks))
     traj = Trajectory(tuple(chunks), pair, META)
     assert run_average_lagging(sim) == trajectory_average_lagging(traj)
 
@@ -126,9 +119,7 @@ def test_wwt_needs_committed_words():
 
 def test_corpus_stats_single_trajectory():
     pair = make_pair(6, 6)
-    traj = Trajectory(
-        (Chunk((1, 2, 3), (1, 2, 3)), Chunk((4, 5, 6), (4, 5, 6))), pair, META
-    )
+    traj = Trajectory((Chunk(3, 3), Chunk(3, 3)), pair, META)
     stats = corpus_stats([traj]).by_provenance[META]
     assert stats.trajectories == 1
     assert (stats.chunks_per_trajectory.mean, stats.chunks_per_trajectory.std) == (2.0, 0.0)
@@ -168,10 +159,8 @@ def test_corpus_stats_population_std():
     pair_a = make_pair(1, 1, 0)
     pair_b = make_pair(3, 3, 1)
     trajs = [
-        Trajectory((Chunk((1,), (1,)),), pair_a, META),
-        Trajectory(
-            (Chunk((1,), (1,)), Chunk((2,), (2,)), Chunk((3,), (3,))), pair_b, META
-        ),
+        Trajectory((Chunk(1, 1),), pair_a, META),
+        Trajectory((Chunk(1, 1), Chunk(1, 1), Chunk(1, 1)), pair_b, META),
     ]
     stats = corpus_stats(trajs).by_provenance[META]
     # counts 1 and 3: population std is 1.0 (sample std would be sqrt(2))

@@ -20,7 +20,7 @@ from simultraj.trajectory import META, MERGED_SHIFTED, Chunk, Trajectory
 
 def hallo_traj():
     pair = SentencePair(("Hallo",), ("Hello",), 0)
-    return Trajectory((Chunk((1,), (1,)),), pair, META)
+    return Trajectory((Chunk(1, 1),), pair, META)
 
 
 def test_single_turn_golden():
@@ -41,7 +41,7 @@ def test_unknown_template_rejected():
 def test_shifted_prefix_excluded_from_loss():
     pair = SentencePair(("s1", "s2"), ("w1", "w2", "w3"), 1)
     traj = Trajectory(
-        (Chunk((1,), (1,)), Chunk((2,), (2, 3), shifted_prefix_len=1)),
+        (Chunk(1, 1), Chunk(1, 2, shifted_prefix_len=1)),
         pair,
         MERGED_SHIFTED,
     )

@@ -242,7 +242,7 @@ def test_event_log_round_trip(tmp_path):
     ]
     path = tmp_path / "events.jsonl"
     assert dump_events_jsonl(sims, str(path)) == sum(s.rounds for s in sims)
-    grouped = load_events_jsonl(str(path))
+    grouped = list(load_events_jsonl(str(path)))
     assert len(grouped) == 2
     assert [len(g) for g in grouped] == [sims[0].rounds, sims[1].rounds]
     assert grouped[0][0]["read_words"] == ["w1", "w2"]

@@ -21,24 +21,20 @@ from simultraj.trajectory import (
 def test_single_chunk_for_flat_requirement():
     pair = make_pair(2, 2)
     traj = build_meta(MonotonicPlan((2, 2), ((2, 2),), 2), pair)
-    assert [(c.read, c.write) for c in traj.chunks] == [((1, 2), (1, 2))]
+    assert [(c.n_read, c.n_write) for c in traj.chunks] == [(2, 2)]
 
 
 def test_identity_diagonal_one_token_chunks():
     pair = make_pair(3, 3)
     traj = build_meta(MonotonicPlan((1, 2, 3), (), 3), pair)
-    assert [(c.read, c.write) for c in traj.chunks] == [
-        ((1,), (1,)),
-        ((2,), (2,)),
-        ((3,), (3,)),
-    ]
+    assert [(c.n_read, c.n_write) for c in traj.chunks] == [(1, 1), (1, 1), (1, 1)]
 
 
 def test_trailing_source_flushed_into_final_read():
     pair = make_pair(4, 2)
     plan = MonotonicPlan((1, 3), (), 4)
     traj = build_meta(plan, pair)
-    assert [(c.read, c.write) for c in traj.chunks] == [((1,), (1,)), ((2, 3, 4), (2,))]
+    assert [(c.n_read, c.n_write) for c in traj.chunks] == [(1, 1), (3, 1)]
     assert verify(traj, plan) == []
 
 
@@ -51,29 +47,25 @@ def test_verify_clean_on_built_trajectories():
         assert len(traj.chunks) <= pair.source_len
 
 
-def test_verify_flags_target_order():
-    pair = make_pair(2, 2)
-    broken = Trajectory((Chunk((1, 2), (2, 1)),), pair, META)
-    assert verify(broken) == ["target order violated @chunk 0"]
-
-
 def test_verify_flags_source_coverage():
     pair = make_pair(3, 2)
-    broken = Trajectory((Chunk((1, 2), (1, 2)),), pair, META)
+    broken = Trajectory((Chunk(2, 2),), pair, META)
     assert verify(broken) == ["source coverage violated"]
 
 
 def test_verify_flags_insufficient_read():
     pair = make_pair(3, 2)
     plan = MonotonicPlan((2, 3), (), 3)
-    premature = Trajectory((Chunk((1,), (1,)), Chunk((2, 3), (2,))), pair, META)
+    premature = Trajectory((Chunk(1, 1), Chunk(2, 1)), pair, META)
     assert any(v.startswith("write sufficiency") for v in verify(premature, plan))
 
 
 def test_verify_flags_shifted_prefix_overflow():
     pair = make_pair(1, 1)
-    broken = Trajectory((Chunk((1,), (1,), shifted_prefix_len=5),), pair, META)
+    broken = Trajectory((Chunk(1, 1, shifted_prefix_len=5),), pair, META)
     assert verify(broken) == ["shifted prefix violated @chunk 0"]
+    negative = Trajectory((Chunk(1, 1, shifted_prefix_len=-3),), pair, META)
+    assert verify(negative) == ["shifted prefix violated @chunk 0"]
 
 
 def test_meta_achieves_brute_force_minimum_latency():
