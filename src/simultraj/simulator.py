@@ -415,17 +415,42 @@ def dump_events_jsonl(runs: Iterable[SimRun], out: str | IO[str]) -> int:
             f.close()
 
 
+# The integer fields of an event record that `metrics.events_report` reads.
+_EVENT_INT_FIELDS = (
+    "id",
+    "recompute_tokens_conversational",
+    "recompute_tokens_offline",
+    "cumulative_source_read",
+)
+
+
+def _checked_event(line: str, lineno: int) -> dict:
+    """Parse one event line; raise ValueError naming the line and the field
+    when a field that `eval` reads is missing or of the wrong type."""
+    record = json.loads(line)
+    if type(record) is not dict:
+        raise ValueError(f"event line {lineno}: not an object")
+    for key in _EVENT_INT_FIELDS:
+        if type(record.get(key)) is not int:
+            raise ValueError(f"event line {lineno}: {key} is not an integer")
+    words = record.get("committed_words")
+    if type(words) is not list or not all(type(w) is str for w in words):
+        raise ValueError(f"event line {lineno}: committed_words is not a list of strings")
+    return record
+
+
 def load_events_jsonl(path: str) -> Iterator[list[dict]]:
     """Yield the event records of one run at a time, in file order.
 
     `dump_events_jsonl` writes each run as one block of consecutive records
     with the same id, so only one run is held at a time. An id that reappears
-    after another run's records raises ValueError.
+    after another run's records, or a record whose fields `eval` reads are
+    missing or of the wrong type, raises ValueError.
     """
     seen: set[int] = set()
     with open(path, encoding="utf-8") as f:
-        records = (json.loads(line) for line in f if line.strip())
-        for rid, events in groupby(records, key=lambda record: record.get("id", 0)):
+        records = (_checked_event(line, n) for n, line in enumerate(f, 1) if line.strip())
+        for rid, events in groupby(records, key=lambda record: record["id"]):
             if rid in seen:
                 raise ValueError(f"run id {rid} reappears after another run in {path}")
             seen.add(rid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from simultraj.alignment import SentencePair
 from simultraj.monotonic import MonotonicPlan
@@ -199,15 +199,6 @@ def from_record(record: object) -> Trajectory:
         counts.append(Chunk(len(read), len(write), shifted))
     pair = SentencePair(tuple(src), tuple(tgt), rid)
     return Trajectory(tuple(counts), pair, provenance)
-
-
-def dump_jsonl(trajs: Iterable[Trajectory], path: str, debug_indices: bool = False) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for traj in trajs:
-            f.write(json.dumps(to_record(traj, debug_indices), ensure_ascii=False) + "\n")
-            n += 1
-    return n
 
 
 def load_jsonl(path: str) -> Iterator[Trajectory]:

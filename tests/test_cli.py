@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from simultraj import cli
 from simultraj.cli import DEFAULT_CHUNK_SIZES, build_parser, main
 from conftest import write_toy_corpus
 
@@ -236,6 +237,93 @@ def test_workers_do_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _rejections(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
+
+
+def _with_bad_lines(path, at):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i in sorted(at, reverse=True):
+        lines.insert(i, "[1, 2]")
+    bad = path.with_name("bad_" + path.name)
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return bad
+
+
+def test_workers_match_serial_across_batches(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PMAP_BATCH", 3)
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
+    lines = align.read_text(encoding="utf-8").splitlines()
+    for i in (1, 8, 14):  # out-of-range links: rejected records in three batches
+        lines[i] = "99-99"
+    align.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def run(workers):
+        meta, aug, sft = (tmp_path / f"{name}{workers}.jsonl" for name in ("meta", "aug", "sft"))
+        codes = [main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
+                       "--out", str(meta), "--workers", workers])]
+        codes.append(main(["augment", "--in", str(_with_bad_lines(meta, (2, 10))), "--out", str(aug),
+                           "--seed", "11", "--workers", workers]))
+        codes.append(main(["format", "--in", str(_with_bad_lines(aug, (4, 13))), "--out", str(sft),
+                           "--workers", workers]))
+        return codes, [p.read_bytes() for p in (meta, aug, sft)], _rejections(capsys)
+
+    serial = run("1")
+    assert serial[0] == [1, 1, 1]
+    assert [line.split(":")[0] for line in serial[2][:3]] == [
+        "record 1 rejected", "record 8 rejected", "record 14 rejected"]
+    assert len(serial[2]) == 7
+    assert run("2") == serial
+
+
+def test_pmap_reads_a_bounded_window_ahead(monkeypatch):
+    monkeypatch.setattr(cli, "PMAP_BATCH", 3)
+    pulled = 0
+
+    def numbers():
+        nonlocal pulled
+        for i in range(100):
+            pulled += 1
+            yield -i
+
+    results = cli._pmap(abs, numbers(), 2)
+    assert next(results) == 0
+    assert pulled <= (2 * 2 + 1) * 3
+    assert list(results) == list(range(1, 100))
+
+
+def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PMAP_BATCH", 3)
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
+    lines = align.read_text(encoding="utf-8").splitlines()
+    align.write_text("\n".join(lines[:19]) + "\n", encoding="utf-8")  # ends mid-batch
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"meta{workers}.jsonl"
+        assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
+                     "--out", str(out), "--workers", workers]) == 2
+        assert "line count mismatch" in capsys.readouterr().err
+        outs.append(out.read_bytes())
+    assert len(outs[0].splitlines()) == 19
+    assert outs[1] == outs[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curate", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o", "--workers", "0"],
+     ["augment", "--in", "i", "--out", "o", "--workers", "-1"],
+     ["format", "--in", "i", "--out", "o", "--workers", "0"]],
+    ids=["curate-0", "augment-negative", "format-0"],
+)
+def test_workers_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err
+    assert "must be at least 1" in err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -322,4 +410,34 @@ def test_eval_run_id_reappearing_is_hard_error(tmp_path, capsys):
     assert main(["eval", "--events", str(events)]) == 2
     err = capsys.readouterr().err
     assert "error: run id 1 reappears" in err
+    assert "Traceback" not in err
+
+
+GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "committed_words": ["A"],
+              "recompute_tokens_conversational": 1, "recompute_tokens_offline": 1,
+              "cumulative_source_read": 1}
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ([1, 2], "not an object"),
+        ("event", "not an object"),
+        ({**GOOD_EVENT, "committed_words": "ab"}, "committed_words"),
+        ({**GOOD_EVENT, "committed_words": ["A", 1]}, "committed_words"),
+        ({**GOOD_EVENT, "id": "0"}, "id"),
+        ({**GOOD_EVENT, "id": True}, "id"),
+        ({k: v for k, v in GOOD_EVENT.items() if k != "cumulative_source_read"}, "cumulative_source_read"),
+        ({**GOOD_EVENT, "recompute_tokens_offline": 1.5}, "recompute_tokens_offline"),
+        ({**GOOD_EVENT, "recompute_tokens_conversational": None}, "recompute_tokens_conversational"),
+    ],
+    ids=["list", "string", "words-string", "words-int", "id-string", "id-bool", "no-cumulative",
+         "offline-float", "conversational-null"],
+)
+def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
+    events = tmp_path / "events.jsonl"
+    events.write_text(json.dumps(GOOD_EVENT) + "\n\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    assert main(["eval", "--events", str(events)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: event line 3: {field}" in err
     assert "Traceback" not in err
