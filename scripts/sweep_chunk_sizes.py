@@ -13,16 +13,15 @@ Usage:
 import argparse
 import csv
 import sys
-from statistics import fmean
 
 from simultraj.cli import DEFAULT_CHUNK_SIZES
-from simultraj.metrics import CostModel, run_average_lagging, simulated_wwt
-from simultraj.simulator import GREEDY, cache_savings, run, scripted_echo
+from simultraj.metrics import CostModel, events_report
+from simultraj.simulator import CONVERSATIONAL, GREEDY, OFFLINE, event_to_record, run, scripted_echo
 
 
 def sweep(sources, chunk_sizes, cost):
     for n in chunk_sizes:
-        al, wwt_conv, wwt_off, conv_total, off_total = [], [], [], 0, 0
+        records = []
         for idx, source in enumerate(sources):
             sim = run(
                 source,
@@ -32,19 +31,16 @@ def sweep(sources, chunk_sizes, cost):
                 beam=1,
                 pair_id=idx,
             )
-            al.append(run_average_lagging(sim))
-            wwt_conv.append(simulated_wwt(sim, cost, "conversational"))
-            wwt_off.append(simulated_wwt(sim, cost, "offline"))
-            totals = cache_savings(sim)
-            conv_total += totals["total_conversational"]
-            off_total += totals["total_offline"]
+            records.append([event_to_record(sim, event) for event in sim.events])
+        conv = events_report(records, cost, CONVERSATIONAL)
+        off = events_report(records, cost, OFFLINE)
         yield {
             "chunk_size": n,
-            "al_mean": round(fmean(al), 4),
-            "wwt_conversational": round(fmean(wwt_conv), 4),
-            "wwt_offline": round(fmean(wwt_off), 4),
-            "recompute_conversational": conv_total,
-            "recompute_offline": off_total,
+            "al_mean": round(conv.al_mean, 4),
+            "wwt_conversational": round(conv.wwt_simulated_mean, 4),
+            "wwt_offline": round(off.wwt_simulated_mean, 4),
+            "recompute_conversational": conv.recompute_total_conversational,
+            "recompute_offline": conv.recompute_total_offline,
         }
 
 

@@ -7,9 +7,7 @@ functions are pure, so sentence pairs can be processed in parallel freely.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class AlignmentError(ValueError):
@@ -130,32 +128,3 @@ def is_monotonic(s: SufficientSets) -> bool:
             return False
         prev = m
     return True
-
-
-def iter_bitext(src_path: str | os.PathLike, tgt_path: str | os.PathLike | None = None) -> Iterator[SentencePair]:
-    """Yield sentence pairs from two parallel files, or from one TSV if tgt_path is None.
-
-    Raises AlignmentError on a line-count mismatch or a TSV line without a tab.
-    """
-    if tgt_path is None:
-        with open(src_path, encoding="utf-8") as f:
-            for idx, line in enumerate(f):
-                line = line.rstrip("\n")
-                src, sep, tgt = line.partition("\t")
-                if not sep:
-                    raise AlignmentError(f"record {idx}: TSV line has no tab separator")
-                yield SentencePair.from_text(src, tgt, idx)
-        return
-    with open(src_path, encoding="utf-8") as fs, open(tgt_path, encoding="utf-8") as ft:
-        idx = 0
-        while True:
-            src = fs.readline()
-            tgt = ft.readline()
-            if not src and not tgt:
-                return
-            if not src or not tgt:
-                raise AlignmentError(
-                    f"line count mismatch between {src_path} and {tgt_path} at record {idx}"
-                )
-            yield SentencePair.from_text(src.rstrip("\n"), tgt.rstrip("\n"), idx)
-            idx += 1

@@ -37,8 +37,6 @@ from simultraj.simulator import (
     CONVERSATIONAL,
     DEFAULT_BEAM,
     DEFAULT_GAMMA,
-    GREEDY,
-    LCP,
     PROMPT_MODES,
     ScriptedModel,
     SelectStrategy,
@@ -262,7 +260,7 @@ def _load_scripts(path: str, n_sources: int) -> list[dict]:
     if isinstance(obj, list):
         if len(obj) != n_sources:
             raise ValueError(
-                f"model file has {len(obj)} scripts for {n_sources} source lines"
+                f"model file has {len(obj)} scripts for {n_sources} non-blank source lines"
             )
         return obj
     raise ValueError("model file must hold a script object or a list of them")
@@ -270,24 +268,23 @@ def _load_scripts(path: str, n_sources: int) -> list[dict]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _print_config("simulate", args)
-    if args.select == "lcp":
-        strategy = LCP
-    elif args.select == "greedy":
-        strategy = GREEDY
-    else:
-        strategy = SelectStrategy("ralcp", args.gamma)
+    strategy = SelectStrategy(args.select, args.gamma if args.select == "ralcp" else 1.0)
     with open(args.src, encoding="utf-8") as f:
-        sources = [line.split() for line in f if line.strip()]
-    scripts = _load_scripts(args.model, len(sources))
+        sources = [line.split() for line in f]
+    blank = sum(1 for source in sources if not source)
+    scripts = iter(_load_scripts(args.model, len(sources) - blank))
 
     def runs() -> Iterator[SimRun]:
-        # Each session is written as soon as it ends, then dropped.
-        for idx, (source, script) in enumerate(zip(sources, scripts)):
-            model = ScriptedModel.from_obj(script)
+        # Session ids are 0-based source line numbers. Each session is written
+        # as soon as it ends, then dropped.
+        for idx, source in enumerate(sources):
+            if not source:
+                print(f"session {idx} rejected: blank source line", file=sys.stderr)
+                continue
             try:
                 yield simulate_run(
                     source,
-                    model,
+                    ScriptedModel.from_obj(next(scripts)),
                     chunk_size=args.chunk,
                     strategy=strategy,
                     prompt_mode=args.prompt,
@@ -296,9 +293,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             except SimulationError as exc:
                 raise SimulationError(f"session {idx}: {exc}") from None
+            except (TypeError, AttributeError) as exc:
+                # A script whose rounds, beams or words have the wrong JSON type.
+                raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
 
     dump_events_jsonl(runs(), args.out)
-    return 0
+    return 1 if blank else 0
 
 
 # ------------------------------------------------------------------- eval

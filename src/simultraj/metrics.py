@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from simultraj.simulator import SimRun
+from simultraj.simulator import CONVERSATIONAL, SimRun, event_to_record
 from simultraj.trajectory import Trajectory, write_read_counts
 
 
@@ -41,19 +41,6 @@ def average_lagging(g: Sequence[int], source_len: int, target_len: int) -> float
     return sum(g[t - 1] - (t - 1) / rate for t in range(1, tau + 1)) / tau
 
 
-def schedule_from_run(sim: SimRun) -> list[int]:
-    """g for a simulated run: words committed in a round share that round's read count."""
-    g: list[int] = []
-    for event in sim.events:
-        g.extend([event.cumulative_source_read] * len(event.committed_words))
-    return g
-
-
-def run_average_lagging(sim: SimRun) -> float:
-    g = schedule_from_run(sim)
-    return average_lagging(g, len(sim.source), len(g))
-
-
 def trajectory_average_lagging(traj: Trajectory) -> float:
     """AL on the flush-inclusive schedule `write_read_counts`, not on
     `read_counts_before_write`, which reads the final flush after the writes."""
@@ -67,23 +54,39 @@ class CostModel:
     per_generated_word: float = 1.0
 
 
-def simulated_wwt(sim: SimRun, cost: CostModel, prompt_mode: str | None = None) -> float:
-    """Simulated cost per committed word: recompute at c1 plus generation at c2."""
-    mode = prompt_mode or sim.prompt_mode
+def run_latency(
+    events: Sequence[dict], cost: CostModel, prompt_mode: str
+) -> tuple[float, float] | None:
+    """AL and simulated WWT of one run, from its event records in round order.
+
+    Words committed in a round share that round's read count; WWT is the
+    recompute of the given prompt mode at c1 plus generation at c2, per
+    committed word. None when the run commits no word.
+    """
+    key = (
+        "recompute_tokens_conversational"
+        if prompt_mode == CONVERSATIONAL
+        else "recompute_tokens_offline"
+    )
+    g: list[int] = []
     total = 0.0
-    generated = 0
-    for event in sim.events:
-        recompute = (
-            event.recompute_tokens_conversational
-            if mode == "conversational"
-            else event.recompute_tokens_offline
-        )
-        total += recompute * cost.per_recomputed_token
-        total += len(event.committed_words) * cost.per_generated_word
-        generated += len(event.committed_words)
-    if generated == 0:
+    for event in events:
+        words = len(event["committed_words"])
+        g.extend([event["cumulative_source_read"]] * words)
+        total += event[key] * cost.per_recomputed_token
+        total += words * cost.per_generated_word
+    if not g:
+        return None
+    return average_lagging(g, events[-1]["cumulative_source_read"], len(g)), total / len(g)
+
+
+def run_average_lagging(sim: SimRun) -> float:
+    """AL of a simulated run, through the reducer `eval` uses."""
+    records = [event_to_record(sim, event) for event in sim.events]
+    latency = run_latency(records, CostModel(), sim.prompt_mode)
+    if latency is None:
         raise ValueError("run committed zero target words")
-    return total / generated
+    return latency[0]
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,8 @@ def _fixed4(value: float | None) -> str:
 
 def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:
     """Aggregate a parsed event log, one list of event records per run, into one
-    report. Each run is reduced as it arrives, so the runs may be streamed."""
+    report. Each run is reduced by `run_latency` as it arrives, so the runs may
+    be streamed."""
     al_values: list[float] = []
     wwt_values: list[float] = []
     runs = 0
@@ -218,23 +222,12 @@ def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode
     for events in event_runs:
         runs += 1
         rounds += len(events)
-        source_len = events[-1]["cumulative_source_read"]
-        g: list[int] = []
-        cost_total = 0.0
-        for event in events:
-            g.extend([event["cumulative_source_read"]] * len(event["committed_words"]))
-            recompute = event[
-                "recompute_tokens_conversational"
-                if prompt_mode == "conversational"
-                else "recompute_tokens_offline"
-            ]
-            cost_total += recompute * cost.per_recomputed_token
-            cost_total += len(event["committed_words"]) * cost.per_generated_word
-            total_conv += event["recompute_tokens_conversational"]
-            total_off += event["recompute_tokens_offline"]
-        if g:
-            al_values.append(average_lagging(g, source_len, len(g)))
-            wwt_values.append(cost_total / len(g))
+        total_conv += sum(event["recompute_tokens_conversational"] for event in events)
+        total_off += sum(event["recompute_tokens_offline"] for event in events)
+        latency = run_latency(events, cost, prompt_mode)
+        if latency is not None:
+            al_values.append(latency[0])
+            wwt_values.append(latency[1])
     if not runs:
         raise ValueError("no runs in event log")
     return LatencyReport(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from simultraj.alignment import SentencePair, SufficientSets
+from simultraj.alignment import SufficientSets
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,3 @@ def augmented_sets(s: SufficientSets, plan: MonotonicPlan) -> SufficientSets:
     for i, j in plan.added_edges:
         merged[j - 1].add(i)
     return SufficientSets(tuple(frozenset(a) for a in merged))
-
-
-def export_dot(plan: MonotonicPlan, s: SufficientSets, pair: SentencePair) -> str:
-    """DOT text for eyeballing a repaired graph: original links solid, added edges dashed."""
-    lines = ["digraph alignment {", "  rankdir=LR;"]
-    for i, w in enumerate(pair.source, start=1):
-        lines.append(f'  x{i} [label="{w}" shape=box];')
-    for j, w in enumerate(pair.target, start=1):
-        lines.append(f'  y{j} [label="{w}"];')
-    for j, a in enumerate(s.sets, start=1):
-        for i in sorted(a):
-            lines.append(f"  x{i} -> y{j};")
-    for i, j in plan.added_edges:
-        lines.append(f"  x{i} -> y{j} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

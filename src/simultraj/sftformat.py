@@ -13,11 +13,9 @@ any shifted-in prefix; mapping spans to subword tokens is the trainer's job.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
-from simultraj.alignment import SentencePair
 from simultraj.trajectory import Trajectory
 
 Span = tuple[int, int]
@@ -140,20 +138,6 @@ def offline_prompt(
     return text
 
 
-def render_offline(
-    pair: SentencePair,
-    partial_source_len: int,
-    target_history: Sequence[str] = (),
-    template_id: str = "llama2",
-) -> str:
-    if not 0 <= partial_source_len <= pair.source_len:
-        raise ValueError(
-            f"record {pair.id}: partial_source_len {partial_source_len} outside "
-            f"[0, {pair.source_len}]"
-        )
-    return offline_prompt(pair.source[:partial_source_len], target_history, get_template(template_id))
-
-
 def dialogue_prompt(
     closed_turns: Sequence[tuple[Sequence[str], Sequence[str]]],
     open_source: Sequence[str],
@@ -190,18 +174,3 @@ def record_to_dict(record: SftRecord) -> dict:
         "template": record.template,
         "provenance": record.provenance,
     }
-
-
-def emit_jsonl(records: Iterable[SftRecord], out: str | IO[str]) -> int:
-    """One UTF-8 JSON object per line, stable field order. Returns record count."""
-    own = isinstance(out, str)
-    f = open(out, "w", encoding="utf-8") if own else out
-    try:
-        n = 0
-        for record in records:
-            f.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
-            n += 1
-        return n
-    finally:
-        if own:
-            f.close()

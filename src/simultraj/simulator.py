@@ -71,11 +71,6 @@ class ScriptedModel:
         )
         return cls(rounds)
 
-    @classmethod
-    def from_file(cls, path: str) -> "ScriptedModel":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_obj(json.load(f))
-
     def generate(self, context: str, beam: int) -> list[Candidate]:
         if self._cursor >= len(self.rounds):
             raise SimulationError(f"script exhausted at round {self._cursor}")
@@ -377,14 +372,6 @@ def replay_prompts(
             open_source = []
             history.extend(commit)
     return out
-
-
-def cache_savings(sim: SimRun) -> dict[str, int]:
-    """Total prompt words a cache-aware engine must recompute, per prompt mode."""
-    return {
-        "total_conversational": sum(e.recompute_tokens_conversational for e in sim.events),
-        "total_offline": sum(e.recompute_tokens_offline for e in sim.events),
-    }
 
 
 def event_to_record(sim: SimRun, event: SimEvent) -> dict:

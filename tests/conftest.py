@@ -3,9 +3,10 @@ from typing import NamedTuple, Sequence
 
 from simultraj.alignment import AlignmentSet, SentencePair, sufficient_sets
 from simultraj.augment import RHO_MAX, AugmentConfig
+from simultraj.metrics import CostModel
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import dialogue_prompt, get_template, offline_prompt
-from simultraj.simulator import CONVERSATIONAL, SelectStrategy, select_prefix
+from simultraj.simulator import CONVERSATIONAL, SelectStrategy, SimRun, select_prefix
 from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Trajectory, build_meta
 
 
@@ -146,6 +147,46 @@ def oracle_run(
             committed_all.extend(selected)
         prev_conv, prev_off = prompt_conv, prompt_off
     return rounds
+
+
+# Per-run latency references over SimRun objects: the library reduces event
+# records in `metrics.run_latency` instead; the differential test in
+# test_metrics.py checks that `events_report` over a dumped log agrees exactly.
+
+
+def ref_schedule_from_run(sim: SimRun) -> list[int]:
+    """g for a simulated run: words committed in a round share that round's read count."""
+    g: list[int] = []
+    for event in sim.events:
+        g.extend([event.cumulative_source_read] * len(event.committed_words))
+    return g
+
+
+def ref_simulated_wwt(sim: SimRun, cost: CostModel, prompt_mode: str | None = None) -> float:
+    """Simulated cost per committed word: recompute at c1 plus generation at c2."""
+    mode = prompt_mode or sim.prompt_mode
+    total = 0.0
+    generated = 0
+    for event in sim.events:
+        recompute = (
+            event.recompute_tokens_conversational
+            if mode == "conversational"
+            else event.recompute_tokens_offline
+        )
+        total += recompute * cost.per_recomputed_token
+        total += len(event.committed_words) * cost.per_generated_word
+        generated += len(event.committed_words)
+    if generated == 0:
+        raise ValueError("run committed zero target words")
+    return total / generated
+
+
+def ref_cache_savings(sim: SimRun) -> dict[str, int]:
+    """Total prompt words a cache-aware engine must recompute, per prompt mode."""
+    return {
+        "total_conversational": sum(e.recompute_tokens_conversational for e in sim.events),
+        "total_offline": sum(e.recompute_tokens_offline for e in sim.events),
+    }
 
 
 # Position-tuple reference for trajectory construction, augmentation, records

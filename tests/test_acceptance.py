@@ -23,14 +23,14 @@ from conftest import (
 from simultraj.alignment import AlignmentSet, sufficient_sets
 from simultraj.augment import AugmentConfig, derive_rng, merge, shift
 from simultraj.cli import main
-from simultraj.metrics import average_lagging, corpus_stats
+from simultraj.metrics import CostModel, average_lagging, corpus_stats, events_report
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import render_conversational
 from simultraj.simulator import (
     GREEDY,
     Candidate,
     ScriptedModel,
-    cache_savings,
+    event_to_record,
     ralcp,
     replay_prompts,
     run,
@@ -214,13 +214,14 @@ def random_scripted_runs(n_runs: int, seed: int):
 def test_criterion_07_cache_reuse_inequality_1000_runs():
     strict_checked = 0
     for sim in random_scripted_runs(1_000, seed=777):
-        totals = cache_savings(sim)
+        records = [event_to_record(sim, event) for event in sim.events]
+        totals = events_report([records], CostModel(), sim.prompt_mode)
         final_prompt_words = len(replay_prompts(sim)[-1].conversational.split())
-        assert totals["total_conversational"] == final_prompt_words
-        assert totals["total_conversational"] <= totals["total_offline"]
+        assert totals.recompute_total_conversational == final_prompt_words
+        assert totals.recompute_total_conversational <= totals.recompute_total_offline
         history_before_last = any(e.committed_words for e in sim.events[:-1])
         if sim.rounds >= 2 and history_before_last:
-            assert totals["total_conversational"] < totals["total_offline"]
+            assert totals.recompute_total_conversational < totals.recompute_total_offline
             strict_checked += 1
     assert strict_checked > 200
     report(

@@ -10,7 +10,6 @@ from simultraj.alignment import (
     AlignmentSet,
     SentencePair,
     is_monotonic,
-    iter_bitext,
     parse_pharaoh,
     sufficient_sets,
 )
@@ -134,32 +133,3 @@ def test_sentence_pair_rejects_empty_and_spaces():
         SentencePair(("a b",), ("x",))
     with pytest.raises(AlignmentError):
         SentencePair(("a",), ("",))
-
-
-def test_iter_bitext_parallel_files(tmp_path):
-    (tmp_path / "s").write_text("a b\nc\n", encoding="utf-8")
-    (tmp_path / "t").write_text("x\ny z\n", encoding="utf-8")
-    pairs = list(iter_bitext(tmp_path / "s", tmp_path / "t"))
-    assert [(p.source, p.target, p.id) for p in pairs] == [
-        (("a", "b"), ("x",), 0),
-        (("c",), ("y", "z"), 1),
-    ]
-
-
-def test_iter_bitext_tsv(tmp_path):
-    (tmp_path / "bi.tsv").write_text("a b\tx\nc\ty z\n", encoding="utf-8")
-    pairs = list(iter_bitext(tmp_path / "bi.tsv"))
-    assert [(p.source, p.target) for p in pairs] == [(("a", "b"), ("x",)), (("c",), ("y", "z"))]
-
-
-def test_iter_bitext_count_mismatch(tmp_path):
-    (tmp_path / "s").write_text("a\nb\n", encoding="utf-8")
-    (tmp_path / "t").write_text("x\n", encoding="utf-8")
-    with pytest.raises(AlignmentError, match="mismatch"):
-        list(iter_bitext(tmp_path / "s", tmp_path / "t"))
-
-
-def test_iter_bitext_tsv_requires_tab(tmp_path):
-    (tmp_path / "bi.tsv").write_text("no tab here\n", encoding="utf-8")
-    with pytest.raises(AlignmentError, match="tab"):
-        list(iter_bitext(tmp_path / "bi.tsv"))

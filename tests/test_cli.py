@@ -188,6 +188,36 @@ def test_simulate_model_list_matches_source_lines(tmp_path):
     assert records[0]["committed_words"] == ["A", "B"]
 
 
+def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys):
+    (tmp_path / "src.txt").write_text("a b\n\nc d\n", encoding="utf-8")
+    scripts = [{"rounds": [[["A", "B"]]]}, {"rounds": [[["C", "D"]]]}]  # one per non-blank line
+    (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
+    out = tmp_path / "events.jsonl"
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
+                 str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
+                 "--select", "greedy", "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(r["id"], r["committed_words"]) for r in records] == [(0, ["A", "B"]), (2, ["C", "D"])]
+    assert "session 1 rejected: blank source line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", [
+    {"rounds": [5]},
+    {"rounds": [[5]]},
+    {"rounds": [[["A", 1]]]},
+])
+def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys, script):
+    (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
+    scripts = [{"rounds": [[["A", "B"]]]}, script]
+    (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
+                 str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
+                 "--select", "greedy", "--out", str(tmp_path / "e.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "error: session 1: malformed model script: " in err
+    assert "Traceback" not in err
+
+
 def test_simulate_model_list_length_mismatch_errors(tmp_path):
     (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
     (tmp_path / "model.json").write_text(json.dumps([{"rounds": [[["A"]]]}]), encoding="utf-8")

@@ -1,9 +1,17 @@
 import math
 import random
+from statistics import fmean
 
 import pytest
 
-from conftest import make_pair, meta_of, random_case
+from conftest import (
+    make_pair,
+    meta_of,
+    random_case,
+    ref_cache_savings,
+    ref_schedule_from_run,
+    ref_simulated_wwt,
+)
 from simultraj.augment import AugmentConfig, derive_rng, merge
 from simultraj.metrics import (
     CostModel,
@@ -12,11 +20,21 @@ from simultraj.metrics import (
     corpus_stats_table,
     events_report,
     run_average_lagging,
-    schedule_from_run,
-    simulated_wwt,
+    run_latency,
     trajectory_average_lagging,
 )
-from simultraj.simulator import GREEDY, event_to_record, run, scripted_echo
+from simultraj.simulator import (
+    GREEDY,
+    PROMPT_MODES,
+    Candidate,
+    ScriptedModel,
+    dump_events_jsonl,
+    event_to_record,
+    load_events_jsonl,
+    ralcp,
+    run,
+    scripted_echo,
+)
 from simultraj.trajectory import META, Chunk, Trajectory, from_record, to_record
 
 
@@ -79,22 +97,31 @@ def test_run_and_trajectory_schedules_agree():
     assert run_average_lagging(sim) == trajectory_average_lagging(traj)
 
 
+def records_of(sim):
+    return [event_to_record(sim, event) for event in sim.events]
+
+
+def wwt(sim, cost, prompt_mode=None):
+    return run_latency(records_of(sim), cost, prompt_mode or sim.prompt_mode)[1]
+
+
 def test_batched_commits_share_read_count():
     source = ["a", "b", "c", "d"]
     sim = run(source, scripted_echo(source, 4, beam=1), chunk_size=4, strategy=GREEDY, beam=1)
-    assert schedule_from_run(sim) == [4, 4, 4, 4]
+    al, _ = run_latency(records_of(sim), CostModel(), sim.prompt_mode)
+    assert al == average_lagging([4, 4, 4, 4], 4, 4)
 
 
 def test_wwt_pure_generation_cost():
     sim = run(["a", "b"], scripted_echo(["a", "b"], 1, beam=1), chunk_size=1, strategy=GREEDY, beam=1)
-    assert simulated_wwt(sim, CostModel(0.0, 2.5)) == 2.5
+    assert wwt(sim, CostModel(0.0, 2.5)) == 2.5
 
 
 def test_wwt_conversational_not_slower_than_offline():
     source = [f"w{i}" for i in range(1, 9)]
     sim = run(source, scripted_echo(source, 2, beam=1), chunk_size=2, strategy=GREEDY, beam=1)
     cost = CostModel(1.0, 0.0)
-    assert simulated_wwt(sim, cost, "conversational") <= simulated_wwt(sim, cost, "offline")
+    assert wwt(sim, cost, "conversational") <= wwt(sim, cost, "offline")
 
 
 def test_wwt_single_round_bounded_by_offline():
@@ -102,19 +129,73 @@ def test_wwt_single_round_bounded_by_offline():
     sim = run(source, scripted_echo(source, 5, beam=1), chunk_size=5, strategy=GREEDY, beam=1)
     assert sim.rounds == 1
     cost = CostModel(1.0, 1.0)
-    assert simulated_wwt(sim, cost, "conversational") <= simulated_wwt(sim, cost, "offline")
+    assert wwt(sim, cost, "conversational") <= wwt(sim, cost, "offline")
 
 
 def test_wwt_needs_committed_words():
     class Silent:
         def generate(self, context, beam):
-            from simultraj.simulator import Candidate
-
             return [Candidate(())]
 
     sim = run(["a"], Silent(), chunk_size=1, strategy=GREEDY, beam=1)
+    assert run_latency(records_of(sim), CostModel(), sim.prompt_mode) is None
     with pytest.raises(ValueError):
-        simulated_wwt(sim, CostModel())
+        run_average_lagging(sim)
+
+
+def random_runs(rng, n_runs):
+    """Runs over random sources whose scripts mix agreement, stalls and empty
+    beams, so a run's last commit may come before its last read; about one in
+    five runs is silent, its every candidate empty, and commits nothing."""
+    vocab = ["ta", "tb", "tc", "td", "te"]
+    for case in range(n_runs):
+        source = [f"s{i}" for i in range(1, rng.randint(1, 12) + 1)]
+        chunk = rng.randint(1, 4)
+        beam = rng.randint(1, 4)
+        silent = rng.random() < 0.2
+        rounds = []
+        for _ in range(-(-len(source) // chunk)):
+            if silent or rng.random() < 0.15:
+                rounds.append(tuple(Candidate(()) for _ in range(beam)))
+            elif rng.random() < 0.7:
+                words = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+                rounds.append(tuple(Candidate(words) for _ in range(beam)))
+            else:
+                rounds.append(tuple(Candidate((f"d{b}", rng.choice(vocab))) for b in range(beam)))
+        strategy = rng.choice([GREEDY, ralcp(0.6), ralcp(1.0)])
+        yield run(source, ScriptedModel(tuple(rounds)), chunk_size=chunk, strategy=strategy,
+                  beam=beam, prompt_mode=rng.choice(PROMPT_MODES), pair_id=case)
+
+
+def test_events_report_matches_reference_per_run_values(tmp_path):
+    # events_report over a dumped and reloaded log equals the SimRun-level
+    # references averaged with fmean, exactly, in both prompt modes.
+    rng = random.Random(31)
+    path = str(tmp_path / "events.jsonl")
+    silent_logs = 0
+    for _ in range(300):
+        sims = list(random_runs(rng, rng.randint(1, 6)))
+        dump_events_jsonl(sims, path)
+        cost = CostModel(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
+        speaking = [sim for sim in sims if sim.committed]
+        silent_logs += not speaking
+        for mode in PROMPT_MODES:
+            report = events_report(load_events_jsonl(path), cost, mode)
+            assert report.runs == len(sims)
+            assert report.rounds_total == sum(sim.rounds for sim in sims)
+            totals = [ref_cache_savings(sim) for sim in sims]
+            assert report.recompute_total_conversational == sum(t["total_conversational"] for t in totals)
+            assert report.recompute_total_offline == sum(t["total_offline"] for t in totals)
+            if not speaking:
+                assert report.al_mean is None and report.wwt_simulated_mean is None
+                continue
+            al = []
+            for sim in speaking:
+                g = ref_schedule_from_run(sim)
+                al.append(average_lagging(g, len(sim.source), len(g)))
+            assert report.al_mean == fmean(al)
+            assert report.wwt_simulated_mean == fmean(ref_simulated_wwt(sim, cost, mode) for sim in speaking)
+    assert silent_logs > 0
 
 
 def test_corpus_stats_single_trajectory():

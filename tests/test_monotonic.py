@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_pair, random_case
 from simultraj.alignment import AlignmentSet, is_monotonic, sufficient_sets
-from simultraj.monotonic import augmented_sets, export_dot, monotonicize
+from simultraj.monotonic import augmented_sets, monotonicize
 
 
 def reordered_example():
@@ -112,31 +112,3 @@ def test_every_added_edge_is_necessary():
             thinned[dropped[1] - 1].discard(dropped[0])
             thinned_sets = type(s)(tuple(frozenset(x) for x in thinned))
             assert (not is_monotonic(thinned_sets)) or not thinned[dropped[1] - 1]
-
-
-def test_dot_marks_added_edges_dashed():
-    pair, s = reordered_example()
-    plan = monotonicize(s, 2)
-    dot = export_dot(plan, s, pair)
-    assert "x2 -> y2 [style=dashed];" in dot
-    assert dot.count("style=dashed") == 1
-
-
-def test_dot_identity_has_no_dashed_edges():
-    pair = make_pair(3, 3)
-    s = sufficient_sets(pair, AlignmentSet(frozenset({(1, 1), (2, 2), (3, 3)}), 3, 3))
-    dot = export_dot(monotonicize(s, 3), s, pair)
-    assert "dashed" not in dot
-
-
-def test_dot_empty_alignment_single_dashed_anchor():
-    pair = make_pair(1, 1)
-    s = sufficient_sets(pair, AlignmentSet(frozenset(), 1, 1))
-    dot = export_dot(monotonicize(s, 1), s, pair)
-    assert "x1 -> y1 [style=dashed];" in dot
-
-
-def test_dot_deterministic_ordering():
-    pair, s = reordered_example()
-    plan = monotonicize(s, 2)
-    assert export_dot(plan, s, pair) == export_dot(plan, s, pair)

@@ -1,5 +1,3 @@
-import io
-import json
 import random
 
 import pytest
@@ -7,14 +5,7 @@ import pytest
 from conftest import make_pair, meta_of, random_case
 from simultraj.alignment import SentencePair
 from simultraj.augment import AugmentConfig, augment_pipeline
-from simultraj.sftformat import (
-    emit_jsonl,
-    get_template,
-    offline_prompt,
-    record_to_dict,
-    render_conversational,
-    render_offline,
-)
+from simultraj.sftformat import get_template, offline_prompt, render_conversational
 from simultraj.trajectory import META, MERGED_SHIFTED, Chunk, Trajectory
 
 
@@ -35,7 +26,7 @@ def test_unknown_template_rejected():
     with pytest.raises(ValueError, match="unknown template"):
         render_conversational(hallo_traj(), template_id="nope")
     with pytest.raises(ValueError, match="unknown template"):
-        render_offline(hallo_traj().pair, 1, template_id="nope")
+        get_template("nope")
 
 
 def test_shifted_prefix_excluded_from_loss():
@@ -94,47 +85,24 @@ def test_spans_ascending_and_masks_inside_assistant_spans():
 
 def test_offline_full_source_empty_history():
     pair = make_pair(3, 2)
-    text = render_offline(pair, 3)
+    text = offline_prompt(pair.source[:3], (), get_template("llama2"))
     assert text == "<s>[INST] Translate the following text: s1 s2 s3 [/INST] Translation:"
 
 
 def test_offline_prefix_growth_changes_text_before_history():
     pair = make_pair(6, 4)
     history = ["T1", "T2"]
-    before = render_offline(pair, 3, history)
-    after = render_offline(pair, 5, history)
+    before = offline_prompt(pair.source[:3], history, get_template("llama2"))
+    after = offline_prompt(pair.source[:5], history, get_template("llama2"))
     diff_at = next(i for i, (x, y) in enumerate(zip(before, after)) if x != y)
     assert diff_at < before.index("T1 T2")
 
 
 def test_offline_single_word_prefix():
     pair = make_pair(4, 2)
-    text = render_offline(pair, 1)
+    text = offline_prompt(pair.source[:1], (), get_template("llama2"))
     assert " s1 [/INST]" in text
     assert "s2" not in text
-
-
-def test_offline_rejects_prefix_overrun():
-    with pytest.raises(ValueError):
-        render_offline(make_pair(2, 2), 3)
-
-
-def test_emit_jsonl_round_trip():
-    records = [render_conversational(hallo_traj())]
-    buf = io.StringIO()
-    assert emit_jsonl(records, buf) == 1
-    parsed = json.loads(buf.getvalue())
-    assert parsed == record_to_dict(records[0])
-    assert list(parsed) == ["id", "text", "turns", "loss_mask_spans", "template", "provenance"]
-
-
-def test_emit_jsonl_empty_and_counts(tmp_path):
-    path = tmp_path / "out.jsonl"
-    assert emit_jsonl([], str(path)) == 0
-    assert path.read_text(encoding="utf-8") == ""
-    record = render_conversational(hallo_traj())
-    assert emit_jsonl([record, record], str(path)) == 2
-    assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_offline_prompt_word_template_shape():

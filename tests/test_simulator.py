@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_run
+from simultraj.metrics import CostModel, events_report
 from simultraj.sftformat import TEMPLATES, ChatTemplate
 from simultraj.simulator import (
     GREEDY,
@@ -16,8 +17,8 @@ from simultraj.simulator import (
     ScriptedModel,
     SelectStrategy,
     SimulationError,
-    cache_savings,
     dump_events_jsonl,
+    event_to_record,
     load_events_jsonl,
     ralcp,
     replay_prompts,
@@ -172,19 +173,26 @@ def test_greedy_beam_one_concatenates_all_outputs():
     assert sim.committed == expected
 
 
+def recompute_totals(sim):
+    """(conversational, offline) recompute totals of one run, as `eval` sums them."""
+    records = [event_to_record(sim, event) for event in sim.events]
+    report = events_report([records], CostModel(), sim.prompt_mode)
+    return report.recompute_total_conversational, report.recompute_total_offline
+
+
 def test_cache_savings_totals_and_telescoping():
     sim = echo_run()
-    totals = cache_savings(sim)
-    assert totals["total_conversational"] < totals["total_offline"]
+    conversational, offline = recompute_totals(sim)
+    assert conversational < offline
     final_prompt_words = len(replay_prompts(sim)[-1].conversational.split())
-    assert totals["total_conversational"] == final_prompt_words
+    assert conversational == final_prompt_words
 
 
 def test_cache_savings_single_round_never_favors_offline():
     sim = echo_run(n=10, source_len=3)
     assert sim.rounds == 1
-    totals = cache_savings(sim)
-    assert totals["total_conversational"] <= totals["total_offline"]
+    conversational, offline = recompute_totals(sim)
+    assert conversational <= offline
 
 
 class ContextRecorder:
@@ -221,7 +229,7 @@ def test_zero_candidates_mid_stream_raises():
 def test_scripted_model_file_round_trip(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"rounds": [[["w1", "w2"], ["w1", "w3"]]]}), encoding="utf-8")
-    model = ScriptedModel.from_file(str(path))
+    model = ScriptedModel.from_obj(json.loads(path.read_text(encoding="utf-8")))
     assert model.generate("ctx", 2) == [Candidate(("w1", "w2")), Candidate(("w1", "w3"))]
     with pytest.raises(SimulationError):
         model.generate("ctx", 2)
