@@ -7,30 +7,29 @@ functions are pure, so sentence pairs can be processed in parallel freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class AlignmentError(ValueError):
     """Malformed or out-of-bounds alignment input."""
 
 
-@dataclass(frozen=True)
-class SentencePair:
+# typing.NamedTuple refuses __new__, so a record that validates subclasses a namedtuple.
+class SentencePair(namedtuple("SentencePair", "source target id")):
     """One bitext record: whitespace-tokenized source and target words."""
 
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for side, words in (("source", self.source), ("target", self.target)):
+    def __new__(cls, source: tuple[str, ...], target: tuple[str, ...], id: int = 0) -> SentencePair:
+        for side, words in (("source", source), ("target", target)):
             if not words:
-                raise AlignmentError(f"record {self.id}: empty {side} sentence")
+                raise AlignmentError(f"record {id}: empty {side} sentence")
             for w in words:
                 if not w or w.split() != [w]:
                     raise AlignmentError(
-                        f"record {self.id}: bad {side} word {w!r} (empty or contains whitespace)"
+                        f"record {id}: bad {side} word {w!r} (empty or contains whitespace)"
                     )
+        return tuple.__new__(cls, (source, target, id))
 
     @classmethod
     def from_text(cls, source: str, target: str, id: int = 0) -> "SentencePair":
@@ -45,39 +44,56 @@ class SentencePair:
         return len(self.target)
 
 
-@dataclass(frozen=True)
-class AlignmentSet:
+class AlignmentSet(namedtuple("AlignmentSet", "links source_len target_len")):
     """Set of (source position, target position) links, 1-based, duplicates collapsed."""
 
-    links: frozenset[tuple[int, int]]
-    source_len: int
-    target_len: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for i, j in self.links:
-            if not (1 <= i <= self.source_len and 1 <= j <= self.target_len):
+    def __new__(
+        cls, links: frozenset[tuple[int, int]], source_len: int, target_len: int
+    ) -> AlignmentSet:
+        for i, j in links:
+            if not (1 <= i <= source_len and 1 <= j <= target_len):
                 raise AlignmentError(
-                    f"link ({i},{j}) out of bounds for lengths "
-                    f"I={self.source_len}, J={self.target_len}"
+                    f"link ({i},{j}) out of bounds for lengths I={source_len}, J={target_len}"
                 )
+        return tuple.__new__(cls, (links, source_len, target_len))
 
     def to_pharaoh(self) -> str:
         """Render back to 0-based `i-j` text, sorted for determinism."""
         return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(self.links))
 
 
-@dataclass(frozen=True)
 class SufficientSets:
-    """For each target position j, the set of source positions that must be read first."""
+    """For each target position j, the set of source positions that must be read first.
 
-    sets: tuple[frozenset[int], ...]
+    Not a tuple: its length and 1-based indexing are over the sets, not its fields.
+    """
+
+    __slots__ = ("_sets",)
+
+    def __init__(self, sets: tuple[frozenset[int], ...]) -> None:
+        self._sets = sets
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return self._sets
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SufficientSets and other.sets == self.sets
+
+    def __hash__(self) -> int:
+        return hash(self.sets)
+
+    def __repr__(self) -> str:
+        return f"SufficientSets(sets={self.sets!r})"
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self._sets)
 
     def __getitem__(self, j: int) -> frozenset[int]:
         """1-based access, mirroring the a_j notation."""
-        return self.sets[j - 1]
+        return self._sets[j - 1]
 
 
 def parse_pharaoh(line: str, source_len: int, target_len: int, record_id: int = 0) -> AlignmentSet:

@@ -15,9 +15,8 @@ yields identical output.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Chunk, Trajectory
 
@@ -30,27 +29,31 @@ DEFAULT_RHO_MIN = 0.5
 RHO_MAX = 0.9
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    delta_min: int = DEFAULT_DELTA_MIN
-    delta_max: int = DEFAULT_DELTA_MAX
-    beta: float = DEFAULT_BETA
-    rho_min: float = DEFAULT_RHO_MIN
-    seed: int = 0
+class AugmentConfig(namedtuple("AugmentConfig", "delta_min delta_max beta rho_min seed")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.delta_min < 1:
+    def __new__(
+        cls,
+        delta_min: int = DEFAULT_DELTA_MIN,
+        delta_max: int = DEFAULT_DELTA_MAX,
+        beta: float = DEFAULT_BETA,
+        rho_min: float = DEFAULT_RHO_MIN,
+        seed: int = 0,
+    ) -> AugmentConfig:
+        if delta_min < 1:
             raise ValueError("delta_min must be >= 1")
-        if self.delta_max < self.delta_min:
+        if delta_max < delta_min:
             raise ValueError("delta_max must be >= delta_min")
-        if not 0.0 <= self.beta <= 1.0:
+        if not 0.0 <= beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        if not 0.0 < self.rho_min < RHO_MAX:
+        if not 0.0 < rho_min < RHO_MAX:
             raise ValueError(f"rho_min must be in (0, {RHO_MAX})")
+        return tuple.__new__(cls, (delta_min, delta_max, beta, rho_min, seed))
 
 
 def derive_rng(seed: int, pair_id: int) -> random.Random:
     """Stable per-pair generator; independent of processing order and platform."""
+    import hashlib  # on first use: of the CLI stages only augment needs it, and it loads OpenSSL
     digest = hashlib.blake2b(f"{seed}\x1f{pair_id}".encode(), digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
 

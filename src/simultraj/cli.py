@@ -192,7 +192,7 @@ def _augment_record(line: str, cfg: AugmentConfig, debug: bool) -> tuple[str, st
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         return ("ok", json.dumps(to_record(augmented, debug), ensure_ascii=False))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         return ("err", f"record rejected: {exc}")
 
 
@@ -228,7 +228,7 @@ def _format_record(line: str, system_msg: str, template: str) -> tuple[str, str]
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         record = render_conversational(traj, system_msg, template)
         return ("ok", json.dumps(record_to_dict(record), ensure_ascii=False))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         return ("err", f"record rejected: {exc}")
 
 
@@ -282,9 +282,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"session {idx} rejected: blank source line", file=sys.stderr)
                 continue
             try:
+                model = ScriptedModel.from_obj(next(scripts))
+            except (TypeError, ValueError) as exc:
+                # No rounds list, or rounds, beams or words of the wrong JSON type.
+                raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
+            try:
                 yield simulate_run(
                     source,
-                    ScriptedModel.from_obj(next(scripts)),
+                    model,
                     chunk_size=args.chunk,
                     strategy=strategy,
                     prompt_mode=args.prompt,
@@ -293,9 +298,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             except SimulationError as exc:
                 raise SimulationError(f"session {idx}: {exc}") from None
-            except (TypeError, AttributeError) as exc:
-                # A script whose rounds, beams or words have the wrong JSON type.
-                raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
 
     dump_events_jsonl(runs(), args.out)
     return 1 if blank else 0
@@ -307,7 +309,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_config("eval", args)
     cost = CostModel(args.cost_recompute, args.cost_word)
     report = events_report(load_events_jsonl(args.events), cost, args.prompt)
-    data = report.to_dict()
+    data = report._asdict()
     print(json.dumps(data, ensure_ascii=False, allow_nan=False))
     print(report.table())
     if args.csv:
@@ -388,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
-    except (AlignmentError, SimulationError, ValueError, OSError) as exc:
+    except (AlignmentError, SimulationError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,8 @@ deviation, matching the mean+-std convention of summary tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from statistics import fmean
-from typing import Iterable, Sequence
+from math import fsum
+from typing import Iterable, NamedTuple, Sequence
 
 from simultraj.simulator import CONVERSATIONAL, SimRun, event_to_record
 from simultraj.trajectory import Trajectory, write_read_counts
@@ -48,8 +47,7 @@ def trajectory_average_lagging(traj: Trajectory) -> float:
     return average_lagging(g, traj.pair.source_len, traj.pair.target_len)
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple):
     per_recomputed_token: float = 1.0
     per_generated_word: float = 1.0
 
@@ -89,22 +87,19 @@ def run_average_lagging(sim: SimRun) -> float:
     return latency[0]
 
 
-@dataclass(frozen=True)
-class MeanStd:
+class MeanStd(NamedTuple):
     mean: float
     std: float
 
 
-@dataclass(frozen=True)
-class ProvenanceStats:
+class ProvenanceStats(NamedTuple):
     trajectories: int
     chunks_per_trajectory: MeanStd
     source_words_per_chunk: MeanStd
     target_words_per_chunk: MeanStd
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     by_provenance: dict[str, ProvenanceStats]
 
 
@@ -171,8 +166,7 @@ def corpus_stats_table(stats: CorpusStats) -> str:
     )
 
 
-@dataclass(frozen=True)
-class LatencyReport:
+class LatencyReport(NamedTuple):
     """Latency over an event log; the means are None when no run committed a word."""
 
     runs: int
@@ -181,16 +175,6 @@ class LatencyReport:
     rounds_total: int
     recompute_total_conversational: int
     recompute_total_offline: int
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "al_mean": self.al_mean,
-            "wwt_simulated_mean": self.wwt_simulated_mean,
-            "rounds_total": self.rounds_total,
-            "recompute_total_conversational": self.recompute_total_conversational,
-            "recompute_total_offline": self.recompute_total_offline,
-        }
 
     def table(self) -> str:
         rows = [
@@ -232,8 +216,9 @@ def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode
         raise ValueError("no runs in event log")
     return LatencyReport(
         runs=runs,
-        al_mean=fmean(al_values) if al_values else None,
-        wwt_simulated_mean=fmean(wwt_values) if wwt_values else None,
+        # fsum over the count is how statistics.fmean computes a mean.
+        al_mean=fsum(al_values) / len(al_values) if al_values else None,
+        wwt_simulated_mean=fsum(wwt_values) / len(wwt_values) if wwt_values else None,
         rounds_total=rounds,
         recompute_total_conversational=total_conv,
         recompute_total_offline=total_off,

@@ -14,13 +14,12 @@ satisfies the monotonic condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from simultraj.alignment import SufficientSets
 
 
-@dataclass(frozen=True)
-class MonotonicPlan:
+class MonotonicPlan(NamedTuple):
     """Per-target minimal source-prefix lengths plus the edges added to repair order."""
 
     prefix_req: tuple[int, ...]

@@ -13,16 +13,14 @@ any shifted-in prefix; mapping spans to subword tokens is the trainer's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from simultraj.trajectory import Trajectory
 
 Span = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ChatTemplate:
+class ChatTemplate(NamedTuple):
     name: str
     turn_open: str
     turn_sep: str
@@ -53,8 +51,7 @@ def get_template(template_id: str) -> ChatTemplate:
         raise ValueError(f"unknown template id {template_id!r} (known: {known})") from None
 
 
-@dataclass(frozen=True)
-class SftRecord:
+class SftRecord(NamedTuple):
     """One serialized training example.
 
     turns holds (user_span, assistant_span) character ranges into text;

@@ -21,10 +21,9 @@ every round's prompts for audits.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import groupby
-from typing import IO, Iterable, Iterator, Protocol, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from simultraj.alignment import SentencePair
 from simultraj.sftformat import ChatTemplate, dialogue_prompt, get_template, offline_prompt
@@ -41,8 +40,7 @@ class SimulationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     words: tuple[str, ...]
     end: bool = False
 
@@ -52,24 +50,29 @@ class ModelPort(Protocol):
         """Return up to `beam` candidate continuations for the rendered context."""
 
 
-@dataclass
+def _candidate(words: object) -> Candidate:
+    """A script's candidate; TypeError unless it is a list of strings."""
+    if type(words) is not list:
+        raise TypeError(f"a candidate is a {type(words).__name__}, not a list of words")
+    " ".join(words)  # raises TypeError on a word that is not a string
+    return Candidate(tuple(words))
+
+
 class ScriptedModel:
     """Deterministic test double: fixed beam candidates per round index.
 
     Holds a round cursor, so one instance serves exactly one run.
     """
 
-    rounds: tuple[tuple[Candidate, ...], ...]
-    _cursor: int = field(default=0, repr=False)
+    def __init__(self, rounds: tuple[tuple[Candidate, ...], ...]) -> None:
+        self.rounds = rounds
+        self._cursor = 0
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "ScriptedModel":
+    def from_obj(cls, obj: dict) -> ScriptedModel:
         if not isinstance(obj, dict) or not isinstance(obj.get("rounds"), list):
             raise ValueError("scripted model needs a 'rounds' list of beam candidate lists")
-        rounds = tuple(
-            tuple(Candidate(tuple(words)) for words in beam) for beam in obj["rounds"]
-        )
-        return cls(rounds)
+        return cls(tuple(tuple(_candidate(words) for words in beam) for beam in obj["rounds"]))
 
     def generate(self, context: str, beam: int) -> list[Candidate]:
         if self._cursor >= len(self.rounds):
@@ -90,16 +93,15 @@ def scripted_echo(
     return ScriptedModel(tuple(rounds))
 
 
-@dataclass(frozen=True)
-class SelectStrategy:
-    kind: str
-    gamma: float = 1.0
+class SelectStrategy(namedtuple("SelectStrategy", "kind gamma")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("lcp", "ralcp", "greedy"):
-            raise ValueError(f"unknown selection strategy {self.kind!r}")
-        if not 0.0 < self.gamma <= 1.0:
+    def __new__(cls, kind: str, gamma: float = 1.0) -> SelectStrategy:
+        if kind not in ("lcp", "ralcp", "greedy"):
+            raise ValueError(f"unknown selection strategy {kind!r}")
+        if not 0.0 < gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
+        return tuple.__new__(cls, (kind, gamma))
 
 
 LCP = SelectStrategy("lcp")
@@ -139,8 +141,7 @@ def select_prefix(
     return prefix
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     round: int
     read_words: tuple[str, ...]
     candidates: tuple[tuple[str, ...], ...]
@@ -150,8 +151,7 @@ class SimEvent:
     cumulative_source_read: int
 
 
-@dataclass(frozen=True)
-class SimRun:
+class SimRun(NamedTuple):
     pair_id: int
     source: tuple[str, ...]
     events: tuple[SimEvent, ...]
@@ -337,8 +337,7 @@ def run(
     )
 
 
-@dataclass(frozen=True)
-class RoundPrompts:
+class RoundPrompts(NamedTuple):
     """One round's rendered prompts, re-rendered from a run for audits."""
 
     conversational: str

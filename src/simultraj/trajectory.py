@@ -11,8 +11,7 @@ accounts for them after the final writes when a plan is supplied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from simultraj.alignment import SentencePair
 from simultraj.monotonic import MonotonicPlan
@@ -23,8 +22,7 @@ MERGED_SHIFTED = "merged+shifted"
 PROVENANCES = (META, MERGED, MERGED_SHIFTED)
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """One READ/WRITE pair: the next n_read source words, then the next n_write
     target words.
 
@@ -39,8 +37,7 @@ class Chunk:
     shifted_prefix_len: int = 0
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     chunks: tuple[Chunk, ...]
     pair: SentencePair
     provenance: str = META

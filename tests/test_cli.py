@@ -205,6 +205,9 @@ def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys
     {"rounds": [5]},
     {"rounds": [[5]]},
     {"rounds": [[["A", 1]]]},
+    {"beams": []},
+    {"rounds": [["AB"]]},  # a candidate given as a string, not a list of words
+    {"rounds": [[["C", "D"], ["X", 2]]]},  # a bad word in a candidate never committed
 ])
 def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys, script):
     (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
@@ -470,4 +473,40 @@ def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
     assert main(["eval", "--events", str(events)]) == 2
     err = capsys.readouterr().err
     assert f"error: event line 3: {field}" in err
+    assert "Traceback" not in err
+
+
+DEEP = "[" * 100_000  # deeper than any JSON decoder recursion limit
+
+
+@pytest.mark.parametrize("command", ["augment", "format"])
+def test_deeply_nested_record_rejected_and_run_goes_on(tmp_path, capsys, command):
+    _, meta = curate(tmp_path, n_pairs=3)
+    lines = meta.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], DEEP, *lines[1:]]) + "\n", encoding="utf-8")
+    good_out, bad_out = tmp_path / "good.jsonl", tmp_path / "out.jsonl"
+    assert main([command, "--in", str(meta), "--out", str(good_out)]) == 0
+    capsys.readouterr()
+    assert main([command, "--in", str(bad), "--out", str(bad_out)]) == 1
+    err = capsys.readouterr().err
+    assert "record rejected: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+    assert bad_out.read_bytes() == good_out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["stats", "eval", "simulate"])
+def test_deeply_nested_json_is_hard_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP + "\n", encoding="utf-8")
+    (tmp_path / "src.txt").write_text("a b\n", encoding="utf-8")
+    argv = {
+        "stats": ["stats", "--in", str(deep)],
+        "eval": ["eval", "--events", str(deep)],
+        "simulate": ["simulate", "--src", str(tmp_path / "src.txt"), "--model", str(deep),
+                     "--out", str(tmp_path / "e.jsonl")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: maximum recursion depth exceeded" in err
     assert "Traceback" not in err

@@ -1,0 +1,109 @@
+"""Record types: immutable, still validating, and cheap to import."""
+
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from simultraj import alignment, augment, metrics, monotonic, sftformat, simulator, trajectory
+from simultraj.alignment import AlignmentError, AlignmentSet, SentencePair, SufficientSets
+from simultraj.augment import AugmentConfig
+from simultraj.simulator import SelectStrategy
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Stdlib modules that no subcommand needs before its first record: dataclasses
+# pulls in inspect, ast, dis and tokenize; statistics pulls in fractions and
+# decimal; hashlib loads OpenSSL and only augment's derive_rng uses it.
+HEAVY = ("dataclasses", "inspect", "statistics", "hashlib")
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import simultraj.cli; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC), *HEAVY],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == []
+
+
+VALID = {
+    SentencePair: SentencePair(("a",), ("x",), 3),
+    AlignmentSet: AlignmentSet(frozenset({(1, 1)}), 1, 1),
+    AugmentConfig: AugmentConfig(),
+    SelectStrategy: SelectStrategy("ralcp", 0.6),
+}
+
+
+def _record_classes():
+    for module in (alignment, augment, metrics, monotonic, sftformat, simulator, trajectory):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and hasattr(cls, "_fields"):
+                yield cls
+
+
+RECORDS = sorted(_record_classes(), key=lambda cls: cls.__name__)
+
+
+def test_every_record_class_is_found():
+    assert len(RECORDS) >= 18
+    assert set(VALID) <= set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_rejects_attribute_assignment(cls):
+    record = VALID.get(cls) or cls(*range(len(cls._fields)))
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.not_a_field = None
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_sufficient_sets_rejects_attribute_assignment():
+    s = SufficientSets((frozenset({2}), frozenset()))
+    with pytest.raises(AttributeError):
+        s.sets = ()
+    with pytest.raises(AttributeError):
+        del s.sets
+    with pytest.raises(AttributeError):
+        s.not_a_field = None
+    assert (len(s), s[1], s[2]) == (2, {2}, set())
+    same = SufficientSets((frozenset({2}), frozenset()))
+    assert s == same and hash(s) == hash(same)
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SentencePair((), ("x",), 4), AlignmentError, "record 4: empty source sentence"),
+        (lambda: SentencePair(("a",), ()), AlignmentError, "record 0: empty target sentence"),
+        (lambda: SentencePair(("a b",), ("x",)), AlignmentError, "bad source word 'a b'"),
+        (lambda: SentencePair(source=("a",), target=("",)), AlignmentError, "bad target word ''"),
+        (lambda: AlignmentSet(frozenset({(3, 1)}), 2, 2), AlignmentError, "link (3,1) out of bounds"),
+        (lambda: AlignmentSet(frozenset({(1, 0)}), 2, 2), AlignmentError, "link (1,0) out of bounds"),
+        (lambda: AugmentConfig(delta_min=0), ValueError, "delta_min must be >= 1"),
+        (lambda: AugmentConfig(3, 2), ValueError, "delta_max must be >= delta_min"),
+        (lambda: AugmentConfig(beta=1.5), ValueError, "beta must be in [0, 1]"),
+        (lambda: AugmentConfig(rho_min=0.9), ValueError, "rho_min must be in (0, 0.9)"),
+        (lambda: SelectStrategy("beam"), ValueError, "unknown selection strategy 'beam'"),
+        (lambda: SelectStrategy("ralcp", 0.0), ValueError, "gamma must be in (0, 1]"),
+    ],
+)
+def test_validating_record_rejects_bad_values(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert message in str(exc.value)
+
+
+def test_validating_records_keep_defaults_and_keywords():
+    assert SentencePair(("a",), ("x",)).id == 0
+    assert AugmentConfig(seed=5) == AugmentConfig(2, 10, 0.5, 0.5, 5)
+    assert SelectStrategy(kind="lcp").gamma == 1.0
+    assert repr(SentencePair(("a",), ("x",))) == "SentencePair(source=('a',), target=('x',), id=0)"
