@@ -13,20 +13,4 @@ selection and per-round recompute accounting, and ``metrics`` computes word-leve
 average lagging, simulated word wall time, and corpus statistics.
 """
 
-from simultraj.alignment import AlignmentSet, SentencePair, SufficientSets
-from simultraj.augment import AugmentConfig
-from simultraj.monotonic import MonotonicPlan
-from simultraj.trajectory import Chunk, Trajectory
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignmentSet",
-    "AugmentConfig",
-    "Chunk",
-    "MonotonicPlan",
-    "SentencePair",
-    "SufficientSets",
-    "Trajectory",
-    "__version__",
-]

@@ -59,61 +59,23 @@ class AlignmentSet(namedtuple("AlignmentSet", "links source_len target_len")):
                 )
         return tuple.__new__(cls, (links, source_len, target_len))
 
-    def to_pharaoh(self) -> str:
-        """Render back to 0-based `i-j` text, sorted for determinism."""
-        return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(self.links))
-
-
-class SufficientSets:
-    """For each target position j, the set of source positions that must be read first.
-
-    Not a tuple: its length and 1-based indexing are over the sets, not its fields.
-    """
-
-    __slots__ = ("_sets",)
-
-    def __init__(self, sets: tuple[frozenset[int], ...]) -> None:
-        self._sets = sets
-
-    @property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return self._sets
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is SufficientSets and other.sets == self.sets
-
-    def __hash__(self) -> int:
-        return hash(self.sets)
-
-    def __repr__(self) -> str:
-        return f"SufficientSets(sets={self.sets!r})"
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __getitem__(self, j: int) -> frozenset[int]:
-        """1-based access, mirroring the a_j notation."""
-        return self._sets[j - 1]
-
 
 def parse_pharaoh(line: str, source_len: int, target_len: int, record_id: int = 0) -> AlignmentSet:
     """Parse one Pharaoh line (`i-j` pairs, 0-based) into a 1-based AlignmentSet.
 
     A blank line is a valid empty alignment. Raises AlignmentError on a token
-    that is not `int-int` or on an index outside the sentence lengths.
+    that is not ASCII digits, `-`, ASCII digits, or on an index outside the
+    sentence lengths.
     """
+    ascii_line = line.isascii()
     links: set[tuple[int, int]] = set()
     for token in line.split():
-        left, sep, right = token.partition("-")
-        if not sep:
+        left, _, right = token.partition("-")
+        # isdigit alone also passes non-ASCII digits, which int() would read.
+        if not (left.isdigit() and right.isdigit() and (ascii_line or token.isascii())):
             raise AlignmentError(f"record {record_id}: malformed alignment token {token!r}")
-        try:
-            i0, j0 = int(left), int(right)
-        except ValueError:
-            raise AlignmentError(
-                f"record {record_id}: malformed alignment token {token!r}"
-            ) from None
-        if not (0 <= i0 < source_len and 0 <= j0 < target_len):
+        i0, j0 = int(left), int(right)
+        if not (i0 < source_len and j0 < target_len):
             raise AlignmentError(
                 f"record {record_id}: link ({i0},{j0}) out of range for "
                 f"I={source_len}, J={target_len}"
@@ -122,25 +84,10 @@ def parse_pharaoh(line: str, source_len: int, target_len: int, record_id: int = 
     return AlignmentSet(frozenset(links), source_len, target_len)
 
 
-def sufficient_sets(pair: SentencePair, alignment: AlignmentSet) -> SufficientSets:
-    """Invert the alignment: sets[j] = {i : (i, j) in links}. Empty sets are allowed."""
+def sufficient_sets(pair: SentencePair, alignment: AlignmentSet) -> tuple[frozenset[int], ...]:
+    """Invert the alignment: for each target, 0-based, the 1-based source
+    positions it links to. Empty sets are allowed."""
     buckets: list[set[int]] = [set() for _ in range(pair.target_len)]
     for i, j in alignment.links:
         buckets[j - 1].add(i)
-    return SufficientSets(tuple(frozenset(b) for b in buckets))
-
-
-def is_monotonic(s: SufficientSets) -> bool:
-    """True iff max(a_j) is nondecreasing over the non-empty sets.
-
-    Empty sets impose no source demand of their own and are skipped.
-    """
-    prev = 0
-    for a in s.sets:
-        if not a:
-            continue
-        m = max(a)
-        if m < prev:
-            return False
-        prev = m
-    return True
+    return tuple(frozenset(b) for b in buckets)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import deque
 from functools import partial
@@ -364,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="replay incremental decoding with a scripted model")
     p.add_argument("--src", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--chunk", type=int, default=5)
-    p.add_argument("--beam", type=int, default=DEFAULT_BEAM)
+    p.add_argument("--chunk", type=positive_int, default=5)
+    p.add_argument("--beam", type=positive_int, default=DEFAULT_BEAM)
     p.add_argument("--select", choices=["lcp", "ralcp", "greedy"], default="ralcp")
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--prompt", choices=list(PROMPT_MODES), default=CONVERSATIONAL)
@@ -385,11 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "workers", 1) > 1:
+        # A fork pool starts all its workers on its first task, and output bytes
+        # do not depend on their number: start no more than this process can run on.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        args.workers = min(args.workers, cpus or 1)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: missing field {exc}", file=sys.stderr)
-        return 2
     except (AlignmentError, SimulationError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

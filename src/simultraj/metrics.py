@@ -99,10 +99,6 @@ class ProvenanceStats(NamedTuple):
     target_words_per_chunk: MeanStd
 
 
-class CorpusStats(NamedTuple):
-    by_provenance: dict[str, ProvenanceStats]
-
-
 class _Acc:
     """Running mean / population-std accumulator (single pass, O(1) memory)."""
 
@@ -123,7 +119,8 @@ class _Acc:
         return MeanStd(mean, max(self.total_sq / self.n - mean * mean, 0.0) ** 0.5)
 
 
-def corpus_stats(trajs: Iterable[Trajectory]) -> CorpusStats:
+def corpus_stats(trajs: Iterable[Trajectory]) -> dict[str, ProvenanceStats]:
+    """Chunk statistics per provenance."""
     accs: dict[str, tuple[_Acc, _Acc, _Acc]] = {}
     for traj in trajs:
         chunks, src, tgt = accs.setdefault(traj.provenance, (_Acc(), _Acc(), _Acc()))
@@ -133,23 +130,21 @@ def corpus_stats(trajs: Iterable[Trajectory]) -> CorpusStats:
             tgt.add(c.n_write)
     if not accs:
         raise ValueError("empty trajectory corpus")
-    return CorpusStats(
-        {
-            key: ProvenanceStats(
-                trajectories=chunks.n,
-                chunks_per_trajectory=chunks.result(),
-                source_words_per_chunk=src.result(),
-                target_words_per_chunk=tgt.result(),
-            )
-            for key, (chunks, src, tgt) in accs.items()
-        }
-    )
+    return {
+        key: ProvenanceStats(
+            trajectories=chunks.n,
+            chunks_per_trajectory=chunks.result(),
+            source_words_per_chunk=src.result(),
+            target_words_per_chunk=tgt.result(),
+        )
+        for key, (chunks, src, tgt) in accs.items()
+    }
 
 
-def corpus_stats_table(stats: CorpusStats) -> str:
+def corpus_stats_table(stats: dict[str, ProvenanceStats]) -> str:
     rows = [("provenance", "trajs", "#chunk", "#src word/chunk", "#tgt word/chunk")]
-    for key in sorted(stats.by_provenance):
-        ps = stats.by_provenance[key]
+    for key in sorted(stats):
+        ps = stats[key]
         rows.append(
             (
                 key,

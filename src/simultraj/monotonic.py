@@ -14,9 +14,7 @@ satisfies the monotonic condition.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from simultraj.alignment import SufficientSets
+from typing import NamedTuple, Sequence
 
 
 class MonotonicPlan(NamedTuple):
@@ -31,14 +29,15 @@ class MonotonicPlan(NamedTuple):
         return len(self.prefix_req)
 
 
-def monotonicize(s: SufficientSets, source_len: int) -> MonotonicPlan:
-    """Build the nondecreasing prefix requirement and record repair edges."""
+def monotonicize(s: Sequence[frozenset[int]], source_len: int) -> MonotonicPlan:
+    """Build the nondecreasing prefix requirement and record repair edges from
+    the sufficient sets, one per target (as `alignment.sufficient_sets` returns)."""
     if len(s) < 1 or source_len < 1:
         raise ValueError("need at least one target token and one source token")
     prefix_req: list[int] = []
     added: list[tuple[int, int]] = []
     prev = 1
-    for j, a in enumerate(s.sets, start=1):
+    for j, a in enumerate(s, start=1):
         if not a:
             added.append((prev, j))
             m = prev
@@ -50,11 +49,3 @@ def monotonicize(s: SufficientSets, source_len: int) -> MonotonicPlan:
         prefix_req.append(m)
         prev = m
     return MonotonicPlan(tuple(prefix_req), tuple(added), source_len)
-
-
-def augmented_sets(s: SufficientSets, plan: MonotonicPlan) -> SufficientSets:
-    """Sufficient sets with the plan's added edges merged in."""
-    merged = [set(a) for a in s.sets]
-    for i, j in plan.added_edges:
-        merged[j - 1].add(i)
-    return SufficientSets(tuple(frozenset(a) for a in merged))

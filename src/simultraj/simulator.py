@@ -14,8 +14,9 @@ word count of what it appends, and the total telescopes to the final prompt
 length. Offline prompts insert source ahead of the translation history and
 re-pay it each round. Both counts are kept from what each round adds, so a
 round costs time in its chunk and commit, not in the prompt length; only the
-active mode's prompt is rendered, for the model. ``replay_prompts`` re-renders
-every round's prompts for audits.
+active mode's prompt is rendered, for the model. The tests re-render every
+round's prompts in full (``tests/conftest.py::oracle_run``) and check these
+counts against them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import Counter, namedtuple
 from itertools import groupby
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
-from simultraj.alignment import SentencePair
+# dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
 from simultraj.sftformat import ChatTemplate, dialogue_prompt, get_template, offline_prompt
 
 DEFAULT_BEAM = 5
@@ -104,12 +105,7 @@ class SelectStrategy(namedtuple("SelectStrategy", "kind gamma")):
         return tuple.__new__(cls, (kind, gamma))
 
 
-LCP = SelectStrategy("lcp")
 GREEDY = SelectStrategy("greedy")
-
-
-def ralcp(gamma: float = DEFAULT_GAMMA) -> SelectStrategy:
-    return SelectStrategy("ralcp", gamma)
 
 
 def select_prefix(
@@ -159,10 +155,6 @@ class SimRun(NamedTuple):
     chunk_size: int
     beam: int
     strategy: SelectStrategy
-
-    @property
-    def committed(self) -> tuple[str, ...]:
-        return tuple(w for e in self.events for w in e.committed_words)
 
     @property
     def rounds(self) -> int:
@@ -236,7 +228,7 @@ class _OfflineCount:
 
 
 def run(
-    pair: SentencePair | Sequence[str],
+    source: Sequence[str],
     model: ModelPort,
     chunk_size: int,
     strategy: SelectStrategy,
@@ -244,18 +236,16 @@ def run(
     beam: int = DEFAULT_BEAM,
     template_id: str = "llama2",
     system_msg: str = "",
-    pair_id: int | None = None,
+    pair_id: int = 0,
 ) -> SimRun:
-    """Simulate one decoding session over the pair's source words."""
+    """Simulate one decoding session over the source words."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if prompt_mode not in PROMPT_MODES:
         raise ValueError(f"prompt_mode must be one of {PROMPT_MODES}")
-    source = pair.source if isinstance(pair, SentencePair) else tuple(pair)
-    if pair_id is None:
-        pair_id = pair.id if isinstance(pair, SentencePair) else 0
+    source = tuple(source)
     if not source:
         raise ValueError("empty source")
     tpl = get_template(template_id)
@@ -335,42 +325,6 @@ def run(
         beam=beam,
         strategy=strategy,
     )
-
-
-class RoundPrompts(NamedTuple):
-    """One round's rendered prompts, re-rendered from a run for audits."""
-
-    conversational: str
-    offline: str
-    # The conversational prompt followed by the round's committed continuation.
-    conversational_plus_commit: str
-
-
-def replay_prompts(
-    sim: SimRun, template_id: str = "llama2", system_msg: str = ""
-) -> list[RoundPrompts]:
-    """Render every round's prompts of a run, as the model saw them in each mode.
-
-    Pass the template and system message the run used. Each round is rendered
-    in full, so time and memory grow with the square of the session length.
-    """
-    tpl = get_template(template_id)
-    closed: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    open_source: list[str] = []
-    history: list[str] = []
-    out: list[RoundPrompts] = []
-    for event in sim.events:
-        open_source.extend(event.read_words)
-        conv = dialogue_prompt(closed, open_source, tpl, system_msg)
-        off = offline_prompt(sim.source[: event.cumulative_source_read], history, tpl)
-        commit = event.committed_words
-        plus = conv + (tpl.turn_sep + " ".join(commit) if commit else "")
-        out.append(RoundPrompts(conv, off, plus))
-        if commit:
-            closed.append((tuple(open_source), commit))
-            open_source = []
-            history.extend(commit)
-    return out
 
 
 def event_to_record(sim: SimRun, event: SimEvent) -> dict:

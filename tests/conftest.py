@@ -6,7 +6,7 @@ from simultraj.augment import RHO_MAX, AugmentConfig
 from simultraj.metrics import CostModel
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import dialogue_prompt, get_template, offline_prompt
-from simultraj.simulator import CONVERSATIONAL, SelectStrategy, SimRun, select_prefix
+from simultraj.simulator import CONVERSATIONAL, Candidate, SelectStrategy, SimRun, select_prefix
 from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Trajectory, build_meta
 
 
@@ -38,6 +38,39 @@ def random_case(
     return pair, AlignmentSet(links, source_len, target_len)
 
 
+def to_pharaoh(alignment: AlignmentSet) -> str:
+    """Render back to 0-based `i-j` text, sorted for determinism."""
+    return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(alignment.links))
+
+
+# Graph references over sufficient sets (one frozenset of 1-based source
+# positions per target): the library goes from the sets straight to the plan.
+
+
+def is_monotonic(sets: Sequence[frozenset[int]]) -> bool:
+    """True iff max(a_j) is nondecreasing over the non-empty sets.
+
+    Empty sets impose no source demand of their own and are skipped.
+    """
+    prev = 0
+    for a in sets:
+        if not a:
+            continue
+        m = max(a)
+        if m < prev:
+            return False
+        prev = m
+    return True
+
+
+def augmented_sets(sets: Sequence[frozenset[int]], plan: MonotonicPlan) -> tuple[frozenset[int], ...]:
+    """Sufficient sets with the plan's added edges merged in."""
+    merged = [set(a) for a in sets]
+    for i, j in plan.added_edges:
+        merged[j - 1].add(i)
+    return tuple(frozenset(a) for a in merged)
+
+
 def meta_of(pair: SentencePair, alignment: AlignmentSet) -> tuple[MonotonicPlan, Trajectory]:
     plan = monotonicize(sufficient_sets(pair, alignment), pair.source_len)
     return plan, build_meta(plan, pair)
@@ -51,7 +84,7 @@ def write_toy_corpus(tmp_path, n_pairs: int = 2, seed: int = 0):
         pair, alignment = random_case(rng, max_len=10, pair_id=idx)
         src_lines.append(" ".join(pair.source))
         tgt_lines.append(" ".join(pair.target))
-        align_lines.append(alignment.to_pharaoh())
+        align_lines.append(to_pharaoh(alignment))
     (tmp_path / "src.txt").write_text("\n".join(src_lines) + "\n", encoding="utf-8")
     (tmp_path / "tgt.txt").write_text("\n".join(tgt_lines) + "\n", encoding="utf-8")
     (tmp_path / "align.txt").write_text("\n".join(align_lines) + "\n", encoding="utf-8")
@@ -147,6 +180,32 @@ def oracle_run(
             committed_all.extend(selected)
         prev_conv, prev_off = prompt_conv, prompt_off
     return rounds
+
+
+class _Replay:
+    """Serves a finished run's beams back, one round per call."""
+
+    def __init__(self, sim: SimRun) -> None:
+        self.beams = iter(sim.events)
+
+    def generate(self, context: str, beam: int) -> list[Candidate]:
+        return [Candidate(words) for words in next(self.beams).candidates]
+
+
+def replay_prompts(sim: SimRun, template_id: str = "llama2", system_msg: str = "") -> list[OracleRound]:
+    """Every round of a finished run re-rendered by `oracle_run` from the run's
+    own beams. Pass the template and system message the run used."""
+    rounds = oracle_run(
+        sim.source, _Replay(sim), sim.chunk_size, sim.strategy, sim.prompt_mode, sim.beam,
+        template_id, system_msg,
+    )
+    assert [r.committed_words for r in rounds] == [e.committed_words for e in sim.events]
+    return rounds
+
+
+def committed(sim: SimRun) -> tuple[str, ...]:
+    """Every word a run committed, in order."""
+    return tuple(w for e in sim.events for w in e.committed_words)
 
 
 # Per-run latency references over SimRun objects: the library reduces event

@@ -18,6 +18,7 @@ from conftest import (
     make_pair,
     meta_of,
     random_case,
+    replay_prompts,
     write_toy_corpus,
 )
 from simultraj.alignment import AlignmentSet, sufficient_sets
@@ -30,9 +31,8 @@ from simultraj.simulator import (
     GREEDY,
     Candidate,
     ScriptedModel,
+    SelectStrategy,
     event_to_record,
-    ralcp,
-    replay_prompts,
     run,
     select_prefix,
 )
@@ -143,7 +143,7 @@ def test_criterion_04_ralcp_lcp_equivalence_10k():
         candidates = [
             [rng.choice(vocab) for _ in range(rng.randint(0, 8))] for _ in range(beam)
         ]
-        assert select_prefix(candidates, ralcp(1.0)) == brute_lcp(candidates)
+        assert select_prefix(candidates, SelectStrategy("ralcp", 1.0)) == brute_lcp(candidates)
     report("criterion 4 PASS: RALCP(gamma=1.0) == brute-force LCP on 10,000 beams")
 
 
@@ -200,7 +200,7 @@ def random_scripted_runs(n_runs: int, seed: int):
                         Candidate((f"d{b}", rng.choice(vocab))) for b in range(beam)
                     )
                 )
-        strategy = rng.choice([GREEDY, ralcp(0.6), ralcp(1.0)])
+        strategy = rng.choice([GREEDY, SelectStrategy("ralcp", 0.6), SelectStrategy("ralcp", 1.0)])
         yield run(
             source,
             ScriptedModel(tuple(rounds)),
@@ -216,7 +216,7 @@ def test_criterion_07_cache_reuse_inequality_1000_runs():
     for sim in random_scripted_runs(1_000, seed=777):
         records = [event_to_record(sim, event) for event in sim.events]
         totals = events_report([records], CostModel(), sim.prompt_mode)
-        final_prompt_words = len(replay_prompts(sim)[-1].conversational.split())
+        final_prompt_words = len(replay_prompts(sim)[-1].prompt_conversational.split())
         assert totals.recompute_total_conversational == final_prompt_words
         assert totals.recompute_total_conversational <= totals.recompute_total_offline
         history_before_last = any(e.committed_words for e in sim.events[:-1])
@@ -234,7 +234,7 @@ def test_criterion_08_append_only_prompts_1000_runs():
     for sim in random_scripted_runs(1_000, seed=778):
         prompts = replay_prompts(sim)
         for prev, cur in zip(prompts, prompts[1:]):
-            assert cur.conversational.startswith(prev.conversational_plus_commit)
+            assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
     report("criterion 8 PASS: every round prompt extends previous prompt+commit on 1,000 runs")
 
 
@@ -294,7 +294,7 @@ def test_criterion_11_directional_stats_on_real_data(tmp_path):
         with open(path, encoding="utf-8") as f:
             trajs = [from_record(json.loads(line)) for line in f if line.strip()]
         stats = corpus_stats(trajs)
-        (only,) = stats.by_provenance.values()
+        (only,) = stats.values()
         return only.chunks_per_trajectory.mean
 
     meta_mean = mean_chunks(meta)

@@ -1,15 +1,15 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_pair, random_case
+from conftest import is_monotonic, make_pair, random_case, to_pharaoh
 from simultraj.alignment import (
     AlignmentError,
     AlignmentSet,
     SentencePair,
-    is_monotonic,
     parse_pharaoh,
     sufficient_sets,
 )
@@ -31,10 +31,10 @@ def test_parse_out_of_range():
 
 
 def test_parse_malformed_token():
-    with pytest.raises(AlignmentError, match="malformed"):
-        parse_pharaoh("0-0 1:1", 2, 2)
-    with pytest.raises(AlignmentError, match="malformed"):
-        parse_pharaoh("ab", 2, 2)
+    # int() reads underscores, signs and non-ASCII digits; Pharaoh has none of them.
+    for token in ("1:1", "ab", "1_0-0", "+1-0", "\u0661-0", "\uff10-\uff10"):
+        with pytest.raises(AlignmentError, match=re.escape(f"malformed alignment token {token!r}")):
+            parse_pharaoh("0-0 " + token, 20, 20)
 
 
 def test_parse_error_names_record():
@@ -61,28 +61,27 @@ def test_pharaoh_round_trip(links0):
     source_len = max((i for i, _ in links0), default=0) + 1
     target_len = max((j for _, j in links0), default=0) + 1
     a = AlignmentSet(frozenset((i + 1, j + 1) for i, j in links0), source_len, target_len)
-    assert parse_pharaoh(a.to_pharaoh(), source_len, target_len).links == a.links
+    assert parse_pharaoh(to_pharaoh(a), source_len, target_len).links == a.links
 
 
 def test_sufficient_sets_reordered_pair():
     pair = make_pair(2, 2)
     a = AlignmentSet(frozenset({(1, 1), (2, 1), (1, 2)}), 2, 2)
     s = sufficient_sets(pair, a)
-    assert s[1] == {1, 2}
-    assert s[2] == {1}
+    assert s == (frozenset({1, 2}), frozenset({1}))
 
 
 def test_sufficient_sets_identity():
     pair = make_pair(3, 3)
     a = AlignmentSet(frozenset({(1, 1), (2, 2), (3, 3)}), 3, 3)
     s = sufficient_sets(pair, a)
-    assert [set(x) for x in s.sets] == [{1}, {2}, {3}]
+    assert [set(x) for x in s] == [{1}, {2}, {3}]
 
 
 def test_sufficient_sets_unaligned():
     pair = make_pair(2, 2)
     s = sufficient_sets(pair, AlignmentSet(frozenset(), 2, 2))
-    assert all(not x for x in s.sets)
+    assert all(not x for x in s)
 
 
 def test_sufficient_sets_pure():
@@ -107,7 +106,7 @@ def test_is_monotonic_skips_empty_sets():
     pair = make_pair(2, 3)
     a = AlignmentSet(frozenset({(2, 1), (2, 3)}), 2, 3)
     s = sufficient_sets(pair, a)
-    assert [set(x) for x in s.sets] == [{2}, set(), {2}]
+    assert [set(x) for x in s] == [{2}, set(), {2}]
     assert is_monotonic(s)
 
 
@@ -123,7 +122,7 @@ def test_is_monotonic_matches_pairwise_brute_force():
     for case in range(500):
         pair, a = random_case(rng, max_len=8, pair_id=case)
         s = sufficient_sets(pair, a)
-        assert is_monotonic(s) == brute_pairwise_monotonic(s.sets)
+        assert is_monotonic(s) == brute_pairwise_monotonic(s)
 
 
 def test_sentence_pair_rejects_empty_and_spaces():

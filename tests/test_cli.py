@@ -1,4 +1,6 @@
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -345,16 +347,45 @@ def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypa
     "argv",
     [["curate", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o", "--workers", "0"],
      ["augment", "--in", "i", "--out", "o", "--workers", "-1"],
-     ["format", "--in", "i", "--out", "o", "--workers", "0"]],
-    ids=["curate-0", "augment-negative", "format-0"],
+     ["format", "--in", "i", "--out", "o", "--workers", "0"],
+     ["simulate", "--src", "s", "--model", "m", "--out", "o", "--chunk", "0"],
+     ["simulate", "--src", "s", "--model", "m", "--out", "o", "--beam", "-1"]],
+    ids=["curate-0", "augment-negative", "format-0", "simulate-chunk-0", "simulate-beam-negative"],
 )
 def test_workers_must_be_positive(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--workers" in err
-    assert "must be at least 1" in err
+    assert f"argument {argv[-2]}: must be at least 1" in err
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_workers_are_capped_at_usable_cpus(tmp_path, capsys, monkeypatch, affinity):
+    # A thread pool stands in for the process pool, so no process is started.
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=5, seed=4)
+    outs = []
+    for workers in ("1", "2", "64"):
+        out = tmp_path / f"meta{workers}.jsonl"
+        assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
+                     "--out", str(out), "--workers", workers]) == 0
+        outs.append(out.read_bytes())
+        assert f'"workers": {min(int(workers), 3)}' in capsys.readouterr().err
+    assert sizes == [2, 3]
+    assert outs[1] == outs[2] == outs[0]
 
 
 def _reject_constant(name):

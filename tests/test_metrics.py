@@ -5,6 +5,7 @@ from statistics import fmean
 import pytest
 
 from conftest import (
+    committed,
     make_pair,
     meta_of,
     random_case,
@@ -28,10 +29,10 @@ from simultraj.simulator import (
     PROMPT_MODES,
     Candidate,
     ScriptedModel,
+    SelectStrategy,
     dump_events_jsonl,
     event_to_record,
     load_events_jsonl,
-    ralcp,
     run,
     scripted_echo,
 )
@@ -162,7 +163,7 @@ def random_runs(rng, n_runs):
                 rounds.append(tuple(Candidate(words) for _ in range(beam)))
             else:
                 rounds.append(tuple(Candidate((f"d{b}", rng.choice(vocab))) for b in range(beam)))
-        strategy = rng.choice([GREEDY, ralcp(0.6), ralcp(1.0)])
+        strategy = rng.choice([GREEDY, SelectStrategy("ralcp", 0.6), SelectStrategy("ralcp", 1.0)])
         yield run(source, ScriptedModel(tuple(rounds)), chunk_size=chunk, strategy=strategy,
                   beam=beam, prompt_mode=rng.choice(PROMPT_MODES), pair_id=case)
 
@@ -177,7 +178,7 @@ def test_events_report_matches_reference_per_run_values(tmp_path):
         sims = list(random_runs(rng, rng.randint(1, 6)))
         dump_events_jsonl(sims, path)
         cost = CostModel(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
-        speaking = [sim for sim in sims if sim.committed]
+        speaking = [sim for sim in sims if committed(sim)]
         silent_logs += not speaking
         for mode in PROMPT_MODES:
             report = events_report(load_events_jsonl(path), cost, mode)
@@ -201,7 +202,7 @@ def test_events_report_matches_reference_per_run_values(tmp_path):
 def test_corpus_stats_single_trajectory():
     pair = make_pair(6, 6)
     traj = Trajectory((Chunk(3, 3), Chunk(3, 3)), pair, META)
-    stats = corpus_stats([traj]).by_provenance[META]
+    stats = corpus_stats([traj])[META]
     assert stats.trajectories == 1
     assert (stats.chunks_per_trajectory.mean, stats.chunks_per_trajectory.std) == (2.0, 0.0)
     assert (stats.source_words_per_chunk.mean, stats.source_words_per_chunk.std) == (3.0, 0.0)
@@ -216,7 +217,7 @@ def test_corpus_stats_merge_reduces_mean_chunk_count():
         _, meta = meta_of(pair, a)
         metas.append(meta)
         merged.append(merge(meta, AugmentConfig(), derive_rng(5, case)))
-    stats = corpus_stats(metas + merged).by_provenance
+    stats = corpus_stats(metas + merged)
     assert (
         stats["merged"].chunks_per_trajectory.mean
         <= stats["meta"].chunks_per_trajectory.mean
@@ -229,8 +230,8 @@ def test_corpus_stats_self_concatenation_invariant():
     for case in range(50):
         pair, a = random_case(rng, max_len=8, pair_id=case)
         trajs.append(meta_of(pair, a)[1])
-    once = corpus_stats(trajs).by_provenance[META]
-    twice = corpus_stats(trajs + trajs).by_provenance[META]
+    once = corpus_stats(trajs)[META]
+    twice = corpus_stats(trajs + trajs)[META]
     assert math.isclose(once.chunks_per_trajectory.mean, twice.chunks_per_trajectory.mean)
     assert math.isclose(once.chunks_per_trajectory.std, twice.chunks_per_trajectory.std)
     assert math.isclose(once.source_words_per_chunk.std, twice.source_words_per_chunk.std)
@@ -243,7 +244,7 @@ def test_corpus_stats_population_std():
         Trajectory((Chunk(1, 1),), pair_a, META),
         Trajectory((Chunk(1, 1), Chunk(1, 1), Chunk(1, 1)), pair_b, META),
     ]
-    stats = corpus_stats(trajs).by_provenance[META]
+    stats = corpus_stats(trajs)[META]
     # counts 1 and 3: population std is 1.0 (sample std would be sqrt(2))
     assert math.isclose(stats.chunks_per_trajectory.std, 1.0)
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import make_pair, random_case
-from simultraj.alignment import AlignmentSet, is_monotonic, sufficient_sets
-from simultraj.monotonic import augmented_sets, monotonicize
+from conftest import augmented_sets, is_monotonic, make_pair, random_case
+from simultraj.alignment import AlignmentSet, sufficient_sets
+from simultraj.monotonic import monotonicize
 
 
 def reordered_example():
@@ -53,7 +53,7 @@ def test_augmented_graph_is_monotonic_and_total():
         plan = monotonicize(s, pair.source_len)
         aug = augmented_sets(s, plan)
         assert is_monotonic(aug)
-        assert all(aug.sets), "every target must end up with an anchor"
+        assert all(aug), "every target must end up with an anchor"
         assert not set(plan.added_edges) & a.links
 
 
@@ -75,8 +75,8 @@ def test_idempotent_on_monotonic_input():
         aug = augmented_sets(s, plan)
         again = monotonicize(aug, pair.source_len)
         assert again.added_edges == ()
-        assert again.prefix_req == tuple(max(x) for x in aug.sets)
-        for j, x in enumerate(s.sets):
+        assert again.prefix_req == tuple(max(x) for x in aug)
+        for j, x in enumerate(s):
             if x:
                 assert again.prefix_req[j] >= max(x)
 
@@ -108,7 +108,6 @@ def test_every_added_edge_is_necessary():
         plan = monotonicize(s, source_len)
         aug = augmented_sets(s, plan)
         for dropped in plan.added_edges:
-            thinned = list(set(x) for x in aug.sets)
+            thinned = list(set(x) for x in aug)
             thinned[dropped[1] - 1].discard(dropped[0])
-            thinned_sets = type(s)(tuple(frozenset(x) for x in thinned))
-            assert (not is_monotonic(thinned_sets)) or not thinned[dropped[1] - 1]
+            assert (not is_monotonic(thinned)) or not thinned[dropped[1] - 1]

