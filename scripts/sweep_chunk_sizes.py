@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from simultraj.cli import DEFAULT_CHUNK_SIZES
+from simultraj.cli import DEFAULT_CHUNK_SIZES, nonnegative_float
 from simultraj.metrics import CostModel, events_report
 from simultraj.simulator import CONVERSATIONAL, GREEDY, OFFLINE, event_to_record, run, scripted_echo
 
@@ -48,8 +48,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="one source sentence per line")
     parser.add_argument("--chunk-sizes", type=int, nargs="+", default=list(DEFAULT_CHUNK_SIZES))
-    parser.add_argument("--cost-recompute", type=float, default=1.0)
-    parser.add_argument("--cost-word", type=float, default=1.0)
+    parser.add_argument("--cost-recompute", type=nonnegative_float, default=1.0)
+    parser.add_argument("--cost-word", type=nonnegative_float, default=1.0)
     parser.add_argument("--csv", default="", help="optional output CSV path")
     args = parser.parse_args()
 

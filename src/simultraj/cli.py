@@ -33,7 +33,7 @@ from simultraj.augment import (
 )
 from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report
 from simultraj.monotonic import monotonicize
-from simultraj.sftformat import get_template, record_to_dict, render_conversational
+from simultraj.sftformat import DEFAULT_TEMPLATE, get_template, record_to_dict, render_conversational
 from simultraj.simulator import (
     CONVERSATIONAL,
     DEFAULT_BEAM,
@@ -47,10 +47,9 @@ from simultraj.simulator import (
     load_events_jsonl,
     run as simulate_run,
 )
-from simultraj.trajectory import META, build_meta, from_record, load_jsonl, to_record, verify
+from simultraj.trajectory import META, build_meta, from_record, to_record, verify
 
 DEFAULT_CHUNK_SIZES = (3, 5, 7, 9, 11, 13)
-DEFAULT_TEMPLATE = "llama2"
 
 
 def positive_int(text: str) -> int:
@@ -60,9 +59,16 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _print_config(command: str, args: argparse.Namespace) -> None:
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
+def _print_config(args: argparse.Namespace) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print(f"{command} resolved config: {json.dumps(resolved, ensure_ascii=False)}", file=sys.stderr)
+    print(f"{args.command} resolved config: {json.dumps(resolved, ensure_ascii=False)}", file=sys.stderr)
 
 
 # Items per task sent to a --workers pool: one IPC round trip per batch. Of 64,
@@ -137,6 +143,13 @@ def _emit(results: Iterable[tuple[str, str]], out: TextIO) -> int:
     return failures
 
 
+def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable) -> int:
+    """Write worker's results over items to --out in input order; 1 if any record was rejected."""
+    with open(args.out, "w", encoding="utf-8") as out:
+        failures = _emit(_pmap(worker, items, args.workers), out)
+    return 1 if failures else 0
+
+
 # ----------------------------------------------------------------- curate
 
 def _curate_record(item: tuple[int, str, str, str], debug: bool) -> tuple[str, str]:
@@ -150,7 +163,7 @@ def _curate_record(item: tuple[int, str, str, str], debug: bool) -> tuple[str, s
         if problems:
             return ("err", f"record {idx} rejected: " + "; ".join(problems))
         return ("ok", json.dumps(to_record(traj, debug), ensure_ascii=False))
-    except (AlignmentError, ValueError) as exc:
+    except ValueError as exc:  # AlignmentError is a ValueError
         return ("err", f"record {idx} rejected: {exc}")
 
 
@@ -173,12 +186,8 @@ def _iter_curate_inputs(src_path: str, tgt_path: str, align_path: str) -> Iterat
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
-    _print_config("curate", args)
     worker = partial(_curate_record, debug=args.debug)
-    with open(args.out, "w", encoding="utf-8") as out:
-        results = _pmap(worker, _iter_curate_inputs(args.src, args.tgt, args.align), args.workers)
-        failures = _emit(results, out)
-    return 1 if failures else 0
+    return _run_stage(args, worker, _iter_curate_inputs(args.src, args.tgt, args.align))
 
 
 # ---------------------------------------------------------------- augment
@@ -205,7 +214,6 @@ def _iter_lines(path: str) -> Iterator[str]:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    _print_config("augment", args)
     cfg = AugmentConfig(
         delta_min=args.delta_min,
         delta_max=args.delta_max,
@@ -214,9 +222,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     worker = partial(_augment_record, cfg=cfg, debug=args.debug)
-    with open(args.out, "w", encoding="utf-8") as out:
-        failures = _emit(_pmap(worker, _iter_lines(args.in_path), args.workers), out)
-    return 1 if failures else 0
+    return _run_stage(args, worker, _iter_lines(args.in_path))
 
 
 # ----------------------------------------------------------------- format
@@ -234,19 +240,15 @@ def _format_record(line: str, system_msg: str, template: str) -> tuple[str, str]
 
 
 def cmd_format(args: argparse.Namespace) -> int:
-    _print_config("format", args)
     get_template(args.template)  # fail fast on an unknown template id
     worker = partial(_format_record, system_msg=args.system_msg, template=args.template)
-    with open(args.out, "w", encoding="utf-8") as out:
-        failures = _emit(_pmap(worker, _iter_lines(args.in_path), args.workers), out)
-    return 1 if failures else 0
+    return _run_stage(args, worker, _iter_lines(args.in_path))
 
 
 # ------------------------------------------------------------------ stats
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    _print_config("stats", args)
-    stats = corpus_stats(load_jsonl(args.in_path))
+    stats = corpus_stats(from_record(json.loads(line)) for line in _iter_lines(args.in_path))
     print(corpus_stats_table(stats))
     return 0
 
@@ -268,8 +270,7 @@ def _load_scripts(path: str, n_sources: int) -> list[dict]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _print_config("simulate", args)
-    strategy = SelectStrategy(args.select, args.gamma if args.select == "ralcp" else 1.0)
+    strategy = SelectStrategy(args.select, args.gamma)
     with open(args.src, encoding="utf-8") as f:
         sources = [line.split() for line in f]
     blank = sum(1 for source in sources if not source)
@@ -300,14 +301,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             except SimulationError as exc:
                 raise SimulationError(f"session {idx}: {exc}") from None
 
-    dump_events_jsonl(runs(), args.out)
+    with open(args.out, "w", encoding="utf-8") as out:
+        dump_events_jsonl(runs(), out)
     return 1 if blank else 0
 
 
 # ------------------------------------------------------------------- eval
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _print_config("eval", args)
     cost = CostModel(args.cost_recompute, args.cost_word)
     report = events_report(load_events_jsonl(args.events), cost, args.prompt)
     data = report._asdict()
@@ -343,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--delta-min", type=int, default=DEFAULT_DELTA_MIN)
     p.add_argument("--delta-max", type=int, default=DEFAULT_DELTA_MAX)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--rho-min", type=float, default=DEFAULT_RHO_MIN)
+    p.add_argument("--beta", type=nonnegative_float, default=DEFAULT_BETA)
+    p.add_argument("--rho-min", type=nonnegative_float, default=DEFAULT_RHO_MIN)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--debug", action="store_true")
@@ -368,15 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=positive_int, default=5)
     p.add_argument("--beam", type=positive_int, default=DEFAULT_BEAM)
     p.add_argument("--select", choices=["lcp", "ralcp", "greedy"], default="ralcp")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--gamma", type=nonnegative_float, default=DEFAULT_GAMMA)
     p.add_argument("--prompt", choices=list(PROMPT_MODES), default=CONVERSATIONAL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="latency report from a simulation event log")
     p.add_argument("--events", required=True)
-    p.add_argument("--cost-recompute", type=float, default=1.0)
-    p.add_argument("--cost-word", type=float, default=1.0)
+    p.add_argument("--cost-recompute", type=nonnegative_float, default=1.0)
+    p.add_argument("--cost-word", type=nonnegative_float, default=1.0)
     p.add_argument("--prompt", choices=list(PROMPT_MODES), default=CONVERSATIONAL)
     p.add_argument("--csv", default="")
     p.set_defaults(func=cmd_eval)
@@ -391,9 +392,10 @@ def main(argv: list[str] | None = None) -> int:
         # do not depend on their number: start no more than this process can run on.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         args.workers = min(args.workers, cpus or 1)
+    _print_config(args)
     try:
         return args.func(args)
-    except (AlignmentError, SimulationError, ValueError, OSError, RecursionError) as exc:
+    except (SimulationError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from math import fsum
 from typing import Iterable, NamedTuple, Sequence
 
 from simultraj.simulator import CONVERSATIONAL, SimRun, event_to_record
-from simultraj.trajectory import Trajectory, write_read_counts
+from simultraj.trajectory import Trajectory
 
 
 def average_lagging(g: Sequence[int], source_len: int, target_len: int) -> float:
@@ -38,13 +38,6 @@ def average_lagging(g: Sequence[int], source_len: int, target_len: int) -> float
             break
     rate = target_len / source_len
     return sum(g[t - 1] - (t - 1) / rate for t in range(1, tau + 1)) / tau
-
-
-def trajectory_average_lagging(traj: Trajectory) -> float:
-    """AL on the flush-inclusive schedule `write_read_counts`, not on
-    `read_counts_before_write`, which reads the final flush after the writes."""
-    g = write_read_counts(traj)
-    return average_lagging(g, traj.pair.source_len, traj.pair.target_len)
 
 
 class CostModel(NamedTuple):
@@ -154,6 +147,11 @@ def corpus_stats_table(stats: dict[str, ProvenanceStats]) -> str:
                 f"{ps.target_words_per_chunk.mean:.2f}±{ps.target_words_per_chunk.std:.2f}",
             )
         )
+    return _table(rows)
+
+
+def _table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, with no trailing spaces."""
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     return "\n".join(
         "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
@@ -180,8 +178,7 @@ class LatencyReport(NamedTuple):
             ("recompute total conversational", str(self.recompute_total_conversational)),
             ("recompute total offline", str(self.recompute_total_offline)),
         ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
+        return _table(rows)
 
 
 def _fixed4(value: float | None) -> str:

@@ -30,6 +30,8 @@ class ChatTemplate(NamedTuple):
     offline_response_header: str
 
 
+DEFAULT_TEMPLATE = "llama2"
+
 TEMPLATES: dict[str, ChatTemplate] = {
     "llama2": ChatTemplate(
         name="llama2",
@@ -68,7 +70,7 @@ class SftRecord(NamedTuple):
 
 
 def render_conversational(
-    traj: Trajectory, system_msg: str = "", template_id: str = "llama2"
+    traj: Trajectory, system_msg: str = "", template_id: str = DEFAULT_TEMPLATE
 ) -> SftRecord:
     """Render a trajectory as multi-turn dialogue text with span bookkeeping."""
     tpl = get_template(template_id)

@@ -27,7 +27,7 @@ from itertools import groupby
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 # dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
-from simultraj.sftformat import ChatTemplate, dialogue_prompt, get_template, offline_prompt
+from simultraj.sftformat import DEFAULT_TEMPLATE, ChatTemplate, dialogue_prompt, get_template, offline_prompt
 
 DEFAULT_BEAM = 5
 DEFAULT_GAMMA = 0.6
@@ -41,22 +41,17 @@ class SimulationError(RuntimeError):
     pass
 
 
-class Candidate(NamedTuple):
-    words: tuple[str, ...]
-    end: bool = False
-
-
 class ModelPort(Protocol):
-    def generate(self, context: str, beam: int) -> list[Candidate]:
-        """Return up to `beam` candidate continuations for the rendered context."""
+    def generate(self, context: str, beam: int) -> Sequence[Sequence[str]]:
+        """Return up to `beam` candidate continuations (word sequences) for the rendered context."""
 
 
-def _candidate(words: object) -> Candidate:
+def _candidate(words: object) -> tuple[str, ...]:
     """A script's candidate; TypeError unless it is a list of strings."""
     if type(words) is not list:
         raise TypeError(f"a candidate is a {type(words).__name__}, not a list of words")
     " ".join(words)  # raises TypeError on a word that is not a string
-    return Candidate(tuple(words))
+    return tuple(words)
 
 
 class ScriptedModel:
@@ -65,7 +60,7 @@ class ScriptedModel:
     Holds a round cursor, so one instance serves exactly one run.
     """
 
-    def __init__(self, rounds: tuple[tuple[Candidate, ...], ...]) -> None:
+    def __init__(self, rounds: tuple[tuple[tuple[str, ...], ...], ...]) -> None:
         self.rounds = rounds
         self._cursor = 0
 
@@ -75,7 +70,7 @@ class ScriptedModel:
             raise ValueError("scripted model needs a 'rounds' list of beam candidate lists")
         return cls(tuple(tuple(_candidate(words) for words in beam) for beam in obj["rounds"]))
 
-    def generate(self, context: str, beam: int) -> list[Candidate]:
+    def generate(self, context: str, beam: int) -> list[tuple[str, ...]]:
         if self._cursor >= len(self.rounds):
             raise SimulationError(f"script exhausted at round {self._cursor}")
         out = list(self.rounds[self._cursor][:beam])
@@ -83,14 +78,12 @@ class ScriptedModel:
         return out
 
 
-def scripted_echo(
-    source: Sequence[str], chunk_size: int, beam: int = 1, transform=str.upper
-) -> ScriptedModel:
-    """Script a model that 'translates' each newly read chunk via `transform`."""
+def scripted_echo(source: Sequence[str], chunk_size: int, beam: int = 1) -> ScriptedModel:
+    """Script a model that 'translates' each newly read chunk to its upper-cased self."""
     rounds = []
     for start in range(0, len(source), chunk_size):
-        words = tuple(transform(w) for w in source[start : start + chunk_size])
-        rounds.append(tuple(Candidate(words) for _ in range(beam)))
+        words = tuple(w.upper() for w in source[start : start + chunk_size])
+        rounds.append((words,) * beam)
     return ScriptedModel(tuple(rounds))
 
 
@@ -100,6 +93,8 @@ class SelectStrategy(namedtuple("SelectStrategy", "kind gamma")):
     def __new__(cls, kind: str, gamma: float = 1.0) -> SelectStrategy:
         if kind not in ("lcp", "ralcp", "greedy"):
             raise ValueError(f"unknown selection strategy {kind!r}")
+        if kind != "ralcp":
+            gamma = 1.0  # LCP is RALCP at unanimity; greedy takes no vote
         if not 0.0 < gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         return tuple.__new__(cls, (kind, gamma))
@@ -122,7 +117,7 @@ def select_prefix(
         raise ValueError("select_prefix needs at least one candidate")
     if strategy.kind == "greedy":
         return list(candidates[0])
-    gamma = 1.0 if strategy.kind == "lcp" else strategy.gamma
+    gamma = strategy.gamma
     total = len(candidates)
     prefix: list[str] = []
     pos = 0
@@ -234,7 +229,7 @@ def run(
     strategy: SelectStrategy,
     prompt_mode: str = CONVERSATIONAL,
     beam: int = DEFAULT_BEAM,
-    template_id: str = "llama2",
+    template_id: str = DEFAULT_TEMPLATE,
     system_msg: str = "",
     pair_id: int = 0,
 ) -> SimRun:
@@ -290,7 +285,7 @@ def run(
             candidates = model.generate(offline_prompt((source_text,), history_text, tpl), beam)
         if not candidates:
             raise SimulationError(f"model returned no candidates at round {rnd}")
-        beam_words = tuple(tuple(c.words) for c in candidates)
+        beam_words = tuple(map(tuple, candidates))
 
         if read < len(source):
             selected = tuple(select_prefix(beam_words, strategy))
@@ -328,31 +323,14 @@ def run(
 
 
 def event_to_record(sim: SimRun, event: SimEvent) -> dict:
-    return {
-        "id": sim.pair_id,
-        "round": event.round,
-        "read_words": list(event.read_words),
-        "candidates": [list(c) for c in event.candidates],
-        "committed_words": list(event.committed_words),
-        "recompute_tokens_conversational": event.recompute_tokens_conversational,
-        "recompute_tokens_offline": event.recompute_tokens_offline,
-        "cumulative_source_read": event.cumulative_source_read,
-    }
+    # SimEvent's fields are the record's keys, in order; json writes tuples as arrays.
+    return {"id": sim.pair_id, **event._asdict()}
 
 
-def dump_events_jsonl(runs: Iterable[SimRun], out: str | IO[str]) -> int:
-    own = isinstance(out, str)
-    f = open(out, "w", encoding="utf-8") if own else out
-    try:
-        n = 0
-        for sim in runs:
-            for event in sim.events:
-                f.write(json.dumps(event_to_record(sim, event), ensure_ascii=False) + "\n")
-                n += 1
-        return n
-    finally:
-        if own:
-            f.close()
+def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
+    for sim in runs:
+        for event in sim.events:
+            out.write(json.dumps(event_to_record(sim, event), ensure_ascii=False) + "\n")
 
 
 # The integer fields of an event record that `metrics.events_report` reads.

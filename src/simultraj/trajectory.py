@@ -4,13 +4,11 @@ The meta trajectory is the minimum-latency schedule: a chunk opens whenever the
 prefix requirement rises, reading exactly the newly required source span, and
 consecutive targets with an unchanged requirement share one WRITE. Source tokens
 left unread after the last write are flushed into the final chunk's READ; they
-complete coverage but no write waits on them, so `read_counts_before_write`
-accounts for them after the final writes when a plan is supplied.
+complete coverage but no write waits on them.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, NamedTuple
 
 from simultraj.alignment import SentencePair
@@ -102,39 +100,6 @@ def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
     return violations
 
 
-def write_read_counts(traj: Trajectory) -> list[int]:
-    """g[t] = source tokens read when target t is written, chunk reads before writes.
-
-    This is the flush-inclusive schedule: the final chunk's trailing source
-    counts as read before its writes. `metrics.trajectory_average_lagging`
-    uses it.
-    """
-    counts: list[int] = []
-    read = 0
-    for chunk in traj.chunks:
-        read += chunk.n_read
-        counts.extend([read] * chunk.n_write)
-    return counts
-
-
-def read_counts_before_write(traj: Trajectory, plan: MonotonicPlan) -> list[int]:
-    """Like write_read_counts, but the final chunk's trailing flush (source past
-    every write requirement) is read after the writes, not before.
-
-    This is the schedule the minimum-latency claim is stated on: acceptance
-    gate 3 compares it with a brute-force optimum.
-    """
-    counts = write_read_counts(traj)
-    last = traj.chunks[-1]
-    if last.n_write:
-        first = len(counts) - last.n_write
-        need = max(plan.prefix_req[first : len(counts)])
-        drained = min(last.n_read, max(0, counts[-1] - need))
-        for t in range(first, len(counts)):
-            counts[t] -= drained
-    return counts
-
-
 def to_record(traj: Trajectory, debug_indices: bool = False) -> dict:
     """JSON-ready record with words materialized; 1-based positions only under debug."""
     record: dict = {
@@ -196,10 +161,3 @@ def from_record(record: object) -> Trajectory:
         counts.append(Chunk(len(read), len(write), shifted))
     pair = SentencePair(tuple(src), tuple(tgt), rid)
     return Trajectory(tuple(counts), pair, provenance)
-
-
-def load_jsonl(path: str) -> Iterator[Trajectory]:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                yield from_record(json.loads(line))

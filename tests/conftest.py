@@ -3,10 +3,10 @@ from typing import NamedTuple, Sequence
 
 from simultraj.alignment import AlignmentSet, SentencePair, sufficient_sets
 from simultraj.augment import RHO_MAX, AugmentConfig
-from simultraj.metrics import CostModel
+from simultraj.metrics import CostModel, average_lagging
 from simultraj.monotonic import MonotonicPlan, monotonicize
-from simultraj.sftformat import dialogue_prompt, get_template, offline_prompt
-from simultraj.simulator import CONVERSATIONAL, Candidate, SelectStrategy, SimRun, select_prefix
+from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
+from simultraj.simulator import CONVERSATIONAL, SelectStrategy, SimRun, select_prefix
 from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Trajectory, build_meta
 
 
@@ -112,6 +112,44 @@ def brute_min_read_counts(plan: MonotonicPlan) -> list[int]:
     return best
 
 
+# Read schedules of a trajectory: g[t] is the source words read when target t
+# is written. The library reduces only simulated runs to AL (`metrics.run_latency`).
+
+
+def write_read_counts(traj: Trajectory) -> list[int]:
+    """The flush-inclusive schedule: every chunk's reads, the final chunk's
+    trailing source included, come before its writes."""
+    counts: list[int] = []
+    read = 0
+    for chunk in traj.chunks:
+        read += chunk.n_read
+        counts.extend([read] * chunk.n_write)
+    return counts
+
+
+def read_counts_before_write(traj: Trajectory, plan: MonotonicPlan) -> list[int]:
+    """Like write_read_counts, but the final chunk's trailing flush (source past
+    every write requirement) is read after the writes, not before.
+
+    This is the schedule the minimum-latency claim is stated on: acceptance
+    gate 3 compares it with `brute_min_read_counts`.
+    """
+    counts = write_read_counts(traj)
+    last = traj.chunks[-1]
+    if last.n_write:
+        first = len(counts) - last.n_write
+        need = max(plan.prefix_req[first : len(counts)])
+        drained = min(last.n_read, max(0, counts[-1] - need))
+        for t in range(first, len(counts)):
+            counts[t] -= drained
+    return counts
+
+
+def trajectory_average_lagging(traj: Trajectory) -> float:
+    """AL on the flush-inclusive schedule `write_read_counts`."""
+    return average_lagging(write_read_counts(traj), traj.pair.source_len, traj.pair.target_len)
+
+
 class OracleRound(NamedTuple):
     committed_words: tuple[str, ...]
     recompute_tokens_conversational: int
@@ -138,7 +176,7 @@ def oracle_run(
     strategy: SelectStrategy,
     prompt_mode: str = CONVERSATIONAL,
     beam: int = 5,
-    template_id: str = "llama2",
+    template_id: str = DEFAULT_TEMPLATE,
     system_msg: str = "",
 ) -> list[OracleRound]:
     """Render-and-diff reference for simulator.run: every round renders both
@@ -158,7 +196,7 @@ def oracle_run(
         prompt_conv = dialogue_prompt(closed_turns, open_source, tpl, system_msg)
         prompt_off = offline_prompt(source[:read], committed_all, tpl)
         context = prompt_conv if prompt_mode == CONVERSATIONAL else prompt_off
-        beam_words = tuple(tuple(c.words) for c in model.generate(context, beam))
+        beam_words = tuple(map(tuple, model.generate(context, beam)))
         if read < len(source):
             selected = tuple(select_prefix(beam_words, strategy))
         else:
@@ -188,11 +226,11 @@ class _Replay:
     def __init__(self, sim: SimRun) -> None:
         self.beams = iter(sim.events)
 
-    def generate(self, context: str, beam: int) -> list[Candidate]:
-        return [Candidate(words) for words in next(self.beams).candidates]
+    def generate(self, context: str, beam: int) -> tuple[tuple[str, ...], ...]:
+        return next(self.beams).candidates
 
 
-def replay_prompts(sim: SimRun, template_id: str = "llama2", system_msg: str = "") -> list[OracleRound]:
+def replay_prompts(sim: SimRun, template_id: str = DEFAULT_TEMPLATE, system_msg: str = "") -> list[OracleRound]:
     """Every round of a finished run re-rendered by `oracle_run` from the run's
     own beams. Pass the template and system message the run used."""
     rounds = oracle_run(

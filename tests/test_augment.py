@@ -14,6 +14,7 @@ from conftest import (
     ref_shift,
     ref_to_record,
     ref_verify,
+    write_read_counts,
 )
 from simultraj.alignment import AlignmentSet
 from simultraj.augment import AugmentConfig, augment_pipeline, derive_rng, merge, shift
@@ -26,7 +27,6 @@ from simultraj.trajectory import (
     build_meta,
     to_record,
     verify,
-    write_read_counts,
 )
 from simultraj.monotonic import MonotonicPlan
 

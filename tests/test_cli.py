@@ -164,14 +164,17 @@ def write_sim_inputs(tmp_path):
 
 def test_simulate_ralcp_gamma_one_matches_lcp(tmp_path):
     src, model = write_sim_inputs(tmp_path)
-    out_ralcp, out_lcp = tmp_path / "r.jsonl", tmp_path / "l.jsonl"
+    out_ralcp, out_lcp, out_lcp0 = tmp_path / "r.jsonl", tmp_path / "l.jsonl", tmp_path / "l0.jsonl"
     assert main(["simulate", "--src", str(src), "--model", str(model), "--chunk", "2",
                  "--beam", "3", "--select", "ralcp", "--gamma", "1.0",
                  "--prompt", "conversational", "--out", str(out_ralcp)]) == 0
     assert main(["simulate", "--src", str(src), "--model", str(model), "--chunk", "2",
                  "--beam", "3", "--select", "lcp", "--gamma", "1.0",
                  "--prompt", "conversational", "--out", str(out_lcp)]) == 0
-    assert out_ralcp.read_bytes() == out_lcp.read_bytes()
+    # lcp takes no gamma, so a gamma that ralcp rejects is accepted and ignored
+    assert main(["simulate", "--src", str(src), "--model", str(model), "--chunk", "2",
+                 "--beam", "3", "--select", "lcp", "--gamma", "0", "--out", str(out_lcp0)]) == 0
+    assert out_ralcp.read_bytes() == out_lcp.read_bytes() == out_lcp0.read_bytes()
 
 
 def test_simulate_model_list_matches_source_lines(tmp_path):
@@ -258,22 +261,25 @@ def test_simulate_then_eval(tmp_path, capsys):
     assert "WWT (simulated" in out
 
 
-def test_workers_do_not_change_output(tmp_path):
+def two_usable_cpus(monkeypatch):
+    """Cap --workers at 2 on any host, so --workers 2 and above run a pool of two processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_workers_do_not_change_output(tmp_path, capsys, monkeypatch):
+    two_usable_cpus(monkeypatch)
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
     outs = []
-    for workers, name in [(1, "w1"), (4, "w4")]:
+    for workers, name, used in [(1, "w1", 1), (4, "w4", 2)]:
         meta = tmp_path / f"meta_{name}.jsonl"
         aug = tmp_path / f"aug_{name}.jsonl"
         assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
                      "--out", str(meta), "--workers", str(workers)]) == 0
         assert main(["augment", "--in", str(meta), "--out", str(aug), "--seed", "11",
                      "--workers", str(workers)]) == 0
+        assert capsys.readouterr().err.count(f'"workers": {used}') == 2
         outs.append((meta.read_bytes(), aug.read_bytes()))
     assert outs[0] == outs[1]
-
-
-def _rejections(capsys):
-    return [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
 
 
 def _with_bad_lines(path, at):
@@ -287,6 +293,7 @@ def _with_bad_lines(path, at):
 
 def test_workers_match_serial_across_batches(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "PMAP_BATCH", 3)
+    two_usable_cpus(monkeypatch)
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
     lines = align.read_text(encoding="utf-8").splitlines()
     for i in (1, 8, 14):  # out-of-range links: rejected records in three batches
@@ -301,7 +308,9 @@ def test_workers_match_serial_across_batches(tmp_path, capsys, monkeypatch):
                            "--seed", "11", "--workers", workers]))
         codes.append(main(["format", "--in", str(_with_bad_lines(aug, (4, 13))), "--out", str(sft),
                            "--workers", workers]))
-        return codes, [p.read_bytes() for p in (meta, aug, sft)], _rejections(capsys)
+        err = capsys.readouterr().err.splitlines()
+        assert sum(f'"workers": {workers}' in line for line in err) == 3
+        return codes, [p.read_bytes() for p in (meta, aug, sft)], [line for line in err if "rejected" in line]
 
     serial = run("1")
     assert serial[0] == [1, 1, 1]
@@ -343,21 +352,36 @@ def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypa
     assert outs[1] == outs[0]
 
 
+AT_LEAST_1 = "must be at least 1, got "
+FINITE = "must be finite and at least 0, got "
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["curate", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o", "--workers", "0"],
-     ["augment", "--in", "i", "--out", "o", "--workers", "-1"],
-     ["format", "--in", "i", "--out", "o", "--workers", "0"],
-     ["simulate", "--src", "s", "--model", "m", "--out", "o", "--chunk", "0"],
-     ["simulate", "--src", "s", "--model", "m", "--out", "o", "--beam", "-1"]],
-    ids=["curate-0", "augment-negative", "format-0", "simulate-chunk-0", "simulate-beam-negative"],
+    "argv, message",
+    [(["curate", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o", "--workers", "0"], AT_LEAST_1 + "0"),
+     (["augment", "--in", "i", "--out", "o", "--workers", "-1"], AT_LEAST_1 + "-1"),
+     (["format", "--in", "i", "--out", "o", "--workers", "0"], AT_LEAST_1 + "0"),
+     (["simulate", "--src", "s", "--model", "m", "--out", "o", "--chunk", "0"], AT_LEAST_1 + "0"),
+     (["simulate", "--src", "s", "--model", "m", "--out", "o", "--beam", "-1"], AT_LEAST_1 + "-1"),
+     (["eval", "--events", "e", "--cost-recompute", "nan"], FINITE + "nan"),
+     (["eval", "--events", "e", "--cost-recompute", "-5"], FINITE + "-5"),
+     (["eval", "--events", "e", "--cost-word", "inf"], FINITE + "inf"),
+     (["simulate", "--src", "s", "--model", "m", "--out", "o", "--gamma", "-1"], FINITE + "-1"),
+     (["simulate", "--src", "s", "--model", "m", "--out", "o", "--gamma", "NaN"], FINITE + "NaN"),
+     (["augment", "--in", "i", "--out", "o", "--beta", "inf"], FINITE + "inf"),
+     (["augment", "--in", "i", "--out", "o", "--rho-min", "-1"], FINITE + "-1")],
+    ids=["curate-0", "augment-negative", "format-0", "simulate-chunk-0", "simulate-beam-negative",
+         "eval-cost-recompute-nan", "eval-cost-recompute-negative", "eval-cost-word-inf",
+         "simulate-gamma-negative", "simulate-gamma-nan", "augment-beta-inf",
+         "augment-rho-min-negative"],
 )
-def test_workers_must_be_positive(argv, capsys):
+def test_workers_must_be_positive(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {argv[-2]}: must be at least 1" in err
+    assert f"argument {argv[-2]}: {message}\n" in err
+    assert "resolved config" not in err
 
 
 @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])

@@ -12,6 +12,7 @@ from conftest import (
     ref_cache_savings,
     ref_schedule_from_run,
     ref_simulated_wwt,
+    trajectory_average_lagging,
 )
 from simultraj.augment import AugmentConfig, derive_rng, merge
 from simultraj.metrics import (
@@ -22,12 +23,10 @@ from simultraj.metrics import (
     events_report,
     run_average_lagging,
     run_latency,
-    trajectory_average_lagging,
 )
 from simultraj.simulator import (
     GREEDY,
     PROMPT_MODES,
-    Candidate,
     ScriptedModel,
     SelectStrategy,
     dump_events_jsonl,
@@ -136,7 +135,7 @@ def test_wwt_single_round_bounded_by_offline():
 def test_wwt_needs_committed_words():
     class Silent:
         def generate(self, context, beam):
-            return [Candidate(())]
+            return [()]
 
     sim = run(["a"], Silent(), chunk_size=1, strategy=GREEDY, beam=1)
     assert run_latency(records_of(sim), CostModel(), sim.prompt_mode) is None
@@ -157,12 +156,12 @@ def random_runs(rng, n_runs):
         rounds = []
         for _ in range(-(-len(source) // chunk)):
             if silent or rng.random() < 0.15:
-                rounds.append(tuple(Candidate(()) for _ in range(beam)))
+                rounds.append(((),) * beam)
             elif rng.random() < 0.7:
                 words = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
-                rounds.append(tuple(Candidate(words) for _ in range(beam)))
+                rounds.append((words,) * beam)
             else:
-                rounds.append(tuple(Candidate((f"d{b}", rng.choice(vocab))) for b in range(beam)))
+                rounds.append(tuple((f"d{b}", rng.choice(vocab)) for b in range(beam)))
         strategy = rng.choice([GREEDY, SelectStrategy("ralcp", 0.6), SelectStrategy("ralcp", 1.0)])
         yield run(source, ScriptedModel(tuple(rounds)), chunk_size=chunk, strategy=strategy,
                   beam=beam, prompt_mode=rng.choice(PROMPT_MODES), pair_id=case)
@@ -176,7 +175,8 @@ def test_events_report_matches_reference_per_run_values(tmp_path):
     silent_logs = 0
     for _ in range(300):
         sims = list(random_runs(rng, rng.randint(1, 6)))
-        dump_events_jsonl(sims, path)
+        with open(path, "w", encoding="utf-8") as out:
+            dump_events_jsonl(sims, out)
         cost = CostModel(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
         speaking = [sim for sim in sims if committed(sim)]
         silent_logs += not speaking

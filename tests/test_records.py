@@ -52,7 +52,7 @@ RECORDS = sorted(_record_classes(), key=lambda cls: cls.__name__)
 
 def test_every_record_class_is_found():
     assert {cls.__name__ for cls in RECORDS} == {
-        "AlignmentSet", "AugmentConfig", "Candidate", "ChatTemplate", "Chunk", "CostModel",
+        "AlignmentSet", "AugmentConfig", "ChatTemplate", "Chunk", "CostModel",
         "LatencyReport", "MeanStd", "MonotonicPlan", "ProvenanceStats", "SelectStrategy",
         "SentencePair", "SftRecord", "SimEvent", "SimRun", "Trajectory",
     }
@@ -96,4 +96,5 @@ def test_validating_records_keep_defaults_and_keywords():
     assert SentencePair(("a",), ("x",)).id == 0
     assert AugmentConfig(seed=5) == AugmentConfig(2, 10, 0.5, 0.5, 5)
     assert SelectStrategy(kind="lcp").gamma == 1.0
+    assert SelectStrategy("lcp", 0.0).gamma == SelectStrategy("greedy", 0.3).gamma == 1.0
     assert repr(SentencePair(("a",), ("x",))) == "SentencePair(source=('a',), target=('x',), id=0)"

@@ -35,3 +35,23 @@ def test_sweep_chunk_sizes_output_unchanged(tmp_path):
     )
     assert result.stdout == "\n".join(SWEEP_TABLE + ["", f"wrote {csv_path}", ""])
     assert csv_path.read_bytes().decode("utf-8") == SWEEP_CSV
+
+    # The costs follow the CLI's float-flag rule: finite and at least 0.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_chunk_sizes.py"), "--src", str(src),
+         "--cost-recompute", "nan"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 2
+    assert "argument --cost-recompute: must be finite and at least 0, got nan" in result.stderr
+
+
+def test_output_digests_repeat_one_line_per_output():
+    argv = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), "--pairs", "40", "--seed", "3"]
+    first, second = (subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2))
+    assert first == second
+    digests = dict(line.split(" ") for line in first.splitlines())
+    assert len(digests) == len(first.splitlines()) == 23
+    assert all(len(digest) == 64 for digest in digests.values())
+    for name in ("meta", "aug", "sft"):  # --workers 2 writes the serial bytes
+        assert digests[f"{name}_w2.jsonl"] == digests[f"{name}.jsonl"]

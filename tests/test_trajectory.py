@@ -1,7 +1,14 @@
 import json
 import random
 
-from conftest import brute_min_read_counts, make_pair, meta_of, random_case
+from conftest import (
+    brute_min_read_counts,
+    make_pair,
+    meta_of,
+    random_case,
+    read_counts_before_write,
+    write_read_counts,
+)
 from simultraj.alignment import AlignmentSet, sufficient_sets
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.trajectory import (
@@ -10,12 +17,11 @@ from simultraj.trajectory import (
     Trajectory,
     build_meta,
     from_record,
-    load_jsonl,
-    read_counts_before_write,
     to_record,
     verify,
-    write_read_counts,
 )
+from simultraj.cli import main
+from simultraj.metrics import corpus_stats, corpus_stats_table
 
 
 def test_single_chunk_for_flat_requirement():
@@ -115,13 +121,16 @@ def test_record_round_trip_with_shifted_prefixes():
     assert seen_shift
 
 
-def test_jsonl_file_round_trip(tmp_path):
+def test_jsonl_file_round_trip(tmp_path, capsys):
+    # stats reads a trajectory file through the reader augment and format use.
     rng = random.Random(15)
     trajs = [meta_of(*random_case(rng, max_len=8, pair_id=i))[1] for i in range(20)]
     path = tmp_path / "trajs.jsonl"
     lines = [json.dumps(to_record(traj), ensure_ascii=False) for traj in trajs]
     path.write_text("\n".join(lines[:10] + [""] + lines[10:]) + "\n", encoding="utf-8")
-    assert list(load_jsonl(str(path))) == trajs
+    assert [from_record(json.loads(line)) for line in lines] == trajs
+    assert main(["stats", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == corpus_stats_table(corpus_stats(trajs)) + "\n"
 
 
 def test_record_words_materialized():
