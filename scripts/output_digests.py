@@ -42,6 +42,8 @@ def runs(work: Path, corpus: dict, sim: dict, seed: int):
                 "--out", str(work / f"aug{suffix}.jsonl")], (f"aug{suffix}.jsonl",))
         yield (["format", "--in", str(work / "aug.jsonl"), "--workers", workers,
                 "--out", str(work / f"sft{suffix}.jsonl")], (f"sft{suffix}.jsonl",))
+    yield (["format", "--in", str(work / "aug.jsonl"), "--system-msg", "Translate incrementally.",
+            "--out", str(work / "sft_sys.jsonl")], ("sft_sys.jsonl",))
     for name in ("meta", "aug"):
         yield ["stats", "--in", str(work / f"{name}.jsonl")], (f"stats_{name}.stdout",)
     for select in ("ralcp", "lcp", "greedy"):

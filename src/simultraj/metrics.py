@@ -200,7 +200,10 @@ def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode
         rounds += len(events)
         total_conv += sum(event["recompute_tokens_conversational"] for event in events)
         total_off += sum(event["recompute_tokens_offline"] for event in events)
-        latency = run_latency(events, cost, prompt_mode)
+        try:
+            latency = run_latency(events, cost, prompt_mode)
+        except ValueError as exc:
+            raise ValueError(f"run id {events[0]['id']}: {exc}") from None
         if latency is not None:
             al_values.append(latency[0])
             wwt_values.append(latency[1])

@@ -141,7 +141,6 @@ def dialogue_prompt(
     closed_turns: Sequence[tuple[Sequence[str], Sequence[str]]],
     open_source: Sequence[str],
     tpl: ChatTemplate,
-    system_msg: str = "",
 ) -> str:
     """Incremental-decoding prompt: closed turns plus an open instruction.
 
@@ -150,17 +149,9 @@ def dialogue_prompt(
     round's prompt plus its committed continuation.
     """
     parts: list[str] = []
-    first = True
     for src, tgt in closed_turns:
-        parts.append(tpl.turn_open)
-        if first and system_msg:
-            parts.append(tpl.system_wrap.format(system_msg))
-            first = False
-        parts.append(" ".join(src) + tpl.turn_sep + " ".join(tgt) + tpl.turn_close)
-    parts.append(tpl.turn_open)
-    if first and system_msg:
-        parts.append(tpl.system_wrap.format(system_msg))
-    parts.append(" ".join(open_source))
+        parts.append(tpl.turn_open + " ".join(src) + tpl.turn_sep + " ".join(tgt) + tpl.turn_close)
+    parts.append(tpl.turn_open + " ".join(open_source))
     return "".join(parts)
 
 

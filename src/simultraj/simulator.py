@@ -5,18 +5,19 @@ candidates, prunes them to a stable prefix (LCP / RALCP voting / greedy), and
 commits the prefix. Committed text is never modified. When the source is
 exhausted the round flushes: the top candidate is accepted in full.
 
-The simulation is word-level and model-agnostic. Every round records, for both
-prompt modes, how many prompt words a cache-aware engine would have to ingest
-anew: the word length of the round's prompt minus its longest common word
-prefix with the previous round's prompt (words as ``str.split()`` cuts them).
-Conversational prompts only ever grow at the end, so a round's recompute is the
-word count of what it appends, and the total telescopes to the final prompt
-length. Offline prompts insert source ahead of the translation history and
-re-pay it each round. Both counts are kept from what each round adds, so a
-round costs time in its chunk and commit, not in the prompt length; only the
-active mode's prompt is rendered, for the model. The tests re-render every
-round's prompts in full (``tests/conftest.py::oracle_run``) and check these
-counts against them.
+The simulation is word-level and model-agnostic. Prompts use the ``llama2``
+template with no system message (``format --system-msg`` affects only SFT
+data). Every round records, for both prompt modes, how many prompt words a
+cache-aware engine would have to ingest anew: the word length of the round's
+prompt minus its longest common word prefix with the previous round's prompt
+(words as ``str.split()`` cuts them). Conversational prompts only ever grow at
+the end, so a round's recompute is the word count of what it appends, and the
+total telescopes to the final prompt length. Offline prompts insert source
+ahead of the translation history and re-pay it each round. Both counts are kept
+from what each round adds, so a round costs time in its chunk and commit, not
+in the prompt length; only the active mode's prompt is rendered, for the model.
+The tests re-render every round's prompts in full
+(``tests/conftest.py::oracle_run``) and check these counts against them.
 """
 
 from __future__ import annotations
@@ -161,58 +162,41 @@ def _words(texts: Iterable[str]) -> list[str]:
     return [w for t in texts for w in t.split()]
 
 
-def _fuses(left: str, right: str) -> bool:
-    """Whether left's last word and right's first word become one word in left + right."""
-    return bool(left) and bool(right) and not left[-1].isspace() and not right[0].isspace()
-
-
 class _OfflineCount:
     """Per-round offline recompute without rendering the offline prompt.
 
     The prompt is ``head + " ".join(source read) + tail``: head is the
     instruction up to its trailing space, and tail's words are the response
-    trigger's words followed by the history's. Between rounds the prompt keeps
-    head and the old source, so the common word prefix covers them, then runs
-    on only while the new chunk's words (and, past them, the new tail's) equal
-    the old tail's words. The last source word fuses with the tail's first word
-    when neither side has whitespace at the seam (never with llama2, whose
-    trigger starts with a space).
+    trigger's words followed by the history's. The trigger starts with a
+    space, so the last source word never fuses with it. Between rounds the
+    prompt keeps head and the old source, so the common word prefix covers
+    them, then runs on only while the new chunk's words (and, past them, the
+    new tail's) equal the old tail's words.
     """
 
     def __init__(self, tpl: ChatTemplate) -> None:
         self.head = len((tpl.turn_open + tpl.offline_instruction).split())
-        self.trigger = tpl.turn_sep + tpl.offline_response_header
-        self.tail = self.trigger.split()
+        self.tail = (tpl.turn_sep + tpl.offline_response_header).split()
         self.tail_before = 0  # len(self.tail) in the previous round's prompt
         self.source = 0  # words of the source read before this round
-        self.fused = False  # the previous round's prompt fused source and tail
         self.started = False
 
     def round(self, chunk: Sequence[str]) -> int:
         new = _words(chunk)
-        fused = _fuses(chunk[-1], self.trigger)
-        words = self.head + self.source + len(new) + len(self.tail) - fused
-        if not self.started:
-            common = 0
-        elif self.fused:
-            common = self.head + self.source - 1
-        else:
-            common = self.head + self.source + self._tail_overlap(new, fused)
+        words = self.head + self.source + len(new) + len(self.tail)
+        common = (self.head + self.source + self._tail_overlap(new)) if self.started else 0
         self.source += len(new)
-        self.fused = fused
         self.started = True
         self.tail_before = len(self.tail)
         return words - common
 
-    def _tail_overlap(self, new: list[str], fused: bool) -> int:
+    def _tail_overlap(self, new: list[str]) -> int:
         """Common word prefix of (new chunk words, then the tail) and the previous tail."""
-        tail, skip = self.tail, 0
-        if fused:
-            new, skip = new[:-1] + [new[-1] + tail[0]], 1
-        limit = min(self.tail_before, len(new) + len(tail) - skip)
+        tail = self.tail
+        limit = min(self.tail_before, len(new) + len(tail))
         n = 0
         while n < limit:
-            word = new[n] if n < len(new) else tail[n - len(new) + skip]
+            word = new[n] if n < len(new) else tail[n - len(new)]
             if word != tail[n]:
                 break
             n += 1
@@ -229,8 +213,6 @@ def run(
     strategy: SelectStrategy,
     prompt_mode: str = CONVERSATIONAL,
     beam: int = DEFAULT_BEAM,
-    template_id: str = DEFAULT_TEMPLATE,
-    system_msg: str = "",
     pair_id: int = 0,
 ) -> SimRun:
     """Simulate one decoding session over the source words."""
@@ -243,7 +225,7 @@ def run(
     source = tuple(source)
     if not source:
         raise ValueError("empty source")
-    tpl = get_template(template_id)
+    tpl = get_template(DEFAULT_TEMPLATE)
     conversational = prompt_mode == CONVERSATIONAL
 
     offline = _OfflineCount(tpl)
@@ -261,8 +243,7 @@ def run(
         read += len(chunk)
 
         if rnd == 0:
-            system = tpl.system_wrap.format(system_msg) if system_msg else ""
-            appended = tpl.turn_open + system + " ".join(chunk)
+            appended = tpl.turn_open + " ".join(chunk)
         elif selected:
             # The previous round committed: close its turn, open a new one.
             appended = (
@@ -333,24 +314,28 @@ def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
             out.write(json.dumps(event_to_record(sim, event), ensure_ascii=False) + "\n")
 
 
-# The integer fields of an event record that `metrics.events_report` reads.
-_EVENT_INT_FIELDS = (
-    "id",
-    "recompute_tokens_conversational",
-    "recompute_tokens_offline",
-    "cumulative_source_read",
-)
+# The integer fields of an event record that `metrics.events_report` reads,
+# each with its least value (None: any integer).
+_EVENT_INT_FIELDS = {
+    "id": None,
+    "recompute_tokens_conversational": 0,
+    "recompute_tokens_offline": 0,
+    "cumulative_source_read": 1,
+}
 
 
 def _checked_event(line: str, lineno: int) -> dict:
     """Parse one event line; raise ValueError naming the line and the field
-    when a field that `eval` reads is missing or of the wrong type."""
+    when a field that `eval` reads is missing, of the wrong type or out of range."""
     record = json.loads(line)
     if type(record) is not dict:
         raise ValueError(f"event line {lineno}: not an object")
-    for key in _EVENT_INT_FIELDS:
-        if type(record.get(key)) is not int:
+    for key, least in _EVENT_INT_FIELDS.items():
+        value = record.get(key)
+        if type(value) is not int:
             raise ValueError(f"event line {lineno}: {key} is not an integer")
+        if least is not None and value < least:
+            raise ValueError(f"event line {lineno}: {key} is below {least}")
     words = record.get("committed_words")
     if type(words) is not list or not all(type(w) is str for w in words):
         raise ValueError(f"event line {lineno}: committed_words is not a list of strings")
@@ -363,7 +348,7 @@ def load_events_jsonl(path: str) -> Iterator[list[dict]]:
     `dump_events_jsonl` writes each run as one block of consecutive records
     with the same id, so only one run is held at a time. An id that reappears
     after another run's records, or a record whose fields `eval` reads are
-    missing or of the wrong type, raises ValueError.
+    missing, of the wrong type or out of range, raises ValueError.
     """
     seen: set[int] = set()
     with open(path, encoding="utf-8") as f:

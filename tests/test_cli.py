@@ -470,17 +470,36 @@ def test_malformed_record_rejected_and_run_goes_on(tmp_path, capsys, bad):
     assert "error: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shifted", [-3, 5])
-def test_format_rejects_shifted_outside_write(tmp_path, capsys, shifted):
-    bad = {"id": 0, "provenance": "merged+shifted",
-           "chunks": [{"read": ["a"], "write": ["x", "y"], "shifted": shifted}]}
+def assert_format_rejects(tmp_path, capsys, bad, reason):
+    """format rejects bad with reason (exit 1) and still writes GOOD_META."""
     src = tmp_path / "in.jsonl"
     src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
     out = tmp_path / "sft.jsonl"
     assert main(["format", "--in", str(src), "--out", str(out)]) == 1
-    assert "record 0 rejected: shifted prefix violated @chunk 0" in capsys.readouterr().err
+    assert f"record 0 rejected: {reason}" in capsys.readouterr().err
     (line,) = out.read_text(encoding="utf-8").splitlines()
     assert json.loads(line)["id"] == 7
+
+
+@pytest.mark.parametrize("shifted", [-3, 5])
+def test_format_rejects_shifted_outside_write(tmp_path, capsys, shifted):
+    bad = {"id": 0, "provenance": "merged+shifted",
+           "chunks": [{"read": ["a"], "write": ["x", "y"], "shifted": shifted}]}
+    assert_format_rejects(tmp_path, capsys, bad, "shifted prefix violated @chunk 0")
+
+
+@pytest.mark.parametrize(
+    "chunks, chunk",
+    [
+        ([{"read": [], "write": ["x"], "shifted": 0}, {"read": ["a", "b"], "write": ["y"], "shifted": 0}], 0),
+        ([{"read": ["a"], "write": ["x"], "shifted": 0}, {"read": [], "write": ["y"], "shifted": 0},
+          {"read": ["b", "c"], "write": ["z"], "shifted": 0}], 1),
+    ],
+    ids=["first", "middle"],
+)
+def test_format_rejects_chunk_that_reads_nothing(tmp_path, capsys, chunks, chunk):
+    bad = {"id": 0, "provenance": "meta", "chunks": chunks}
+    assert_format_rejects(tmp_path, capsys, bad, f"empty read @chunk {chunk}")
 
 
 def test_eval_run_id_reappearing_is_hard_error(tmp_path, capsys):
@@ -518,9 +537,13 @@ GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "
         ({k: v for k, v in GOOD_EVENT.items() if k != "cumulative_source_read"}, "cumulative_source_read"),
         ({**GOOD_EVENT, "recompute_tokens_offline": 1.5}, "recompute_tokens_offline"),
         ({**GOOD_EVENT, "recompute_tokens_conversational": None}, "recompute_tokens_conversational"),
+        ({**GOOD_EVENT, "recompute_tokens_conversational": -5}, "recompute_tokens_conversational is below 0"),
+        ({**GOOD_EVENT, "recompute_tokens_offline": -1}, "recompute_tokens_offline is below 0"),
+        ({**GOOD_EVENT, "cumulative_source_read": 0}, "cumulative_source_read is below 1"),
     ],
     ids=["list", "string", "words-string", "words-int", "id-string", "id-bool", "no-cumulative",
-         "offline-float", "conversational-null"],
+         "offline-float", "conversational-null", "conversational-negative", "offline-negative",
+         "cumulative-zero"],
 )
 def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
     events = tmp_path / "events.jsonl"
@@ -528,6 +551,18 @@ def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
     assert main(["eval", "--events", str(events)]) == 2
     err = capsys.readouterr().err
     assert f"error: event line 3: {field}" in err
+    assert "Traceback" not in err
+
+
+def test_eval_names_the_run_whose_reads_go_backwards(tmp_path, capsys):
+    first = {**GOOD_EVENT, "id": 3, "cumulative_source_read": 2}
+    second = {**GOOD_EVENT, "id": 3, "round": 1, "cumulative_source_read": 1}
+    events = tmp_path / "events.jsonl"
+    events.write_text(json.dumps(GOOD_EVENT) + "\n" + json.dumps(first) + "\n" + json.dumps(second) + "\n",
+                      encoding="utf-8")
+    assert main(["eval", "--events", str(events)]) == 2
+    err = capsys.readouterr().err
+    assert "error: run id 3: read count 2 outside [1, 1]" in err
     assert "Traceback" not in err
 
 

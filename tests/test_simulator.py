@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import committed, oracle_run, replay_prompts
 from simultraj.metrics import CostModel, events_report
-from simultraj.sftformat import TEMPLATES, ChatTemplate
 from simultraj.simulator import (
     GREEDY,
     ScriptedModel,
@@ -130,17 +128,6 @@ def test_append_only_prompts():
         assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
 
 
-def test_append_only_holds_with_system_message():
-    source = [f"w{i}" for i in range(1, 6)]
-    model = scripted_echo(source, 2, beam=1)
-    sim = run(source, model, chunk_size=2, strategy=GREEDY, beam=1,
-              system_msg="Translate incrementally.")
-    prompts = replay_prompts(sim, system_msg="Translate incrementally.")
-    assert "<<SYS>>" in prompts[0].prompt_conversational
-    for prev, cur in zip(prompts, prompts[1:]):
-        assert cur.prompt_conversational.startswith(prev.prompt_plus_commit)
-
-
 def test_monotone_commit_prefix_stability():
     sim = echo_run(n=1, source_len=6)
     so_far = []
@@ -254,9 +241,6 @@ TRICKY_WORDS = (
     "Out:", "[/INST]Out:", "", " ", "x y", "z\n", "　",
 )
 
-# No whitespace at any seam, so source, history and template words fuse.
-TIGHT = ChatTemplate("tight", "<s>[INST]", "[/INST]", "</s>", "<<SYS>>{}<</SYS>>", "Translate:", "Out:")
-
 
 class ScriptRecorder:
     """A scripted model that also logs the contexts it saw."""
@@ -288,8 +272,6 @@ def sim_cases(draw):
         "strategy": draw(st.sampled_from([SelectStrategy("lcp"), GREEDY, SelectStrategy("ralcp", 0.6)])),
         "prompt_mode": draw(st.sampled_from(["conversational", "offline"])),
         "beam": beam,
-        "template_id": draw(st.sampled_from(["llama2", "tight"])),
-        "system_msg": draw(st.sampled_from(["", "Translate incrementally."])),
     }
     return source, tuple(rounds), kwargs
 
@@ -299,9 +281,8 @@ def sim_cases(draw):
 def test_counts_and_contexts_match_render_and_diff_oracle(case):
     source, rounds, kwargs = case
     model, oracle_model = ScriptRecorder(rounds), ScriptRecorder(rounds)
-    with mock.patch.dict(TEMPLATES, {"tight": TIGHT}):
-        sim = run(source, model, **kwargs)
-        expected = oracle_run(source, oracle_model, **kwargs)
+    sim = run(source, model, **kwargs)
+    expected = oracle_run(source, oracle_model, **kwargs)
     assert [
         (e.committed_words, e.recompute_tokens_conversational, e.recompute_tokens_offline)
         for e in sim.events
