@@ -10,12 +10,16 @@ before and after it (copy the script into the other checkout to run it there).
 Inputs: ``scripts/make_toy_corpus.py --pairs N --seed S``, and for simulate and
 eval the first 5,000 of its source lines with a scripted beam model from
 ``bench/inputs.write_sim_inputs`` (chunk 3, beam 5, disagreement 0.25, seed S).
+simulate also reads the same scripts pretty-printed (``indent=1``), which must
+give the bytes of the compact file, and the first script as a single-object
+model for a file of just the first source line.
 
 Usage:
   python scripts/output_digests.py --pairs 50000 --seed 42
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +56,10 @@ def runs(work: Path, corpus: dict, sim: dict, seed: int):
             yield (["simulate", "--src", str(sim["sim_src"]), "--model", str(sim["model"]),
                     "--chunk", str(CHUNK), "--beam", str(BEAM), "--select", select, "--prompt", prompt,
                     "--out", str(work / out)], (out,))
+    for src, model, out in ((sim["sim_src"], sim["model_indent"], "events_indent.jsonl"),
+                            (sim["sim_src_one"], sim["model_one"], "events_one.jsonl")):
+        yield (["simulate", "--src", str(src), "--model", str(model), "--chunk", str(CHUNK),
+                "--beam", str(BEAM), "--out", str(work / out)], (out,))
     for c1, c2 in (("1.0", "1.0"), ("0.7", "1.3")):
         for prompt in ("conversational", "offline"):
             name = f"eval_{c1}_{c2}_{prompt}"
@@ -72,6 +80,13 @@ def main() -> None:
         corpus = inputs.make_corpus(work, args.pairs, args.seed)
         lines = corpus["src"].read_text(encoding="utf-8").splitlines()[:SIM_LINES]
         sim = inputs.write_sim_inputs(work, [line.split() for line in lines], CHUNK, BEAM, DISAGREE, args.seed)
+        scripts = json.loads(sim["model"].read_text(encoding="utf-8"))
+        sim["model_indent"], sim["sim_src_one"], sim["model_one"] = (
+            work / name for name in ("model_indent.json", "sim_src_one.txt", "model_one.json"))
+        sim["model_indent"].write_text(json.dumps(scripts, ensure_ascii=False, indent=1), encoding="utf-8")
+        sim["sim_src_one"].write_text(lines[0] + "\n", encoding="utf-8")
+        sim["model_one"].write_text(json.dumps(scripts[0], ensure_ascii=False), encoding="utf-8")
+        del scripts
         for argv, outputs in runs(work, corpus, sim, args.seed):
             stdout = next((work / o for o in outputs if o.endswith(".stdout")), None)
             with open(stdout or os.devnull, "w", encoding="utf-8") as out:

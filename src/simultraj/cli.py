@@ -15,6 +15,7 @@ import os
 import sys
 from collections import deque
 from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, TextIO
 
 from simultraj.alignment import (
@@ -143,8 +144,17 @@ def _emit(results: Iterable[tuple[str, str]], out: TextIO) -> int:
     return failures
 
 
-def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable) -> int:
-    """Write worker's results over items to --out in input order; 1 if any record was rejected."""
+def _refuse_input(flag: str, path: str, *inputs: str) -> None:
+    """Raise ValueError if the output path names an existing input file: opening
+    it for writing would empty the input before it is read."""
+    if os.path.exists(path) and any(os.path.exists(p) and os.path.samefile(path, p) for p in inputs):
+        raise ValueError(f"{flag} {path} is also an input")
+
+
+def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable, *inputs: str) -> int:
+    """Write worker's results over items to --out in input order; 1 if any record was rejected.
+    inputs are the paths items are read from."""
+    _refuse_input("--out", args.out, *inputs)
     with open(args.out, "w", encoding="utf-8") as out:
         failures = _emit(_pmap(worker, items, args.workers), out)
     return 1 if failures else 0
@@ -187,7 +197,8 @@ def _iter_curate_inputs(src_path: str, tgt_path: str, align_path: str) -> Iterat
 
 def cmd_curate(args: argparse.Namespace) -> int:
     worker = partial(_curate_record, debug=args.debug)
-    return _run_stage(args, worker, _iter_curate_inputs(args.src, args.tgt, args.align))
+    paths = (args.src, args.tgt, args.align)
+    return _run_stage(args, worker, _iter_curate_inputs(*paths), *paths)
 
 
 # ---------------------------------------------------------------- augment
@@ -222,7 +233,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     worker = partial(_augment_record, cfg=cfg, debug=args.debug)
-    return _run_stage(args, worker, _iter_lines(args.in_path))
+    return _run_stage(args, worker, _iter_lines(args.in_path), args.in_path)
 
 
 # ----------------------------------------------------------------- format
@@ -242,7 +253,7 @@ def _format_record(line: str, system_msg: str, template: str) -> tuple[str, str]
 def cmd_format(args: argparse.Namespace) -> int:
     get_template(args.template)  # fail fast on an unknown template id
     worker = partial(_format_record, system_msg=args.system_msg, template=args.template)
-    return _run_stage(args, worker, _iter_lines(args.in_path))
+    return _run_stage(args, worker, _iter_lines(args.in_path), args.in_path)
 
 
 # ------------------------------------------------------------------ stats
@@ -255,36 +266,77 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- simulate
 
-def _load_scripts(path: str, n_sources: int) -> list[dict]:
-    with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    if isinstance(obj, dict):
-        return [obj] * n_sources
-    if isinstance(obj, list):
-        if len(obj) != n_sources:
-            raise ValueError(
-                f"model file has {len(obj)} scripts for {n_sources} non-blank source lines"
-            )
-        return obj
-    raise ValueError("model file must hold a script object or a list of them")
+# Characters read from a model file at a time. A script that runs past the text
+# read so far is parsed again after a read that at least doubles that text.
+MODEL_BLOCK = 1 << 16
+_decode = json.JSONDecoder().raw_decode
+_skip = json.decoder.WHITESPACE.match
+
+
+def _list_items(f: TextIO, buf: str) -> Iterator[object]:
+    """Yield the elements of the JSON list in f one at a time; buf is the text
+    read from f so far, a '[' after optional whitespace and then more.
+
+    Only the text of the element being parsed is held. An element is taken
+    once the delimiter after it has been read too: a number cut short by the
+    end of a read would still parse.
+    """
+    pos, delim = _skip(buf).end() + 1, "["  # delim: the token before the next element
+    base = 0  # characters of f before buf
+    while delim != "]":
+        try:
+            pos = _skip(buf, pos).end()
+            if delim == "[" and buf[pos] == "]":  # IndexError: only whitespace read after pos
+                pos += 1
+                break
+            obj, end = _decode(buf, pos)
+            end = _skip(buf, end).end()
+            if buf[end] not in ",]":
+                raise ValueError(f"model file: Expecting ',' delimiter: char {base + end}")
+        except (IndexError, json.JSONDecodeError) as exc:
+            more = f.read(max(MODEL_BLOCK, len(buf) - pos))
+            if more:
+                base, buf, pos = base + pos, buf[pos:] + more, 0
+                continue
+            if isinstance(exc, IndexError):
+                raise ValueError("model file ends inside its script list") from None
+            raise ValueError(f"model file: {exc.msg}: char {base + exc.pos}") from None
+        yield obj
+        delim, pos = buf[end], end + 1
+    tail = buf[pos:]
+    while not tail.strip():
+        tail = f.read(MODEL_BLOCK)
+        if not tail:
+            return
+    raise ValueError("model file has data after its script list")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     strategy = SelectStrategy(args.select, args.gamma)
-    with open(args.src, encoding="utf-8") as f:
-        sources = [line.split() for line in f]
-    blank = sum(1 for source in sources if not source)
-    scripts = iter(_load_scripts(args.model, len(sources) - blank))
+    _refuse_input("--out", args.out, args.src, args.model)
+    blank = 0
 
-    def runs() -> Iterator[SimRun]:
+    def runs(src: TextIO, scripts: Iterator, listed: bool) -> Iterator[SimRun]:
         # Session ids are 0-based source line numbers. Each session is written
-        # as soon as it ends, then dropped.
-        for idx, source in enumerate(sources):
+        # as soon as it ends, then dropped; one script is held at a time.
+        nonlocal blank
+        used = 0
+        for idx, line in enumerate(src):
+            source = line.split()
             if not source:
+                blank += 1
                 print(f"session {idx} rejected: blank source line", file=sys.stderr)
                 continue
             try:
-                model = ScriptedModel.from_obj(next(scripts))
+                script = next(scripts)
+            except StopIteration:
+                rest = sum(1 for line in src if line.split())
+                raise ValueError(
+                    f"model file has {used} scripts for {used + 1 + rest} non-blank source lines"
+                ) from None
+            used += 1
+            try:
+                model = ScriptedModel.from_obj(script)
             except (TypeError, ValueError) as exc:
                 # No rounds list, or rounds, beams or words of the wrong JSON type.
                 raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
@@ -300,15 +352,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             except SimulationError as exc:
                 raise SimulationError(f"session {idx}: {exc}") from None
+        extra = sum(1 for _ in scripts) if listed else 0
+        if extra:
+            raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
 
-    with open(args.out, "w", encoding="utf-8") as out:
-        dump_events_jsonl(runs(), out)
+    with open(args.src, encoding="utf-8") as src, open(args.model, encoding="utf-8") as f:
+        head = f.read(MODEL_BLOCK)
+        while head.isspace() and (more := f.read(MODEL_BLOCK)):
+            head += more
+        listed = head.lstrip()[:1] == "["
+        if listed:
+            scripts: Iterator = _list_items(f, head)
+        else:
+            # One script object serves every source line.
+            obj = json.loads(head + f.read())
+            if not isinstance(obj, dict):
+                raise ValueError("model file must hold a script object or a list of them")
+            scripts = repeat(obj)
+        with open(args.out, "w", encoding="utf-8") as out:
+            dump_events_jsonl(runs(src, scripts, listed), out)
     return 1 if blank else 0
 
 
 # ------------------------------------------------------------------- eval
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _refuse_input("--csv", args.csv, args.events)
     cost = CostModel(args.cost_recompute, args.cost_word)
     report = events_report(load_events_jsonl(args.events), cost, args.prompt)
     data = report._asdict()

@@ -118,18 +118,23 @@ def select_prefix(
         raise ValueError("select_prefix needs at least one candidate")
     if strategy.kind == "greedy":
         return list(candidates[0])
-    gamma = strategy.gamma
     total = len(candidates)
+    need = strategy.gamma * total
     prefix: list[str] = []
-    pos = 0
-    while all(len(c) > pos for c in candidates):
-        votes = Counter(c[pos] for c in candidates)
-        best = max(votes.values())
-        leaders = [w for w, v in votes.items() if v == best]
-        if len(leaders) > 1 or best < gamma * total:
+    for column in zip(*candidates):  # stops at the shortest candidate
+        word = column[0]
+        best = column.count(word)
+        if 2 * best <= total:
+            # The first candidate's word has no strict majority: count them all.
+            votes = Counter(column)
+            best = max(votes.values())
+            leaders = [w for w, v in votes.items() if v == best]
+            if len(leaders) > 1:
+                break
+            word = leaders[0]
+        if best < need:
             break
-        prefix.append(leaders[0])
-        pos += 1
+        prefix.append(word)
     return prefix
 
 
@@ -308,10 +313,15 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
     return {"id": sim.pair_id, **event._asdict()}
 
 
+# json.dumps(record, ensure_ascii=False) without building an encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
+    write = out.write
     for sim in runs:
         for event in sim.events:
-            out.write(json.dumps(event_to_record(sim, event), ensure_ascii=False) + "\n")
+            write(_encode(event_to_record(sim, event)) + "\n")
 
 
 # The integer fields of an event record that `metrics.events_report` reads,

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from simultraj.alignment import AlignmentSet, SentencePair, sufficient_sets
@@ -6,7 +8,7 @@ from simultraj.augment import RHO_MAX, AugmentConfig
 from simultraj.metrics import CostModel, average_lagging
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
-from simultraj.simulator import CONVERSATIONAL, SelectStrategy, SimRun, select_prefix
+from simultraj.simulator import CONVERSATIONAL, SelectStrategy, SimRun
 from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Trajectory, build_meta
 
 
@@ -91,6 +93,23 @@ def write_toy_corpus(tmp_path, n_pairs: int = 2, seed: int = 0):
     return tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "align.txt"
 
 
+def write_sim_case(tmp_path, sessions: int, seed: int = 0):
+    """Write sim_src.txt, one source of 3-14 words per line, and model.json, a
+    compact JSON list of one script per line for chunk 3 and beam 5 whose
+    candidates partly disagree. Returns the two paths and the scripts."""
+    rng = random.Random(seed)
+    sources = [[f"w{rng.randrange(40)}" for _ in range(rng.randint(3, 14))] for _ in range(sessions)]
+    scripts = [
+        {"rounds": [[[w.upper() if rng.random() > 0.25 else "X" for w in source[i : i + 3]] for _ in range(5)]
+                    for i in range(0, len(source), 3)]}
+        for source in sources
+    ]
+    src, model = tmp_path / "sim_src.txt", tmp_path / "model.json"
+    src.write_text("".join(" ".join(s) + "\n" for s in sources), encoding="utf-8")
+    model.write_text(json.dumps(scripts), encoding="utf-8")
+    return src, model, scripts
+
+
 def brute_min_read_counts(plan: MonotonicPlan) -> list[int]:
     """Per target position, the fewest source reads before that write over all
     schedules that keep source/target order and respect the plan's requirements.
@@ -150,6 +169,29 @@ def trajectory_average_lagging(traj: Trajectory) -> float:
     return average_lagging(write_read_counts(traj), traj.pair.source_len, traj.pair.target_len)
 
 
+def ref_select_prefix(candidates: Sequence[Sequence[str]], strategy: SelectStrategy) -> list[str]:
+    """Position-by-position reference for `simulator.select_prefix`: every
+    position counts all votes. The library counts only when the first
+    candidate's word has no strict majority; a Hypothesis test compares them."""
+    if not candidates:
+        raise ValueError("select_prefix needs at least one candidate")
+    if strategy.kind == "greedy":
+        return list(candidates[0])
+    gamma = strategy.gamma
+    total = len(candidates)
+    prefix: list[str] = []
+    pos = 0
+    while all(len(c) > pos for c in candidates):
+        votes = Counter(c[pos] for c in candidates)
+        best = max(votes.values())
+        leaders = [w for w, v in votes.items() if v == best]
+        if len(leaders) > 1 or best < gamma * total:
+            break
+        prefix.append(leaders[0])
+        pos += 1
+    return prefix
+
+
 class OracleRound(NamedTuple):
     committed_words: tuple[str, ...]
     recompute_tokens_conversational: int
@@ -196,7 +238,7 @@ def oracle_run(
         context = prompt_conv if prompt_mode == CONVERSATIONAL else prompt_off
         beam_words = tuple(map(tuple, model.generate(context, beam)))
         if read < len(source):
-            selected = tuple(select_prefix(beam_words, strategy))
+            selected = tuple(ref_select_prefix(beam_words, strategy))
         else:
             selected = beam_words[0]
         plus_commit = prompt_conv + (tpl.turn_sep + " ".join(selected) if selected else "")

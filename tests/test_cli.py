@@ -1,12 +1,13 @@
 import json
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from simultraj import cli
 from simultraj.cli import DEFAULT_CHUNK_SIZES, build_parser, main
-from conftest import write_toy_corpus
+from conftest import write_sim_case, write_toy_corpus
 
 
 def test_pipeline_config_defaults():
@@ -600,3 +601,145 @@ def test_deeply_nested_json_is_hard_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "error: maximum recursion depth exceeded" in err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------- streaming the model file
+
+def simulate(src, model, out, *extra):
+    return main(["simulate", "--src", str(src), "--model", str(model), "--chunk", "3",
+                 "--beam", "5", "--out", str(out), *extra])
+
+
+@pytest.fixture
+def sim_case(tmp_path, capsys):
+    """Twelve sessions and their events from the compact model file."""
+    src, model, scripts = write_sim_case(tmp_path, 12, seed=4)
+    assert simulate(src, model, tmp_path / "compact.jsonl") == 0
+    capsys.readouterr()
+    return src, scripts, (tmp_path / "compact.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("layout, block", [
+    ("indent", None),  # pretty-printed: newlines inside and between scripts
+    ("indent", 7),  # every script runs past a read
+    ("compact", 1),
+    ("blank-around", 3),  # whitespace before '[' and after ']' longer than a read
+])
+def test_simulate_streamed_model_layouts_give_compact_events(tmp_path, sim_case, monkeypatch, layout, block):
+    src, scripts, events = sim_case
+    text = {
+        "indent": json.dumps(scripts, indent=2),
+        "compact": json.dumps(scripts),
+        "blank-around": "\n" * 10 + json.dumps(scripts) + " \n" * 10,
+    }[layout]
+    (tmp_path / "m.json").write_text(text, encoding="utf-8")
+    if block:
+        monkeypatch.setattr(cli, "MODEL_BLOCK", block)
+    assert simulate(src, tmp_path / "m.json", tmp_path / "e.jsonl") == 0
+    assert (tmp_path / "e.jsonl").read_bytes() == events
+
+
+@pytest.mark.parametrize("cut, message", [
+    (3, "model file has 9 scripts for 12 non-blank source lines"),
+    (-3, "model file has 15 scripts for 12 non-blank source lines"),
+])
+def test_simulate_script_count_mismatch_writes_earlier_sessions(tmp_path, sim_case, capsys, cut, message):
+    src, scripts, events = sim_case
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(scripts[:-cut] if cut > 0 else scripts + scripts[:-cut]), encoding="utf-8")
+    assert simulate(src, model, tmp_path / "e.jsonl") == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in err
+    kept = events.decode("utf-8").splitlines(keepends=True)
+    n = min(len(scripts), len(scripts) - cut)
+    assert (tmp_path / "e.jsonl").read_text(encoding="utf-8") == "".join(
+        line for line in kept if json.loads(line)["id"] < n)
+
+
+def test_simulate_data_after_script_list_is_hard_error(tmp_path, sim_case, capsys):
+    src, scripts, events = sim_case
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(scripts) + "\n{}\n", encoding="utf-8")
+    assert simulate(src, model, tmp_path / "e.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "error: model file has data after its script list" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "e.jsonl").read_bytes() == events
+
+
+@pytest.mark.parametrize("src_text, code, err", [
+    ("", 0, ""),
+    ("\n", 1, "session 0 rejected: blank source line"),
+    ("a b\n", 2, "error: model file has 0 scripts for 1 non-blank source lines"),
+])
+def test_simulate_empty_script_list(tmp_path, capsys, src_text, code, err):
+    (tmp_path / "src.txt").write_text(src_text, encoding="utf-8")
+    (tmp_path / "m.json").write_text("[ ]\n", encoding="utf-8")
+    assert simulate(tmp_path / "src.txt", tmp_path / "m.json", tmp_path / "e.jsonl") == code
+    assert err in capsys.readouterr().err
+    assert (tmp_path / "e.jsonl").read_bytes() == b""
+
+
+def test_simulate_single_object_model_serves_every_line(tmp_path, sim_case, monkeypatch):
+    src, scripts, events = sim_case
+    line = src.read_text(encoding="utf-8").splitlines()[0]
+    (tmp_path / "one.txt").write_text(f"{line}\n{line}\n", encoding="utf-8")
+    (tmp_path / "m.json").write_text(json.dumps(scripts[0], indent=1), encoding="utf-8")
+    monkeypatch.setattr(cli, "MODEL_BLOCK", 5)  # the object is read whole
+    assert simulate(tmp_path / "one.txt", tmp_path / "m.json", tmp_path / "e.jsonl") == 0
+    first = [line for line in events.decode("utf-8").splitlines() if json.loads(line)["id"] == 0]
+    second = [line.replace('{"id": 0,', '{"id": 1,', 1) for line in first]
+    assert (tmp_path / "e.jsonl").read_text(encoding="utf-8").splitlines() == first + second
+
+
+def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypatch):
+    # Small reads, so that both model files span many of them.
+    monkeypatch.setattr(cli, "MODEL_BLOCK", 8192)
+    peaks = []
+    for sessions in (250, 1000):
+        work = tmp_path / str(sessions)
+        work.mkdir()
+        src, model, _ = write_sim_case(work, sessions)
+        tracemalloc.start()
+        try:
+            assert simulate(src, model, work / "e.jsonl") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+# ---------------------------------------------------- --out naming an input
+
+def out_is_input_cases(tmp_path):
+    """(argv, the input the output names, flag) per stage that writes a file."""
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=3)
+    meta = tmp_path / "meta.jsonl"
+    assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(meta)]) == 0
+    sim_src, model, _ = write_sim_case(tmp_path, 2)
+    events = tmp_path / "events.jsonl"
+    assert simulate(sim_src, model, events) == 0
+    curate = ["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out"]
+    simulate_argv = ["simulate", "--src", str(sim_src), "--model", str(model), "--chunk", "3", "--out"]
+    return {
+        "curate-src": (curate + [str(src)], src, "--out"),
+        "curate-align": (curate + [str(tmp_path / "." / "align.txt")], align, "--out"),
+        "augment": (["augment", "--in", str(meta), "--out", str(meta)], meta, "--out"),
+        "format": (["format", "--in", str(meta), "--out", str(meta)], meta, "--out"),
+        "simulate-src": (simulate_argv + [str(sim_src)], sim_src, "--out"),
+        "simulate-model": (simulate_argv + [str(model)], model, "--out"),
+        "eval": (["eval", "--events", str(events), "--csv", str(events)], events, "--csv"),
+    }
+
+
+@pytest.mark.parametrize("case", ["curate-src", "curate-align", "augment", "format", "simulate-src",
+                                  "simulate-model", "eval"])
+def test_output_naming_an_input_is_hard_error(tmp_path, capsys, case):
+    argv, victim, flag = out_is_input_cases(tmp_path)[case]
+    before = victim.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} {argv[-1]} is also an input\n" in err
+    assert victim.read_bytes() == before

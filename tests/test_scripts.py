@@ -51,8 +51,10 @@ def test_output_digests_repeat_one_line_per_output():
     first, second = (subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2))
     assert first == second
     digests = dict(line.split(" ") for line in first.splitlines())
-    assert len(digests) == len(first.splitlines()) == 24
+    assert len(digests) == len(first.splitlines()) == 26
     assert all(len(digest) == 64 for digest in digests.values())
     for name in ("meta", "aug", "sft"):  # --workers 2 writes the serial bytes
         assert digests[f"{name}_w2.jsonl"] == digests[f"{name}.jsonl"]
     assert digests["sft_sys.jsonl"] != digests["sft.jsonl"]  # the system message is rendered
+    # A pretty-printed model file gives the compact file's events.
+    assert digests["events_indent.jsonl"] == digests["events_ralcp_conversational.jsonl"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import committed, oracle_run, replay_prompts
+from conftest import committed, oracle_run, ref_select_prefix, replay_prompts
 from simultraj.metrics import CostModel, events_report
 from simultraj.simulator import (
     GREEDY,
@@ -83,6 +83,30 @@ def test_strategy_validation():
 def test_ralcp_gamma_one_equals_brute_lcp(candidates):
     assert select_prefix(candidates, SelectStrategy("ralcp", 1.0)) == brute_lcp(candidates)
     assert select_prefix(candidates, SelectStrategy("lcp")) == brute_lcp(candidates)
+
+
+GAMMAS = st.one_of(
+    st.sampled_from([1 / 3, 0.5, 0.6, 2 / 3, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    # A 2-3 word vocabulary makes ties and bare majorities common.
+    st.integers(2, 3).flatmap(
+        lambda size: st.lists(
+            st.lists(st.sampled_from("abc"[:size]), max_size=6), min_size=1, max_size=6
+        )
+    ),
+    st.sampled_from(["lcp", "ralcp", "greedy"]),
+    GAMMAS,
+)
+def test_select_prefix_matches_counting_reference(candidates, kind, gamma):
+    strategy = SelectStrategy(kind, gamma)
+    assert select_prefix(candidates, strategy) == ref_select_prefix(candidates, strategy)
+    beam = tuple(map(tuple, candidates))  # run() passes tuples
+    assert select_prefix(beam, strategy) == ref_select_prefix(beam, strategy)
 
 
 def echo_run(n=2, source_len=4, prompt_mode="conversational"):
