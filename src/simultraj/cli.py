@@ -15,7 +15,7 @@ import os
 import sys
 from collections import deque
 from functools import partial
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import Callable, Iterable, Iterator, TextIO
 
 from simultraj.alignment import (
@@ -45,6 +45,7 @@ from simultraj.simulator import (
     SimRun,
     SimulationError,
     dump_events_jsonl,
+    encode_json,
     load_events_jsonl,
     run as simulate_run,
 )
@@ -69,7 +70,7 @@ def nonnegative_float(text: str) -> float:
 
 def _print_config(args: argparse.Namespace) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print(f"{args.command} resolved config: {json.dumps(resolved, ensure_ascii=False)}", file=sys.stderr)
+    print(f"{args.command} resolved config: {encode_json(resolved)}", file=sys.stderr)
 
 
 # Items per task sent to a --workers pool: one IPC round trip per batch. Of 64,
@@ -172,7 +173,7 @@ def _curate_record(item: tuple[int, str, str, str], debug: bool) -> tuple[str, s
         problems = verify(traj, plan)
         if problems:
             return ("err", f"record {idx} rejected: " + "; ".join(problems))
-        return ("ok", json.dumps(to_record(traj, debug), ensure_ascii=False))
+        return ("ok", encode_json(to_record(traj, debug)))
     except ValueError as exc:  # AlignmentError is a ValueError
         return ("err", f"record {idx} rejected: {exc}")
 
@@ -181,18 +182,14 @@ def _iter_curate_inputs(src_path: str, tgt_path: str, align_path: str) -> Iterat
     with open(src_path, encoding="utf-8") as fs, open(tgt_path, encoding="utf-8") as ft, open(
         align_path, encoding="utf-8"
     ) as fa:
-        idx = 0
-        while True:
-            src, tgt, align = fs.readline(), ft.readline(), fa.readline()
-            if not src and not tgt and not align:
-                return
-            if not src or not tgt or not align:
+        for idx, lines in enumerate(zip_longest(fs, ft, fa)):
+            if None in lines:  # one file ran out of lines before another
                 raise AlignmentError(
                     f"line count mismatch among {src_path}, {tgt_path}, {align_path} "
                     f"at record {idx}"
                 )
-            yield idx, src.rstrip("\n"), tgt.rstrip("\n"), align.rstrip("\n")
-            idx += 1
+            src, tgt, align = (line.rstrip("\n") for line in lines)
+            yield idx, src, tgt, align
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -212,7 +209,7 @@ def _augment_record(line: str, cfg: AugmentConfig, debug: bool) -> tuple[str, st
         problems = verify(augmented)
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
-        return ("ok", json.dumps(to_record(augmented, debug), ensure_ascii=False))
+        return ("ok", encode_json(to_record(augmented, debug)))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         return ("err", f"record rejected: {exc}")
 
@@ -245,7 +242,7 @@ def _format_record(line: str, system_msg: str, template: str) -> tuple[str, str]
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         record = render_conversational(traj, system_msg, template)
-        return ("ok", json.dumps(record_to_dict(record), ensure_ascii=False))
+        return ("ok", encode_json(record_to_dict(record)))
     except (ValueError, RecursionError) as exc:
         return ("err", f"record rejected: {exc}")
 
@@ -269,6 +266,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # Characters read from a model file at a time. A script that runs past the text
 # read so far is parsed again after a read that at least doubles that text.
 MODEL_BLOCK = 1 << 16
+# The longest JSON token a read can cut short. A syntax error that a cut read
+# causes lies less than this many characters before the end of the text read,
+# or is an unterminated string.
+_LONGEST_TOKEN = len("-Infinity")
 _decode = json.JSONDecoder().raw_decode
 _skip = json.decoder.WHITESPACE.match
 
@@ -279,7 +280,8 @@ def _list_items(f: TextIO, buf: str) -> Iterator[object]:
 
     Only the text of the element being parsed is held. An element is taken
     once the delimiter after it has been read too: a number cut short by the
-    end of a read would still parse.
+    end of a read would still parse. A syntax error that no cut read can
+    cause is raised without reading on.
     """
     pos, delim = _skip(buf).end() + 1, "["  # delim: the token before the next element
     base = 0  # characters of f before buf
@@ -294,7 +296,12 @@ def _list_items(f: TextIO, buf: str) -> Iterator[object]:
             if buf[end] not in ",]":
                 raise ValueError(f"model file: Expecting ',' delimiter: char {base + end}")
         except (IndexError, json.JSONDecodeError) as exc:
-            more = f.read(max(MODEL_BLOCK, len(buf) - pos))
+            cut = (
+                isinstance(exc, IndexError)
+                or exc.msg.startswith("Unterminated string")
+                or len(buf) - exc.pos < _LONGEST_TOKEN
+            )
+            more = cut and f.read(max(MODEL_BLOCK, len(buf) - pos))
             if more:
                 base, buf, pos = base + pos, buf[pos:] + more, 0
                 continue

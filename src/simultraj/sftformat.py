@@ -156,11 +156,5 @@ def dialogue_prompt(
 
 
 def record_to_dict(record: SftRecord) -> dict:
-    return {
-        "id": record.id,
-        "text": record.text,
-        "turns": [[list(u), list(a)] for u, a in record.turns],
-        "loss_mask_spans": [list(s) for s in record.loss_mask_spans],
-        "template": record.template,
-        "provenance": record.provenance,
-    }
+    # SftRecord's fields are the record's keys, in order; json writes tuples as arrays.
+    return record._asdict()

@@ -234,10 +234,7 @@ def run(
     conversational = prompt_mode == CONVERSATIONAL
 
     offline = _OfflineCount(tpl)
-    # The offline prompt's source and history, each joined into one text that
-    # grows at the end; the history is () until the first commit.
-    source_text = ""
-    history_text: tuple[str, ...] = ()
+    committed: list[str] = []  # the offline prompt's history
     prompt = ""  # the conversational prompt; it only ever grows at the end
     selected: tuple[str, ...] = ()
     events: list[SimEvent] = []
@@ -265,10 +262,7 @@ def run(
             prompt += appended
             candidates = model.generate(prompt, beam)
         else:
-            source_text += (" " if rnd else "") + " ".join(chunk)
-            # offline_prompt joins each sequence with spaces, so one-element
-            # sequences of pre-joined text render the same string.
-            candidates = model.generate(offline_prompt((source_text,), history_text, tpl), beam)
+            candidates = model.generate(offline_prompt(source[:read], committed, tpl), beam)
         if not candidates:
             raise SimulationError(f"model returned no candidates at round {rnd}")
         beam_words = tuple(map(tuple, candidates))
@@ -292,9 +286,7 @@ def run(
         )
         if selected:
             offline.commit(selected)
-            if not conversational:
-                joined = " ".join(selected)
-                history_text = (history_text[0] + " " + joined,) if history_text else (joined,)
+            committed.extend(selected)
         rnd += 1
 
     return SimRun(
@@ -313,15 +305,16 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
     return {"id": sim.pair_id, **event._asdict()}
 
 
-# json.dumps(record, ensure_ascii=False) without building an encoder per call.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# json.dumps(obj, ensure_ascii=False) without building an encoder per call; the
+# JSONL stages and the config line all encode through it.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
     write = out.write
     for sim in runs:
         for event in sim.events:
-            write(_encode(event_to_record(sim, event)) + "\n")
+            write(encode_json(event_to_record(sim, event)) + "\n")
 
 
 # The integer fields of an event record that `metrics.events_report` reads,

@@ -101,37 +101,31 @@ def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
 
 
 def to_record(traj: Trajectory, debug_indices: bool = False) -> dict:
-    """JSON-ready record with words materialized; 1-based positions only under debug."""
-    record: dict = {
-        "id": traj.pair_id,
-        "provenance": traj.provenance,
-        "chunks": [
-            {"read": list(reads), "write": list(writes), "shifted": chunk.shifted_prefix_len}
-            for chunk, reads, writes in traj.segments()
-        ],
-    }
+    """JSON-ready record: each chunk's words are slices of the pair's word tuples
+    (arrays in JSON); 1-based positions only under debug."""
+    source, target = traj.pair.source, traj.pair.target
+    chunks = []
+    indices = []
+    i = j = 0
+    for chunk in traj.chunks:
+        ni, nj = i + chunk.n_read, j + chunk.n_write
+        chunks.append({"read": source[i:ni], "write": target[j:nj], "shifted": chunk.shifted_prefix_len})
+        if debug_indices:
+            indices.append({"read": list(range(i + 1, ni + 1)), "write": list(range(j + 1, nj + 1))})
+        i, j = ni, nj
+    record = {"id": traj.pair_id, "provenance": traj.provenance, "chunks": chunks}
     if debug_indices:
-        indices = []
-        i = j = 0
-        for chunk in traj.chunks:
-            indices.append(
-                {
-                    "read": list(range(i + 1, i + chunk.n_read + 1)),
-                    "write": list(range(j + 1, j + chunk.n_write + 1)),
-                }
-            )
-            i += chunk.n_read
-            j += chunk.n_write
         record["indices"] = indices
     return record
 
 
 def from_record(record: object) -> Trajectory:
-    """Rebuild a trajectory from its JSONL record; chunk counts are list lengths.
+    """Rebuild a trajectory from its JSONL record; chunk counts are word counts.
 
-    A record that breaks the format (an object with an integer id, a known
-    provenance, and chunks holding lists of string words and an integer
-    shifted count) raises ValueError naming what is wrong.
+    Word sequences may be lists (as JSON gives them) or tuples (as `to_record`
+    builds them). A record that breaks the format (an object with an integer
+    id, a known provenance, and chunks holding lists of string words and an
+    integer shifted count) raises ValueError naming what is wrong.
     """
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
@@ -152,7 +146,7 @@ def from_record(record: object) -> Trajectory:
             raise ValueError(f"record {rid}: chunk {c} is not an object")
         read, write, shifted = chunk.get("read"), chunk.get("write"), chunk.get("shifted", 0)
         for key, words in (("read", read), ("write", write)):
-            if not isinstance(words, list) or not all(type(w) is str for w in words):
+            if not isinstance(words, (list, tuple)) or not all(type(w) is str for w in words):
                 raise ValueError(f"record {rid}: chunk {c} {key} is not a list of strings")
         if type(shifted) is not int:
             raise ValueError(f"record {rid}: chunk {c} shifted {shifted!r} is not an integer")

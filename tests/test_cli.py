@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import tracemalloc
@@ -37,12 +39,34 @@ def test_curate_two_line_corpus(tmp_path):
     assert [json.loads(line)["id"] for line in lines] == [0, 1]
 
 
-def test_curate_mismatched_line_counts_is_hard_error(tmp_path, capsys):
-    src, tgt, align = write_toy_corpus(tmp_path)
-    align.write_text("0-0\n", encoding="utf-8")  # one line short
-    code = main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(tmp_path / "x.jsonl")])
-    assert code == 2
-    assert "mismatch" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["src", "tgt", "align"])
+@pytest.mark.parametrize("change", ["short", "short-no-eol", "long", "long-no-eol"])
+def test_curate_mismatched_line_counts_is_hard_error(tmp_path, capsys, name, change):
+    # One file of three pairs loses its last line or gains a fourth, with or
+    # without a newline after its new last line.
+    paths = dict(zip(["src", "tgt", "align"], write_toy_corpus(tmp_path, n_pairs=3)))
+    lines = paths[name].read_text(encoding="utf-8").splitlines()
+    lines = lines[:-1] if change.startswith("short") else lines + ["0-0" if name == "align" else "extra"]
+    end = "" if change.endswith("no-eol") else "\n"
+    paths[name].write_text("\n".join(lines) + end, encoding="utf-8")
+    argv = ["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(tmp_path / "x.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    record = 2 if change.startswith("short") else 3
+    assert err.endswith(
+        f"error: line count mismatch among {paths['src']}, {paths['tgt']}, {paths['align']} at record {record}\n")
+    assert "Traceback" not in err
+
+
+def test_curate_last_line_without_newline(tmp_path):
+    (tmp_path / "s").write_text("a b\nc d", encoding="utf-8")
+    (tmp_path / "t").write_text("x\ny", encoding="utf-8")
+    (tmp_path / "a").write_text("0-0\n1-0", encoding="utf-8")
+    out = tmp_path / "meta.jsonl"
+    assert main(["curate", "--src", str(tmp_path / "s"), "--tgt", str(tmp_path / "t"),
+                 "--align", str(tmp_path / "a"), "--out", str(out)]) == 0
+    assert [json.loads(line)["chunks"][0]["write"] for line in out.read_text(encoding="utf-8").splitlines()] == [
+        ["x"], ["y"]]
 
 
 def test_curate_empty_alignment_single_chunk(tmp_path):
@@ -693,6 +717,35 @@ def test_simulate_single_object_model_serves_every_line(tmp_path, sim_case, monk
     assert (tmp_path / "e.jsonl").read_text(encoding="utf-8").splitlines() == first + second
 
 
+@pytest.mark.parametrize("block", [7, 64, None])
+def test_simulate_model_syntax_error_names_its_char(tmp_path, capsys, monkeypatch, block):
+    src, model, _ = write_sim_case(tmp_path, 200)
+    text = model.read_text(encoding="utf-8")
+    at = text.index("}, {") + 3  # the start of the second script
+    model.write_text(text[:at] + "[[[x" + text[at:], encoding="utf-8")
+    if block:
+        monkeypatch.setattr(cli, "MODEL_BLOCK", block)
+    assert simulate(src, model, tmp_path / "e.jsonl") == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: model file: Expecting value: char {at + 3}\n")
+    assert "Traceback" not in err
+
+
+def test_model_syntax_error_is_raised_without_reading_on(tmp_path, monkeypatch):
+    _, model, _ = write_sim_case(tmp_path, 200)
+    text = model.read_text(encoding="utf-8")
+    at = text.index("}, {") + 3
+    text = text[:at] + "[[[x" + text[at:]
+    monkeypatch.setattr(cli, "MODEL_BLOCK", 64)
+    f = io.StringIO(text)
+    items = cli._list_items(f, f.read(cli.MODEL_BLOCK))
+    next(items)
+    with pytest.raises(ValueError, match=f"^model file: Expecting value: char {at + 3}$"):
+        next(items)
+    # The file is ~100 times longer than what was read.
+    assert f.tell() < 1000 < len(text) // 20, (f.tell(), len(text))
+
+
 def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypatch):
     # Small reads, so that both model files span many of them.
     monkeypatch.setattr(cli, "MODEL_BLOCK", 8192)
@@ -701,6 +754,8 @@ def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypat
         work = tmp_path / str(sessions)
         work.mkdir()
         src, model, _ = write_sim_case(work, sessions)
+        # Free what earlier tests left in cycles, so that the peak is this run's.
+        gc.collect()
         tracemalloc.start()
         try:
             assert simulate(src, model, work / "e.jsonl") == 0

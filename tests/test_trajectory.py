@@ -136,7 +136,8 @@ def test_jsonl_file_round_trip(tmp_path, capsys):
 def test_record_words_materialized():
     pair = make_pair(2, 1)
     traj = build_meta(MonotonicPlan((1,), (), 2), pair)
-    record = to_record(traj)
+    # Words are tuples in memory and arrays in JSON: compare what a reader gets.
+    record = json.loads(json.dumps(to_record(traj)))
     assert record["chunks"] == [{"read": ["s1", "s2"], "write": ["t1"], "shifted": 0}]
-    debug = to_record(traj, debug_indices=True)
+    debug = json.loads(json.dumps(to_record(traj, debug_indices=True)))
     assert debug["indices"] == [{"read": [1, 2], "write": [1]}]
