@@ -3,6 +3,11 @@
 Positions are 1-based internally (matching the usual alignment-graph notation);
 Pharaoh input is 0-based and converted on parse. All types are immutable and all
 functions are pure, so sentence pairs can be processed in parallel freely.
+
+`curate` plans each pair as `monotonic.plan_links(parse_pharaoh(...))`, in one
+pass over the links. `sufficient_sets` is the set-based reference: it inverts
+the alignment into one source set per target, which `monotonic.monotonicize`
+turns into the same plan.
 """
 
 from __future__ import annotations
@@ -24,7 +29,14 @@ class SentencePair(namedtuple("SentencePair", "source target id")):
         for side, words in (("source", source), ("target", target)):
             if not words:
                 raise AlignmentError(f"record {id}: empty {side} sentence")
-            for w in words:
+            try:
+                # Words that are non-empty and hold no whitespace come back
+                # unchanged from a join and a split, in C.
+                if " ".join(words).split() == [*words]:
+                    continue
+            except TypeError:  # a word that is not a string
+                pass
+            for w in words:  # name the first bad word
                 if not w or w.split() != [w]:
                     raise AlignmentError(
                         f"record {id}: bad {side} word {w!r} (empty or contains whitespace)"
@@ -33,7 +45,10 @@ class SentencePair(namedtuple("SentencePair", "source target id")):
 
     @classmethod
     def from_text(cls, source: str, target: str, id: int = 0) -> "SentencePair":
-        return cls(tuple(source.split()), tuple(target.split()), id)
+        src, tgt = tuple(source.split()), tuple(target.split())
+        if src and tgt:  # split() makes every word non-empty and whitespace-free
+            return tuple.__new__(cls, (src, tgt, id))
+        return cls(src, tgt, id)  # raises the empty-side error
 
     @property
     def source_len(self) -> int:
@@ -81,7 +96,8 @@ def parse_pharaoh(line: str, source_len: int, target_len: int, record_id: int = 
                 f"I={source_len}, J={target_len}"
             )
         links.add((i0 + 1, j0 + 1))
-    return AlignmentSet(frozenset(links), source_len, target_len)
+    # Every link was bounds-checked above, so AlignmentSet's own check is skipped.
+    return tuple.__new__(AlignmentSet, (frozenset(links), source_len, target_len))
 
 
 def sufficient_sets(pair: SentencePair, alignment: AlignmentSet) -> tuple[frozenset[int], ...]:

@@ -18,12 +18,8 @@ from functools import partial
 from itertools import repeat, zip_longest
 from typing import Callable, Iterable, Iterator, TextIO
 
-from simultraj.alignment import (
-    AlignmentError,
-    SentencePair,
-    parse_pharaoh,
-    sufficient_sets,
-)
+# sufficient_sets is not called here; bench/tracer.py wraps it under this module.
+from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
 from simultraj.augment import (
     DEFAULT_BETA,
     DEFAULT_DELTA_MAX,
@@ -33,7 +29,8 @@ from simultraj.augment import (
     augment_pipeline,
 )
 from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report
-from simultraj.monotonic import monotonicize
+# monotonicize is not called here; bench/tracer.py wraps it under this module.
+from simultraj.monotonic import monotonicize, plan_links
 from simultraj.sftformat import DEFAULT_TEMPLATE, get_template, record_to_dict, render_conversational
 from simultraj.simulator import (
     CONVERSATIONAL,
@@ -167,8 +164,7 @@ def _curate_record(item: tuple[int, str, str, str], debug: bool) -> tuple[str, s
     idx, src, tgt, align = item
     try:
         pair = SentencePair.from_text(src, tgt, idx)
-        links = parse_pharaoh(align, pair.source_len, pair.target_len, idx)
-        plan = monotonicize(sufficient_sets(pair, links), pair.source_len)
+        plan = plan_links(parse_pharaoh(align, pair.source_len, pair.target_len, idx))
         traj = build_meta(plan, pair)
         problems = verify(traj, plan)
         if problems:
@@ -293,8 +289,8 @@ def _list_items(f: TextIO, buf: str) -> Iterator[object]:
                 break
             obj, end = _decode(buf, pos)
             end = _skip(buf, end).end()
-            if buf[end] not in ",]":
-                raise ValueError(f"model file: Expecting ',' delimiter: char {base + end}")
+            if buf[end] not in ",]":  # may be the rest of a number cut by a read: 1|.5
+                raise json.JSONDecodeError("Expecting ',' delimiter", buf, end)
         except (IndexError, json.JSONDecodeError) as exc:
             cut = (
                 isinstance(exc, IndexError)

@@ -10,11 +10,18 @@ right keeping a running prefix requirement m_j:
 Whenever a_j's own maximum falls below m_{j-1}, or a_j is empty, an edge
 (m_{j-1}, j) is added so every target has an anchor and the augmented graph
 satisfies the monotonic condition.
+
+Only max(a_j) enters the plan, so `plan_links` builds it from an alignment's
+links in one pass, keeping each target's highest linked source position.
+`monotonicize` builds the same plan from the sufficient sets a_j themselves
+(`alignment.sufficient_sets`); it is the set-based reference.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
+
+from simultraj.alignment import AlignmentSet
 
 
 class MonotonicPlan(NamedTuple):
@@ -29,11 +36,36 @@ class MonotonicPlan(NamedTuple):
         return len(self.prefix_req)
 
 
+def _check_shape(target_len: int, source_len: int) -> None:
+    if target_len < 1 or source_len < 1:
+        raise ValueError("need at least one target token and one source token")
+
+
+def plan_links(alignment: AlignmentSet) -> MonotonicPlan:
+    """The plan `monotonicize(sufficient_sets(pair, alignment), I)` returns, from
+    the links in one pass: the highest source position per target (0 for a
+    target with no link), then the running max."""
+    _check_shape(alignment.target_len, alignment.source_len)
+    top = [0] * alignment.target_len
+    for i, j in alignment.links:
+        if i > top[j - 1]:
+            top[j - 1] = i
+    prefix_req: list[int] = []
+    added: list[tuple[int, int]] = []
+    m = 1
+    for j, t in enumerate(top, start=1):
+        if t < m:  # no link, or every link behind m_{j-1}
+            added.append((m, j))
+        else:
+            m = t
+        prefix_req.append(m)
+    return MonotonicPlan(tuple(prefix_req), tuple(added), alignment.source_len)
+
+
 def monotonicize(s: Sequence[frozenset[int]], source_len: int) -> MonotonicPlan:
     """Build the nondecreasing prefix requirement and record repair edges from
     the sufficient sets, one per target (as `alignment.sufficient_sets` returns)."""
-    if len(s) < 1 or source_len < 1:
-        raise ValueError("need at least one target token and one source token")
+    _check_shape(len(s), source_len)
     prefix_req: list[int] = []
     added: list[tuple[int, int]] = []
     prev = 1

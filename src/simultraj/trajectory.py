@@ -9,6 +9,7 @@ complete coverage but no write waits on them.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from simultraj.alignment import SentencePair
@@ -119,6 +120,12 @@ def to_record(traj: Trajectory, debug_indices: bool = False) -> dict:
     return record
 
 
+# C-level helpers for from_record: "every type is str" over map(type, words),
+# and a Chunk from a (n_read, n_write, shifted) tuple.
+_only_str = frozenset((str,)).issuperset
+_chunk = partial(tuple.__new__, Chunk)
+
+
 def from_record(record: object) -> Trajectory:
     """Rebuild a trajectory from its JSONL record; chunk counts are word counts.
 
@@ -140,18 +147,19 @@ def from_record(record: object) -> Trajectory:
         raise ValueError(f"record {rid}: chunks is not a list")
     src: list[str] = []
     tgt: list[str] = []
-    counts: list[Chunk] = []
+    counts: list[tuple[int, int, int]] = []
     for c, chunk in enumerate(chunks):
         if not isinstance(chunk, dict):
             raise ValueError(f"record {rid}: chunk {c} is not an object")
         read, write, shifted = chunk.get("read"), chunk.get("write"), chunk.get("shifted", 0)
-        for key, words in (("read", read), ("write", write)):
-            if not isinstance(words, (list, tuple)) or not all(type(w) is str for w in words):
-                raise ValueError(f"record {rid}: chunk {c} {key} is not a list of strings")
+        if not (isinstance(read, (list, tuple)) and _only_str(map(type, read))):
+            raise ValueError(f"record {rid}: chunk {c} read is not a list of strings")
+        if not (isinstance(write, (list, tuple)) and _only_str(map(type, write))):
+            raise ValueError(f"record {rid}: chunk {c} write is not a list of strings")
         if type(shifted) is not int:
             raise ValueError(f"record {rid}: chunk {c} shifted {shifted!r} is not an integer")
-        src.extend(read)
-        tgt.extend(write)
-        counts.append(Chunk(len(read), len(write), shifted))
-    pair = SentencePair(tuple(src), tuple(tgt), rid)
-    return Trajectory(tuple(counts), pair, provenance)
+        src += read
+        tgt += write
+        counts.append((len(read), len(write), shifted))
+    pair = SentencePair(tuple(src), tuple(tgt), rid)  # checks each word's text
+    return Trajectory(tuple(map(_chunk, counts)), pair, provenance)

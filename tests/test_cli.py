@@ -463,36 +463,51 @@ def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
 GOOD_META = {"id": 7, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
 
 
+def _chunks(*chunks):
+    return {"id": 0, "provenance": "meta", "chunks": list(chunks)}
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, reason",
     [
-        [1, 2],
-        "meta",
-        {"id": 0, "provenance": "meta", "chunks": 5},
-        {"id": 0, "provenance": "meta", "chunks": [5]},
-        {"id": 0, "provenance": "meta", "chunks": [{"read": [1], "write": ["x"], "shifted": 0}]},
-        {"id": 0, "provenance": "meta", "chunks": [{"read": ["a"], "write": "x", "shifted": 0}]},
-        {"id": 0, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": "0"}]},
-        {"id": "0", "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
-        {"provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
-        {"id": 0, "provenance": "raw", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
+        ([1, 2], "record is not a JSON object"),
+        ("meta", "record is not a JSON object"),
+        ({"id": 0, "provenance": "meta", "chunks": 5}, "record 0: chunks is not a list"),
+        (_chunks(5), "record 0: chunk 0 is not an object"),
+        (_chunks({"read": [1], "write": ["x"], "shifted": 0}), "record 0: chunk 0 read is not a list of strings"),
+        (_chunks({"read": ["a"], "write": "x", "shifted": 0}), "record 0: chunk 0 write is not a list of strings"),
+        (_chunks({"read": ["a"], "write": ["x"], "shifted": "0"}), "record 0: chunk 0 shifted '0' is not an integer"),
+        (_chunks({"read": ["a"], "write": ["x"], "shifted": True}), "record 0: chunk 0 shifted True is not an integer"),
+        (_chunks({"read": ["a"], "write": ["x"], "shifted": 0}, {"read": ["b"], "write": ["y", 3], "shifted": 0}),
+         "record 0: chunk 1 write is not a list of strings"),
+        (_chunks({"read": ["a", "b c"], "write": ["x"], "shifted": 0}),
+         "record 0: bad source word 'b c' (empty or contains whitespace)"),
+        (_chunks({"read": ["a"], "write": ["x"], "shifted": 0}, {"read": ["b"], "write": [""], "shifted": 0}),
+         "record 0: bad target word '' (empty or contains whitespace)"),
+        ({"id": "0", "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
+         "record id '0' is not an integer"),
+        ({"provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
+         "record id None is not an integer"),
+        ({"id": 0, "provenance": "raw", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
+         "record 0: unknown provenance 'raw'"),
     ],
-    ids=["list", "string", "chunks-int", "chunk-int", "read-int", "write-string",
-         "shifted-string", "id-string", "no-id", "unknown-provenance"],
+    ids=["list", "string", "chunks-int", "chunk-int", "read-int", "write-string", "shifted-string",
+         "shifted-bool", "write-int-chunk-1", "word-with-space", "word-empty", "id-string", "no-id",
+         "unknown-provenance"],
 )
-def test_malformed_record_rejected_and_run_goes_on(tmp_path, capsys, bad):
+def test_malformed_record_rejected_and_run_goes_on(tmp_path, capsys, bad, reason):
     src = tmp_path / "in.jsonl"
     src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
     for command in ("augment", "format"):
         out = tmp_path / f"{command}.jsonl"
         assert main([command, "--in", str(src), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "record rejected" in err
+        assert f"\nrecord rejected: {reason}\n" in err
         assert "Traceback" not in err
         (line,) = out.read_text(encoding="utf-8").splitlines()
         assert json.loads(line)["id"] == 7
     assert main(["stats", "--in", str(src)]) == 2
-    assert "error: " in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"\nerror: {reason}\n")
 
 
 def assert_format_rejects(tmp_path, capsys, bad, reason):
@@ -729,6 +744,23 @@ def test_simulate_model_syntax_error_names_its_char(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.endswith(f"error: model file: Expecting value: char {at + 3}\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["[1.5]", "[2e3]", "[7E+2]", "[1.5e-3, {}]"])
+def test_simulate_number_cut_by_a_read_is_reported_as_with_whole_reads(tmp_path, capsys, monkeypatch, model):
+    # The first 3-character read ends just before each number's '.', 'e' or
+    # 'E'. The element is a number, not a script, whatever the read size.
+    (tmp_path / "src.txt").write_text("a b\n", encoding="utf-8")
+    (tmp_path / "m.json").write_text(model, encoding="utf-8")
+    results = []
+    for block in (None, 3):
+        if block:
+            monkeypatch.setattr(cli, "MODEL_BLOCK", block)
+        code = simulate(tmp_path / "src.txt", tmp_path / "m.json", tmp_path / "e.jsonl")
+        results.append((code, capsys.readouterr().err.splitlines()[-1]))
+    assert results[0] == results[1]
+    assert results[0][0] == 2
+    assert results[0][1].startswith("error: session 0: malformed model script: ")
 
 
 def test_model_syntax_error_is_raised_without_reading_on(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import augmented_sets, is_monotonic, make_pair, random_case
-from simultraj.alignment import AlignmentSet, sufficient_sets
-from simultraj.monotonic import monotonicize
+from simultraj.alignment import AlignmentSet, parse_pharaoh, sufficient_sets
+from simultraj.monotonic import monotonicize, plan_links
 
 
 def reordered_example():
@@ -111,3 +113,40 @@ def test_every_added_edge_is_necessary():
             thinned = list(set(x) for x in aug)
             thinned[dropped[1] - 1].discard(dropped[0])
             assert (not is_monotonic(thinned)) or not thinned[dropped[1] - 1]
+
+
+@st.composite
+def pharaoh_cases(draw):
+    """(I, J, 0-based links in line order): duplicates and any order allowed,
+    so links may go backwards and targets may have none."""
+    source_len, target_len = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    link = st.tuples(st.integers(0, source_len - 1), st.integers(0, target_len - 1))
+    links = draw(st.lists(link, max_size=3 * target_len))
+    links += draw(st.lists(st.sampled_from(links), max_size=4)) if links else []
+    return source_len, target_len, draw(st.permutations(links))
+
+
+@given(pharaoh_cases())
+@example((3, 3, [(2, 0), (1, 1), (0, 2)]))  # every link behind the one before
+@example((4, 3, [(3, 0), (3, 0), (0, 1), (0, 1)]))  # duplicates; target 3 unlinked
+@example((12, 12, []))
+@example((1, 1, [(0, 0)]))
+def test_plan_links_equals_set_based_plan(case):
+    source_len, target_len, links0 = case
+    pair = make_pair(source_len, target_len)
+    alignment = parse_pharaoh(" ".join(f"{i}-{j}" for i, j in links0), source_len, target_len)
+    reference = monotonicize(sufficient_sets(pair, alignment), source_len)
+    plan = plan_links(alignment)
+    assert plan.prefix_req == reference.prefix_req
+    assert plan.added_edges == reference.added_edges
+    assert plan == reference
+    # Links given as a sequence with repeats give the same plan as the set.
+    links = [(i + 1, j + 1) for i, j in links0]
+    assert plan_links(AlignmentSet(links, source_len, target_len)) == reference
+
+
+def test_plan_links_rejects_degenerate_shapes():
+    with pytest.raises(ValueError, match="need at least one target token and one source token"):
+        plan_links(AlignmentSet(frozenset(), 1, 0))
+    with pytest.raises(ValueError, match="need at least one target token and one source token"):
+        plan_links(AlignmentSet(frozenset(), 0, 1))

@@ -76,6 +76,8 @@ def test_record_rejects_attribute_assignment(cls):
         (lambda: SentencePair(("a",), ()), AlignmentError, "record 0: empty target sentence"),
         (lambda: SentencePair(("a b",), ("x",)), AlignmentError, "bad source word 'a b'"),
         (lambda: SentencePair(source=("a",), target=("",)), AlignmentError, "bad target word ''"),
+        (lambda: SentencePair(("a", None), ("x",)), AlignmentError, "record 0: bad source word None"),
+        (lambda: SentencePair(("a",), ("x", "y\tz")), AlignmentError, "bad target word 'y\\tz'"),
         (lambda: AlignmentSet(frozenset({(3, 1)}), 2, 2), AlignmentError, "link (3,1) out of bounds"),
         (lambda: AlignmentSet(frozenset({(1, 0)}), 2, 2), AlignmentError, "link (1,0) out of bounds"),
         (lambda: AugmentConfig(delta_min=0), ValueError, "delta_min must be >= 1"),
@@ -92,8 +94,27 @@ def test_validating_record_rejects_bad_values(build, error, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "source, target, message",
+    [
+        ("", "x y", "record 5: empty source sentence"),
+        ("a b", "", "record 5: empty target sentence"),
+        (" \t\u3000", "x", "record 5: empty source sentence"),
+        ("a", "\n \x1c", "record 5: empty target sentence"),
+        ("", "", "record 5: empty source sentence"),
+    ],
+    ids=["source-empty", "target-empty", "source-whitespace", "target-whitespace", "both-empty"],
+)
+def test_from_text_rejects_an_empty_side(source, target, message):
+    with pytest.raises(AlignmentError) as exc:
+        SentencePair.from_text(source, target, 5)
+    assert str(exc.value) == message
+
+
 def test_validating_records_keep_defaults_and_keywords():
     assert SentencePair(("a",), ("x",)).id == 0
+    pair = SentencePair.from_text(" a\tb\u3000c ", "x\x1cy", 2)
+    assert pair == SentencePair(("a", "b", "c"), ("x", "y"), 2) and type(pair) is SentencePair
     assert AugmentConfig(seed=5) == AugmentConfig(2, 10, 0.5, 0.5, 5)
     assert SelectStrategy(kind="lcp").gamma == 1.0
     assert SelectStrategy("lcp", 0.0).gamma == SelectStrategy("greedy", 0.3).gamma == 1.0
