@@ -37,7 +37,7 @@ class SentencePair(namedtuple("SentencePair", "source target id")):
             except TypeError:  # a word that is not a string
                 pass
             for w in words:  # name the first bad word
-                if not w or w.split() != [w]:
+                if not isinstance(w, str) or not w or w.split() != [w]:
                     raise AlignmentError(
                         f"record {id}: bad {side} word {w!r} (empty or contains whitespace)"
                     )

@@ -13,10 +13,9 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
 from functools import partial
-from itertools import repeat, zip_longest
-from typing import Callable, Iterable, Iterator, TextIO
+from itertools import chain, repeat, zip_longest
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
 from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
@@ -70,8 +69,8 @@ def _print_config(args: argparse.Namespace) -> None:
     print(f"{args.command} resolved config: {encode_json(resolved)}", file=sys.stderr)
 
 
-# Items per task sent to a --workers pool: one IPC round trip per batch. Of 64,
-# 256 and 1024 lines, 256 used the least CPU; 1024 held more memory.
+# Items per batch sent to a --workers worker: one pipe round trip per batch. On
+# the corpus-parallel benchmark neither 64 nor 1024 used less CPU than 256.
 PMAP_BATCH = 256
 
 
@@ -93,41 +92,100 @@ def _batches(items: Iterable, size: int) -> Iterator[list]:
         yield batch
 
 
-def _run_batch(fn: Callable, batch: list) -> list:
-    return [fn(item) for item in batch]
+def _serve(fn: Callable, tasks: BinaryIO, replies: BinaryIO) -> None:
+    """A forked worker: answer each pickled batch with the list of fn's results,
+    or with the exception fn raised, until the parent closes `tasks`."""
+    import pickle
+
+    while True:
+        try:
+            batch = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            reply = [fn(item) for item in batch]
+        except Exception as exc:
+            reply = exc
+        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
 
 
 def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
     """Yield fn(item) for every item, in input order.
 
-    With workers > 1, items are read lazily in batches of PMAP_BATCH and run in
-    a process pool with at most 2 * workers batches in flight, so memory does
-    not grow with the input. If reading the items raises, the results of every
-    item read before the error are yielded first, as the serial map does.
+    With workers > 1, items are read lazily in batches of PMAP_BATCH and sent
+    over pipes to `workers` forked processes: batch b to worker b mod workers,
+    which holds at most one batch. So at most `workers` batches are in flight,
+    and memory does not grow with the input. If reading the items raises, the
+    results of every item read before the error are yielded first, as the
+    serial map does. An exception fn raises is raised here, and a worker that
+    dies is an OSError. Every worker is waited for before this returns or raises.
     """
     if workers <= 1:
         yield from map(fn, items)
         return
     # Imported here: serial runs and the other subcommands never start a pool.
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+
+    def collect(results: BinaryIO) -> list:
+        try:
+            reply = pickle.load(results)
+        except (EOFError, pickle.UnpicklingError):
+            raise OSError("a --workers process exited without sending its results") from None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     batches = _batches(items, PMAP_BATCH)
-    pending: deque = deque()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pids: list[int] = []
+    pipes: list[tuple[BinaryIO, BinaryIO]] = []  # the parent's ends: to and from each worker
+    sys.stdout.flush()  # a worker that prints must not repeat what the parent buffered
+    sys.stderr.flush()
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pipes.append((open(task_w, "wb"), open(result_r, "rb")))
+            pid = os.fork()
+            if pid == 0:  # the worker, which must never return into the parent's code
+                try:
+                    for end in chain.from_iterable(pipes):
+                        end.close()
+                    _serve(fn, open(task_r, "rb"), open(result_w, "wb"))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(task_r)
+            os.close(result_w)
+        sent, error = 0, None  # the last `workers` batches sent await their results
         while True:
             try:
-                batch = next(batches, None)
-            except Exception:
-                while pending:
-                    yield from pending.popleft().result()
-                raise
-            if batch is None:
+                batch = next(batches)
+            except StopIteration:
                 break
-            pending.append(pool.submit(_run_batch, fn, batch))
-            if len(pending) == 2 * workers:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
+            except Exception as exc:
+                error = exc
+                break
+            tasks, results = pipes[sent % workers]
+            done = collect(results) if sent >= workers else []
+            pickle.dump(batch, tasks, pickle.HIGHEST_PROTOCOL)
+            tasks.flush()
+            sent += 1
+            yield from done
+        for b in range(max(sent - workers, 0), sent):
+            yield from collect(pipes[b % workers][1])
+        if error is not None:
+            raise error
+    finally:
+        for tasks, results in pipes:
+            results.close()
+            try:
+                tasks.close()  # end of input: the worker leaves
+            except BrokenPipeError:  # it has left already
+                pass
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _emit(results: Iterable[tuple[str, str]], out: TextIO) -> int:
@@ -460,10 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "workers", 1) > 1:
-        # A fork pool starts all its workers on its first task, and output bytes
-        # do not depend on their number: start no more than this process can run on.
+        # _pmap forks all its workers at once, and output bytes do not depend
+        # on their number: fork no more than this process can run on, and run
+        # serially where there is no os.fork.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        args.workers = min(args.workers, cpus or 1)
+        args.workers = min(args.workers, cpus or 1) if hasattr(os, "fork") else 1
     _print_config(args)
     try:
         return args.func(args)

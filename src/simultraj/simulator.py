@@ -306,8 +306,9 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
 
 
 # json.dumps(obj, ensure_ascii=False) without building an encoder per call; the
-# JSONL stages and the config line all encode through it.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# JSONL stages and the config line all encode through it. Everything it encodes
+# is a tree the program builds, so the check for reference cycles is skipped.
+encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:

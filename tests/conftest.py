@@ -1,7 +1,10 @@
 import json
+import os
 import random
 from collections import Counter
 from typing import NamedTuple, Sequence
+
+import pytest
 
 from simultraj.alignment import AlignmentSet, SentencePair, sufficient_sets
 from simultraj.augment import RHO_MAX, AugmentConfig
@@ -10,6 +13,18 @@ from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
 from simultraj.simulator import CONVERSATIONAL, SelectStrategy, SimRun
 from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Trajectory, build_meta
+
+
+@pytest.fixture
+def no_leftover_children():
+    """Fail a test that leaves an exited child process for nobody to wait for,
+    such as a --workers process the pool did not reap."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child processes at all
+        return
+    assert pid == 0, f"child {pid} exited with status {status} and was never waited for"
 
 
 def make_pair(source_len: int, target_len: int, pair_id: int = 0) -> SentencePair:

@@ -241,7 +241,7 @@ def run_pipeline(tmp_path, tag: str, workers: int, src, tgt, align) -> tuple[byt
     return meta.read_bytes(), aug.read_bytes(), sft.read_bytes()
 
 
-def test_criterion_09_pipeline_determinism_100_pairs(tmp_path, capsys, monkeypatch):
+def test_criterion_09_pipeline_determinism_100_pairs(tmp_path, capsys, monkeypatch, no_leftover_children):
     # Two usable CPUs on any host, so "8 workers" runs a pool of two processes.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=100, seed=42)

@@ -2,14 +2,19 @@ import gc
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from simultraj import cli
 from simultraj.cli import DEFAULT_CHUNK_SIZES, build_parser, main
 from conftest import write_sim_case, write_toy_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_pipeline_config_defaults():
@@ -291,7 +296,7 @@ def two_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def test_workers_do_not_change_output(tmp_path, capsys, monkeypatch):
+def test_workers_do_not_change_output(tmp_path, capsys, monkeypatch, no_leftover_children):
     two_usable_cpus(monkeypatch)
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
     outs = []
@@ -316,7 +321,7 @@ def _with_bad_lines(path, at):
     return bad
 
 
-def test_workers_match_serial_across_batches(tmp_path, capsys, monkeypatch):
+def test_workers_match_serial_across_batches(tmp_path, capsys, monkeypatch, no_leftover_children):
     monkeypatch.setattr(cli, "PMAP_BATCH", 3)
     two_usable_cpus(monkeypatch)
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
@@ -345,7 +350,7 @@ def test_workers_match_serial_across_batches(tmp_path, capsys, monkeypatch):
     assert run("2") == serial
 
 
-def test_pmap_reads_a_bounded_window_ahead(monkeypatch):
+def test_pmap_reads_a_bounded_window_ahead(monkeypatch, no_leftover_children):
     monkeypatch.setattr(cli, "PMAP_BATCH", 3)
     pulled = 0
 
@@ -357,11 +362,11 @@ def test_pmap_reads_a_bounded_window_ahead(monkeypatch):
 
     results = cli._pmap(abs, numbers(), 2)
     assert next(results) == 0
-    assert pulled <= (2 * 2 + 1) * 3
+    assert pulled <= (2 + 1) * 3  # a batch for each worker, and the next one
     assert list(results) == list(range(1, 100))
 
 
-def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypatch):
+def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypatch, no_leftover_children):
     monkeypatch.setattr(cli, "PMAP_BATCH", 3)
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
     lines = align.read_text(encoding="utf-8").splitlines()
@@ -409,17 +414,82 @@ def test_workers_must_be_positive(argv, message, capsys):
     assert "resolved config" not in err
 
 
+def _fails_on_record_7(monkeypatch, fail):
+    """Make curate call fail() on record 7, in batch 2 of three records each."""
+    monkeypatch.setattr(cli, "PMAP_BATCH", 3)
+    curate_record = cli._curate_record
+
+    def curate_or_fail(item, debug):
+        if item[0] == 7:
+            fail()
+        return curate_record(item, debug)
+
+    monkeypatch.setattr(cli, "_curate_record", curate_or_fail)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_worker_exception_leaves_main_as_in_serial(tmp_path, monkeypatch, workers, no_leftover_children):
+    two_usable_cpus(monkeypatch)
+
+    def fail():
+        raise KeyError("record 7")
+
+    _fails_on_record_7(monkeypatch, fail)
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
+    with pytest.raises(KeyError, match="record 7"):
+        main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
+              "--out", str(tmp_path / "meta.jsonl"), "--workers", workers])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="record 7 would end the test process itself")
+def test_dead_worker_is_a_hard_error(tmp_path, capsys, monkeypatch, no_leftover_children):
+    two_usable_cpus(monkeypatch)
+    _fails_on_record_7(monkeypatch, lambda: os._exit(3))
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
+    out = tmp_path / "meta.jsonl"
+
+    def hung(signum, frame):
+        pytest.fail("the stage waited on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
+                     "--out", str(out), "--workers", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert "exited without sending its results" in capsys.readouterr().err
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 6  # batches 0 and 1
+
+
+def test_workers_import_no_pool_modules(tmp_path):
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
+    script = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); os.sched_getaffinity = lambda pid: {0, 1}; "
+        "from simultraj.cli import main; code = main(sys.argv[2:]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(SRC), "curate", "--src", str(src), "--tgt", str(tgt),
+         "--align", str(align), "--out", str(tmp_path / "meta.jsonl"), "--workers", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert '"workers": 2' in result.stderr
+    assert result.stdout == "0 []\n"
+
+
 @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
-def test_workers_are_capped_at_usable_cpus(tmp_path, capsys, monkeypatch, affinity):
-    # A thread pool stands in for the process pool, so no process is started.
-    sizes = []
+def test_workers_are_capped_at_usable_cpus(tmp_path, capsys, monkeypatch, affinity, no_leftover_children):
+    forks = []  # processes forked by each run
+    fork = os.fork
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=1)
+    def counting_fork():
+        forks[-1] += 1
+        return fork()
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     else:
@@ -428,13 +498,23 @@ def test_workers_are_capped_at_usable_cpus(tmp_path, capsys, monkeypatch, affini
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=5, seed=4)
     outs = []
     for workers in ("1", "2", "64"):
+        forks.append(0)
         out = tmp_path / f"meta{workers}.jsonl"
         assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
                      "--out", str(out), "--workers", workers]) == 0
         outs.append(out.read_bytes())
         assert f'"workers": {min(int(workers), 3)}' in capsys.readouterr().err
-    assert sizes == [2, 3]
+    assert forks == [0, 2, 3]
     assert outs[1] == outs[2] == outs[0]
+
+
+def test_workers_run_serially_without_fork(tmp_path, capsys, monkeypatch):
+    two_usable_cpus(monkeypatch)
+    monkeypatch.delattr(os, "fork")
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=5, seed=4)
+    assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
+                 "--out", str(tmp_path / "meta.jsonl"), "--workers", "2"]) == 0
+    assert '"workers": 1' in capsys.readouterr().err
 
 
 def _reject_constant(name):

@@ -77,6 +77,7 @@ def test_record_rejects_attribute_assignment(cls):
         (lambda: SentencePair(("a b",), ("x",)), AlignmentError, "bad source word 'a b'"),
         (lambda: SentencePair(source=("a",), target=("",)), AlignmentError, "bad target word ''"),
         (lambda: SentencePair(("a", None), ("x",)), AlignmentError, "record 0: bad source word None"),
+        (lambda: SentencePair(("a", 5), ("x",)), AlignmentError, "record 0: bad source word 5"),
         (lambda: SentencePair(("a",), ("x", "y\tz")), AlignmentError, "bad target word 'y\\tz'"),
         (lambda: AlignmentSet(frozenset({(3, 1)}), 2, 2), AlignmentError, "link (3,1) out of bounds"),
         (lambda: AlignmentSet(frozenset({(1, 0)}), 2, 2), AlignmentError, "link (1,0) out of bounds"),
