@@ -2,8 +2,9 @@
 
 The pipeline runs bitext + word alignments through four stages:
 
-1. ``alignment``  -- parse Pharaoh links, compute per-target sufficient source sets
-2. ``monotonic``  -- repair reordering into a nondecreasing source-prefix plan
+1. ``alignment``  -- parse Pharaoh links into an alignment
+2. ``monotonic``  -- plan each target word's source prefix from its links
+   (``plan_links``), repairing reordering into a nondecreasing plan
 3. ``trajectory`` -- segment the plan into minimum-latency READ/WRITE chunks
 4. ``augment``    -- merge/shift augmentation for latency generalization
 

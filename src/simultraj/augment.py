@@ -84,10 +84,8 @@ def shift(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajector
         if rng.random() >= cfg.beta:
             continue
         rho = rng.uniform(cfg.rho_min, RHO_MAX)
-        k = max(1, int(rho * cur.n_write))
+        k = max(1, int(rho * cur.n_write))  # <= n_write - 1: rho < 1 and n_write >= 2
         moved = cur.n_write - k
-        if moved < 1:
-            continue
         nxt = chunks[c + 1]
         chunks[c] = Chunk(cur.n_read, k, min(cur.shifted_prefix_len, k))
         chunks[c + 1] = Chunk(nxt.n_read, moved + nxt.n_write, moved)

@@ -442,7 +442,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cost = CostModel(args.cost_recompute, args.cost_word)
     report = events_report(load_events_jsonl(args.events), cost, args.prompt)
     data = report._asdict()
-    print(json.dumps(data, ensure_ascii=False, allow_nan=False))
+    print(encode_json(data))
     print(report.table())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as f:

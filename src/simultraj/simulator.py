@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from itertools import groupby
+from itertools import chain, groupby
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 # dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
-from simultraj.sftformat import DEFAULT_TEMPLATE, ChatTemplate, dialogue_prompt, get_template, offline_prompt
+from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
 
 DEFAULT_BEAM = 5
 DEFAULT_GAMMA = 0.6
@@ -167,50 +167,6 @@ def _words(texts: Iterable[str]) -> list[str]:
     return [w for t in texts for w in t.split()]
 
 
-class _OfflineCount:
-    """Per-round offline recompute without rendering the offline prompt.
-
-    The prompt is ``head + " ".join(source read) + tail``: head is the
-    instruction up to its trailing space, and tail's words are the response
-    trigger's words followed by the history's. The trigger starts with a
-    space, so the last source word never fuses with it. Between rounds the
-    prompt keeps head and the old source, so the common word prefix covers
-    them, then runs on only while the new chunk's words (and, past them, the
-    new tail's) equal the old tail's words.
-    """
-
-    def __init__(self, tpl: ChatTemplate) -> None:
-        self.head = len((tpl.turn_open + tpl.offline_instruction).split())
-        self.tail = (tpl.turn_sep + tpl.offline_response_header).split()
-        self.tail_before = 0  # len(self.tail) in the previous round's prompt
-        self.source = 0  # words of the source read before this round
-        self.started = False
-
-    def round(self, chunk: Sequence[str]) -> int:
-        new = _words(chunk)
-        words = self.head + self.source + len(new) + len(self.tail)
-        common = (self.head + self.source + self._tail_overlap(new)) if self.started else 0
-        self.source += len(new)
-        self.started = True
-        self.tail_before = len(self.tail)
-        return words - common
-
-    def _tail_overlap(self, new: list[str]) -> int:
-        """Common word prefix of (new chunk words, then the tail) and the previous tail."""
-        tail = self.tail
-        limit = min(self.tail_before, len(new) + len(tail))
-        n = 0
-        while n < limit:
-            word = new[n] if n < len(new) else tail[n - len(new)]
-            if word != tail[n]:
-                break
-            n += 1
-        return n
-
-    def commit(self, words: Sequence[str]) -> None:
-        self.tail.extend(_words(words))
-
-
 def run(
     source: Sequence[str],
     model: ModelPort,
@@ -233,7 +189,16 @@ def run(
     tpl = get_template(DEFAULT_TEMPLATE)
     conversational = prompt_mode == CONVERSATIONAL
 
-    offline = _OfflineCount(tpl)
+    # The offline prompt is head (the instruction's words), the source read so
+    # far, then tail: the response trigger's words and the history's. The
+    # trigger starts with a space, so the last source word never fuses with it.
+    # Round 0 pays for every word. Later, the prompt keeps head and the old
+    # source, so the common word prefix covers them, then runs on only while
+    # the new chunk's words (and, past them, the tail's) equal the previous
+    # round's tail words; the tail only grows, so those are tail[:before].
+    head = len((tpl.turn_open + tpl.offline_instruction).split())
+    tail = (tpl.turn_sep + tpl.offline_response_header).split()
+    before = 0  # len(tail) in the previous round's prompt
     committed: list[str] = []  # the offline prompt's history
     prompt = ""  # the conversational prompt; it only ever grows at the end
     selected: tuple[str, ...] = ()
@@ -254,7 +219,14 @@ def run(
         else:
             appended = " " + " ".join(chunk)
         rc_conv = len(appended.split())
-        rc_off = offline.round(chunk)
+        new = _words(chunk)
+        same = 0
+        for word in chain(new, tail):
+            if same == before or word != tail[same]:
+                break
+            same += 1
+        rc_off = (0 if rnd else head) + len(new) + len(tail) - same
+        before = len(tail)
 
         if conversational:
             # No other reference to prompt may outlive the round, so that
@@ -285,7 +257,7 @@ def run(
             )
         )
         if selected:
-            offline.commit(selected)
+            tail += _words(selected)
             committed.extend(selected)
         rnd += 1
 
@@ -305,10 +277,12 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
     return {"id": sim.pair_id, **event._asdict()}
 
 
-# json.dumps(obj, ensure_ascii=False) without building an encoder per call; the
-# JSONL stages and the config line all encode through it. Everything it encodes
-# is a tree the program builds, so the check for reference cycles is skipped.
-encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+# json.dumps(obj, ensure_ascii=False, allow_nan=False) without building an
+# encoder per call; every JSON output (the JSONL stages, the config line and
+# eval's report) encodes through it, so none can hold a NaN or an infinity.
+# Everything it encodes is a tree the program builds, so the check for
+# reference cycles is skipped.
+encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False).encode
 
 
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:

@@ -11,8 +11,8 @@ from simultraj.augment import RHO_MAX, AugmentConfig
 from simultraj.metrics import CostModel, average_lagging
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
-from simultraj.simulator import CONVERSATIONAL, SelectStrategy, SimRun
-from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Trajectory, build_meta
+from simultraj.simulator import CONVERSATIONAL, ScriptedModel, SelectStrategy, SimRun
+from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Chunk, Trajectory, build_meta
 
 
 @pytest.fixture
@@ -275,6 +275,18 @@ def oracle_run(
     return rounds
 
 
+class ScriptRecorder:
+    """A scripted model that also logs the contexts it saw."""
+
+    def __init__(self, rounds) -> None:
+        self.script = ScriptedModel(rounds)
+        self.contexts: list[str] = []
+
+    def generate(self, context: str, beam: int) -> list[tuple[str, ...]]:
+        self.contexts.append(context)
+        return self.script.generate(context, beam)
+
+
 class _Replay:
     """Serves a finished run's beams back, one round per call."""
 
@@ -296,6 +308,20 @@ def replay_prompts(sim: SimRun) -> list[OracleRound]:
 def committed(sim: SimRun) -> tuple[str, ...]:
     """Every word a run committed, in order."""
     return tuple(w for e in sim.events for w in e.committed_words)
+
+
+def realised_trajectory(sim: SimRun) -> Trajectory:
+    """The trajectory a finished run realised: each round's reads and commits,
+    with a round that commits nothing folded into the next one. A run whose
+    flush commits nothing ends with a chunk that writes nothing."""
+    chunks: list[Chunk] = []
+    reads = 0
+    for event in sim.events:
+        reads += len(event.read_words)
+        if event.committed_words or event is sim.events[-1]:
+            chunks.append(Chunk(reads, len(event.committed_words)))
+            reads = 0
+    return Trajectory(tuple(chunks), SentencePair(sim.source, committed(sim), sim.pair_id), META)
 
 
 # Per-run latency references over SimRun objects: the library reduces event

@@ -14,11 +14,13 @@ import time
 import pytest
 
 from conftest import (
+    ScriptRecorder,
     brute_min_read_counts,
     make_pair,
     meta_of,
     random_case,
     read_counts_before_write,
+    realised_trajectory,
     replay_prompts,
     write_toy_corpus,
 )
@@ -27,7 +29,7 @@ from simultraj.augment import AugmentConfig, derive_rng, merge, shift
 from simultraj.cli import main
 from simultraj.metrics import CostModel, average_lagging, corpus_stats, events_report
 from simultraj.monotonic import MonotonicPlan, monotonicize
-from simultraj.sftformat import render_conversational
+from simultraj.sftformat import DEFAULT_TEMPLATE, get_template, render_conversational
 from simultraj.simulator import (
     GREEDY,
     ScriptedModel,
@@ -298,4 +300,43 @@ def test_criterion_11_directional_stats_on_real_data(tmp_path):
     report(
         f"criterion 11 PASS: meta #chunk mean {meta_mean:.2f} in [8,13]; "
         f"augmented mean {aug_mean:.2f} at least 3x smaller"
+    )
+
+
+def test_criterion_12_train_inference_parity_5000_sessions():
+    # SFT data and conversational decoding share one dialogue format: the last
+    # context a session's model sees, closed with the flush, is the SFT text of
+    # the trajectory the session realised.
+    tpl = get_template(DEFAULT_TEMPLATE)
+    rng = random.Random(1212)
+    vocab = ["ta", "tb", "tc", "td", "te"]
+    strategies = [SelectStrategy("lcp"), SelectStrategy("ralcp", 0.6), GREEDY]
+    equal = empty_flush = 0
+    for case in range(5_000):
+        source = [f"s{i}" for i in range(1, rng.randint(1, 12) + 1)]
+        chunk = rng.randint(1, 4)
+        beam = rng.randint(1, 4)
+        rounds = []
+        for _ in range(-(-len(source) // chunk)):
+            draw = rng.random()
+            if draw < 0.5:  # agreeing beam: a commit will happen
+                words = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+                rounds.append((words,) * beam)
+            elif draw < 0.75:  # disagreeing beam: LCP and RALCP stall at beam > 1
+                rounds.append(tuple((f"d{b}", rng.choice(vocab)) for b in range(beam)))
+            else:  # empty candidates: stall, or a flush that commits nothing
+                rounds.append(((),) * beam)
+        model = ScriptRecorder(tuple(rounds))
+        sim = run(source, model, chunk_size=chunk, strategy=rng.choice(strategies), beam=beam, pair_id=case)
+        flush = sim.events[-1].committed_words
+        if not flush:
+            empty_flush += 1
+            continue
+        text = render_conversational(realised_trajectory(sim)).text
+        assert model.contexts[-1] + tpl.turn_sep + " ".join(flush) + tpl.turn_close == text
+        equal += 1
+    assert equal > 3_000 and empty_flush > 0
+    report(
+        f"criterion 12 PASS: last context + flush == SFT text of the realised trajectory in "
+        f"{equal:,}/{equal:,} sessions; {empty_flush:,} sessions flushed nothing and were not compared"
     )

@@ -58,3 +58,7 @@ def test_output_digests_repeat_one_line_per_output():
     assert digests["sft_sys.jsonl"] != digests["sft.jsonl"]  # the system message is rendered
     # A pretty-printed model file gives the compact file's events.
     assert digests["events_indent.jsonl"] == digests["events_ralcp_conversational.jsonl"]
+    # Both recompute counts are logged in either mode, and the scripted model
+    # ignores its context, so --prompt leaves the event log as it is.
+    for select in ("ralcp", "lcp", "greedy"):
+        assert digests[f"events_{select}_conversational.jsonl"] == digests[f"events_{select}_offline.jsonl"]

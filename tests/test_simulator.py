@@ -3,10 +3,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import committed, oracle_run, ref_select_prefix, replay_prompts
+from conftest import ScriptRecorder, committed, oracle_run, ref_select_prefix, replay_prompts
 from simultraj.metrics import CostModel, events_report
 from simultraj.simulator import (
     GREEDY,
@@ -14,6 +14,7 @@ from simultraj.simulator import (
     SelectStrategy,
     SimulationError,
     dump_events_jsonl,
+    encode_json,
     event_to_record,
     load_events_jsonl,
     run,
@@ -258,24 +259,19 @@ def test_event_log_round_trip(tmp_path):
     assert grouped[0][0]["read_words"] == ["w1", "w2"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_encode_json_is_strict(value):
+    assert encode_json({"x": [1.5, "ü"]}) == '{"x": [1.5, "ü"]}'
+    with pytest.raises(ValueError):
+        encode_json({"x": value})
+
+
 # Words equal to template tokens, empty, or holding whitespace: the counts must
 # follow str.split() however a prompt's pieces meet.
 TRICKY_WORDS = (
     "a", "b", "text:", "[/INST]", "Translation:", "</s><s>[INST]", "<s>[INST]",
     "Out:", "[/INST]Out:", "", " ", "x y", "z\n", "　",
 )
-
-
-class ScriptRecorder:
-    """A scripted model that also logs the contexts it saw."""
-
-    def __init__(self, rounds):
-        self.script = ScriptedModel(rounds)
-        self.contexts = []
-
-    def generate(self, context, beam):
-        self.contexts.append(context)
-        return self.script.generate(context, beam)
 
 
 @st.composite
@@ -302,6 +298,13 @@ def sim_cases(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(sim_cases())
+# Round 2 reads the previous round's offline tail (the trigger's words, then
+# the committed "X"), so the common word prefix runs past the trigger words.
+@example((
+    ("a", "b", "c", "d", "e", "f", "[/INST]", "Translation:", "X"),
+    ((("X",),), ((),), (("Y",),)),
+    {"chunk_size": 3, "strategy": SelectStrategy("lcp"), "prompt_mode": "offline", "beam": 1},
+))
 def test_counts_and_contexts_match_render_and_diff_oracle(case):
     source, rounds, kwargs = case
     model, oracle_model = ScriptRecorder(rounds), ScriptRecorder(rounds)
