@@ -43,6 +43,7 @@ from simultraj.simulator import (
     dump_events_jsonl,
     encode_json,
     load_events_jsonl,
+    raw_decode_json,
     run as simulate_run,
 )
 from simultraj.trajectory import META, build_meta, from_record, to_record, verify
@@ -271,7 +272,7 @@ def _augment_record(line: str, cfg: AugmentConfig, debug: bool) -> tuple[str, st
 def _iter_lines(path: str) -> Iterator[str]:
     with open(path, encoding="utf-8") as f:
         for line in f:
-            if line.strip():
+            if not line.isspace():
                 yield line
 
 
@@ -324,7 +325,6 @@ MODEL_BLOCK = 1 << 16
 # causes lies less than this many characters before the end of the text read,
 # or is an unterminated string.
 _LONGEST_TOKEN = len("-Infinity")
-_decode = json.JSONDecoder().raw_decode
 _skip = json.decoder.WHITESPACE.match
 
 
@@ -345,7 +345,7 @@ def _list_items(f: TextIO, buf: str) -> Iterator[object]:
             if delim == "[" and buf[pos] == "]":  # IndexError: only whitespace read after pos
                 pos += 1
                 break
-            obj, end = _decode(buf, pos)
+            obj, end = raw_decode_json(buf, pos)
             end = _skip(buf, end).end()
             if buf[end] not in ",]":  # may be the rest of a number cut by a read: 1|.5
                 raise json.JSONDecodeError("Expecting ',' delimiter", buf, end)

@@ -14,6 +14,7 @@ deviation, matching the mean+-std convention of summary tables.
 from __future__ import annotations
 
 from math import fsum
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from simultraj.simulator import CONVERSATIONAL, SimRun, event_to_record
@@ -185,6 +186,10 @@ def _fixed4(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+_conversational_recompute = itemgetter("recompute_tokens_conversational")
+_offline_recompute = itemgetter("recompute_tokens_offline")
+
+
 def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:
     """Aggregate a parsed event log, one list of event records per run, into one
     report. Each run is reduced by `run_latency` as it arrives, so the runs may
@@ -198,8 +203,8 @@ def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode
     for events in event_runs:
         runs += 1
         rounds += len(events)
-        total_conv += sum(event["recompute_tokens_conversational"] for event in events)
-        total_off += sum(event["recompute_tokens_offline"] for event in events)
+        total_conv += sum(map(_conversational_recompute, events))
+        total_off += sum(map(_offline_recompute, events))
         try:
             latency = run_latency(events, cost, prompt_mode)
         except ValueError as exc:

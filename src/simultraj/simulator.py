@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
+from functools import partial
 from itertools import chain, groupby
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 # dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
 from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
+from simultraj.trajectory import _only_str
 
 DEFAULT_BEAM = 5
 DEFAULT_GAMMA = 0.6
@@ -47,14 +50,6 @@ class ModelPort(Protocol):
         """Return up to `beam` candidate continuations (word sequences) for the rendered context."""
 
 
-def _candidate(words: object) -> tuple[str, ...]:
-    """A script's candidate; TypeError unless it is a list of strings."""
-    if type(words) is not list:
-        raise TypeError(f"a candidate is a {type(words).__name__}, not a list of words")
-    " ".join(words)  # raises TypeError on a word that is not a string
-    return tuple(words)
-
-
 class ScriptedModel:
     """Deterministic test double: fixed beam candidates per round index.
 
@@ -69,7 +64,18 @@ class ScriptedModel:
     def from_obj(cls, obj: dict) -> ScriptedModel:
         if not isinstance(obj, dict) or not isinstance(obj.get("rounds"), list):
             raise ValueError("scripted model needs a 'rounds' list of beam candidate lists")
-        return cls(tuple(tuple(_candidate(words) for words in beam) for beam in obj["rounds"]))
+        # Each candidate must be a list of strings; the first one that is not
+        # raises TypeError.
+        rounds = []
+        for beam in obj["rounds"]:
+            candidates = []
+            for words in beam:
+                if type(words) is not list:
+                    raise TypeError(f"a candidate is a {type(words).__name__}, not a list of words")
+                " ".join(words)  # raises TypeError on a word that is not a string
+                candidates.append(tuple(words))
+            rounds.append(tuple(candidates))
+        return cls(tuple(rounds))
 
     def generate(self, context: str, beam: int) -> list[tuple[str, ...]]:
         if self._cursor >= len(self.rounds):
@@ -162,6 +168,10 @@ class SimRun(NamedTuple):
         return len(self.events)
 
 
+# SimEvent(*fields) without the keyword handling of its generated __new__.
+_event = partial(tuple.__new__, SimEvent)
+
+
 def _words(texts: Iterable[str]) -> list[str]:
     """The words of ``" ".join(texts)``, without building the joined string."""
     return [w for t in texts for w in t.split()]
@@ -188,6 +198,9 @@ def run(
         raise ValueError("empty source")
     tpl = get_template(DEFAULT_TEMPLATE)
     conversational = prompt_mode == CONVERSATIONAL
+    # A chunk's words are its prompt words when no source word is empty or
+    # holds whitespace, as with every source that str.split() cut.
+    split = tuple(" ".join(source).split()) != source
 
     # The offline prompt is head (the instruction's words), the source read so
     # far, then tail: the response trigger's words and the history's. The
@@ -219,7 +232,7 @@ def run(
         else:
             appended = " " + " ".join(chunk)
         rc_conv = len(appended.split())
-        new = _words(chunk)
+        new = _words(chunk) if split else chunk
         same = 0
         for word in chain(new, tail):
             if same == before or word != tail[same]:
@@ -245,36 +258,24 @@ def run(
             # Source exhausted: flush the best full hypothesis.
             selected = beam_words[0]
 
-        events.append(
-            SimEvent(
-                round=rnd,
-                read_words=tuple(chunk),
-                candidates=beam_words,
-                committed_words=selected,
-                recompute_tokens_conversational=rc_conv,
-                recompute_tokens_offline=rc_off,
-                cumulative_source_read=read,
-            )
-        )
+        events.append(_event((rnd, chunk, beam_words, selected, rc_conv, rc_off, read)))
         if selected:
             tail += _words(selected)
             committed.extend(selected)
         rnd += 1
 
-    return SimRun(
-        pair_id=pair_id,
-        source=source,
-        events=tuple(events),
-        prompt_mode=prompt_mode,
-        chunk_size=chunk_size,
-        beam=beam,
-        strategy=strategy,
+    return tuple.__new__(
+        SimRun, (pair_id, source, tuple(events), prompt_mode, chunk_size, beam, strategy)
     )
 
 
+# An event record's keys, in order: the run's id, then SimEvent's fields.
+_EVENT_KEYS = ("id", *SimEvent._fields)
+
+
 def event_to_record(sim: SimRun, event: SimEvent) -> dict:
-    # SimEvent's fields are the record's keys, in order; json writes tuples as arrays.
-    return {"id": sim.pair_id, **event._asdict()}
+    # json writes the tuples as arrays.
+    return dict(zip(_EVENT_KEYS, (sim.pair_id, *event)))
 
 
 # json.dumps(obj, ensure_ascii=False, allow_nan=False) without building an
@@ -283,6 +284,11 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
 # Everything it encodes is a tree the program builds, so the check for
 # reference cycles is skipped.
 encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False).encode
+
+# json.JSONDecoder().raw_decode, built once: the JSON value that starts at an
+# index of a string, and the index after it. The model file's scripts and the
+# event lines decode through it.
+raw_decode_json = json.JSONDecoder().raw_decode
 
 
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
@@ -305,7 +311,29 @@ _EVENT_INT_FIELDS = {
 def _checked_event(line: str, lineno: int) -> dict:
     """Parse one event line; raise ValueError naming the line and the field
     when a field that `eval` reads is missing, of the wrong type or out of range."""
-    record = json.loads(line)
+    try:
+        record, end = raw_decode_json(line)
+    except json.JSONDecodeError:
+        end = 0
+    if line[end:] != "\n":
+        # Not one JSON value and then a newline: json.loads raises its own
+        # error, or reads the value with the other whitespace around it.
+        record = json.loads(line)
+    if type(record) is dict:
+        get = record.get
+        conv = get("recompute_tokens_conversational")
+        off = get("recompute_tokens_offline")
+        read = get("cumulative_source_read")
+        words = get("committed_words")
+        if (
+            type(get("id")) is int
+            and type(conv) is int and conv >= 0
+            and type(off) is int and off >= 0
+            and type(read) is int and read >= 1
+            and type(words) is list and _only_str(map(type, words))
+        ):
+            return record
+    # Name the first field that is wrong.
     if type(record) is not dict:
         raise ValueError(f"event line {lineno}: not an object")
     for key, least in _EVENT_INT_FIELDS.items():
@@ -315,7 +343,7 @@ def _checked_event(line: str, lineno: int) -> dict:
         if least is not None and value < least:
             raise ValueError(f"event line {lineno}: {key} is below {least}")
     words = record.get("committed_words")
-    if type(words) is not list or not all(type(w) is str for w in words):
+    if type(words) is not list or not _only_str(map(type, words)):
         raise ValueError(f"event line {lineno}: committed_words is not a list of strings")
     return record
 
@@ -330,8 +358,8 @@ def load_events_jsonl(path: str) -> Iterator[list[dict]]:
     """
     seen: set[int] = set()
     with open(path, encoding="utf-8") as f:
-        records = (_checked_event(line, n) for n, line in enumerate(f, 1) if line.strip())
-        for rid, events in groupby(records, key=lambda record: record["id"]):
+        records = (_checked_event(line, n) for n, line in enumerate(f, 1) if not line.isspace())
+        for rid, events in groupby(records, key=itemgetter("id")):
             if rid in seen:
                 raise ValueError(f"run id {rid} reappears after another run in {path}")
             seen.add(rid)

@@ -236,15 +236,17 @@ def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys
     assert "session 1 rejected: blank source line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("script", [
-    {"rounds": [5]},
-    {"rounds": [[5]]},
-    {"rounds": [[["A", 1]]]},
-    {"beams": []},
-    {"rounds": [["AB"]]},  # a candidate given as a string, not a list of words
-    {"rounds": [[["C", "D"], ["X", 2]]]},  # a bad word in a candidate never committed
-])
-def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys, script):
+@pytest.mark.parametrize("script, reason", [
+    ({"rounds": [5]}, "'int' object is not iterable"),
+    ({"rounds": [[5]]}, "a candidate is a int, not a list of words"),
+    ({"rounds": [[["A", 1]]]}, "sequence item 1: expected str instance, int found"),
+    ({"beams": []}, "scripted model needs a 'rounds' list of beam candidate lists"),
+    # a candidate given as a string, not a list of words
+    ({"rounds": [["AB"]]}, "a candidate is a str, not a list of words"),
+    # a bad word in a candidate never committed
+    ({"rounds": [[["C", "D"], ["X", 2]]]}, "sequence item 1: expected str instance, int found"),
+], ids=[f"script{i}" for i in range(6)])
+def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys, script, reason):
     (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
     scripts = [{"rounds": [[["A", "B"]]]}, script]
     (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
@@ -252,7 +254,7 @@ def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys
                  str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
                  "--select", "greedy", "--out", str(tmp_path / "e.jsonl")]) == 2
     err = capsys.readouterr().err
-    assert "error: session 1: malformed model script: " in err
+    assert f"\nerror: session 1: malformed model script: {reason}\n" in err
     assert "Traceback" not in err
 
 
@@ -472,7 +474,7 @@ def test_workers_import_no_pool_modules(tmp_path):
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-c", script, str(SRC), "curate", "--src", str(src), "--tgt", str(tgt),
+        [sys.executable, "-I", "-B", "-c", script, str(SRC), "curate", "--src", str(src), "--tgt", str(tgt),
          "--align", str(align), "--out", str(tmp_path / "meta.jsonl"), "--workers", "2"],
         capture_output=True, text=True, timeout=60,
     )
@@ -660,17 +662,60 @@ GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "
         ({**GOOD_EVENT, "recompute_tokens_conversational": -5}, "recompute_tokens_conversational is below 0"),
         ({**GOOD_EVENT, "recompute_tokens_offline": -1}, "recompute_tokens_offline is below 0"),
         ({**GOOD_EVENT, "cumulative_source_read": 0}, "cumulative_source_read is below 1"),
+        # Two bad fields: the first in field order is named.
+        ({**GOOD_EVENT, "id": True, "cumulative_source_read": 0}, "id is not an integer"),
+        # A bool is not an integer here, as for id.
+        ({**GOOD_EVENT, "recompute_tokens_offline": False}, "recompute_tokens_offline is not an integer"),
+        ({**GOOD_EVENT, "recompute_tokens_conversational": True}, "recompute_tokens_conversational is not an integer"),
+        # A valid line that commits nothing is accepted.
+        ({**GOOD_EVENT, "round": 1, "committed_words": []}, None),
     ],
     ids=["list", "string", "words-string", "words-int", "id-string", "id-bool", "no-cumulative",
          "offline-float", "conversational-null", "conversational-negative", "offline-negative",
-         "cumulative-zero"],
+         "cumulative-zero", "id-bool-and-cumulative-zero", "offline-bool", "conversational-bool",
+         "no-words-accepted"],
 )
 def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
     events = tmp_path / "events.jsonl"
     events.write_text(json.dumps(GOOD_EVENT) + "\n\n" + json.dumps(bad) + "\n", encoding="utf-8")
-    assert main(["eval", "--events", str(events)]) == 2
+    code = main(["eval", "--events", str(events)])
+    out, err = capsys.readouterr()
+    if field is None:
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["rounds_total"] == 2
+    else:
+        assert code == 2
+        assert f"error: event line 3: {field}" in err
+    assert "Traceback" not in err
+
+
+GOOD_LINE = json.dumps(GOOD_EVENT)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        GOOD_LINE[:-3] + "\n",
+        GOOD_LINE + " x\n",
+        GOOD_LINE + "\x0c\n",  # whitespace that JSON does not allow
+        "\ufeff" + GOOD_LINE + "\n",
+        "\t " + GOOD_LINE + " \r\n",
+        GOOD_LINE,  # the last line, with no newline
+    ],
+    ids=["cut-short", "extra-data", "form-feed", "byte-order-mark", "json-whitespace", "no-newline"],
+)
+def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, line):
+    events = tmp_path / "events.jsonl"
+    events.write_text(GOOD_LINE + "\n" + line, encoding="utf-8", newline="")
+    code = main(["eval", "--events", str(events)])
     err = capsys.readouterr().err
-    assert f"error: event line 3: {field}" in err
+    try:
+        json.loads(line.replace("\r\n", "\n"))  # eval reads the file with universal newlines
+    except ValueError as exc:
+        assert code == 2
+        assert err.endswith(f"\nerror: {exc}\n")
+    else:
+        assert code == 0
     assert "Traceback" not in err
 
 
@@ -858,6 +903,19 @@ def test_model_syntax_error_is_raised_without_reading_on(tmp_path, monkeypatch):
     assert f.tell() < 1000 < len(text) // 20, (f.tell(), len(text))
 
 
+def refill_free_lists():
+    """Put objects back on CPython's free lists of tuples, lists, dicts and floats.
+
+    A full gc.collect() empties them. A traced run would then allocate anew
+    what the free lists held, and an object it frees goes back onto a free
+    list, where it still counts as traced. A longer run refills more of them,
+    so its peak reads higher while the program's own memory stays flat.
+    """
+    junk = [tuple(range(size)) for size in range(1, 21) for _ in range(2000)]
+    junk += [[0] for _ in range(100)] + [{"a": 0} for _ in range(100)] + [i + 0.5 for i in range(100)]
+    del junk
+
+
 def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypatch):
     # Small reads, so that both model files span many of them.
     monkeypatch.setattr(cli, "MODEL_BLOCK", 8192)
@@ -866,8 +924,10 @@ def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypat
         work = tmp_path / str(sessions)
         work.mkdir()
         src, model, _ = write_sim_case(work, sessions)
-        # Free what earlier tests left in cycles, so that the peak is this run's.
+        # Free what earlier tests left in cycles, so that the peak is this run's,
+        # then refill the free lists that the collection emptied.
         gc.collect()
+        refill_free_lists()
         tracemalloc.start()
         try:
             assert simulate(src, model, work / "e.jsonl") == 0

@@ -26,7 +26,7 @@ def test_cli_import_loads_no_heavy_stdlib_module():
         "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(SRC), *HEAVY],
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(SRC), *HEAVY],
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.split() == []
