@@ -14,9 +14,11 @@ import argparse
 import csv
 import sys
 
-from simultraj.cli import DEFAULT_CHUNK_SIZES, nonnegative_float
+from simultraj.cli import nonnegative_float
 from simultraj.metrics import CostModel, events_report
 from simultraj.simulator import CONVERSATIONAL, GREEDY, OFFLINE, event_to_record, run, scripted_echo
+
+DEFAULT_CHUNK_SIZES = (3, 5, 7, 9, 11, 13)
 
 
 def sweep(sources, chunk_sizes, cost):

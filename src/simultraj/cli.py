@@ -48,8 +48,6 @@ from simultraj.simulator import (
 )
 from simultraj.trajectory import META, build_meta, from_record, to_record, verify
 
-DEFAULT_CHUNK_SIZES = (3, 5, 7, 9, 11, 13)
-
 
 def positive_int(text: str) -> int:
     value = int(text)
@@ -73,24 +71,6 @@ def _print_config(args: argparse.Namespace) -> None:
 # Items per batch sent to a --workers worker: one pipe round trip per batch. On
 # the corpus-parallel benchmark neither 64 nor 1024 used less CPU than 256.
 PMAP_BATCH = 256
-
-
-def _batches(items: Iterable, size: int) -> Iterator[list]:
-    """Consecutive lists of `size` items, the last one shorter. If reading the
-    items raises, the items read before the error come out first."""
-    batch: list = []
-    try:
-        for item in items:
-            batch.append(item)
-            if len(batch) == size:
-                yield batch
-                batch = []
-    except Exception:
-        if batch:
-            yield batch
-        raise
-    if batch:
-        yield batch
 
 
 def _serve(fn: Callable, tasks: BinaryIO, replies: BinaryIO) -> None:
@@ -137,7 +117,7 @@ def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
             raise reply
         return reply
 
-    batches = _batches(items, PMAP_BATCH)
+    items = iter(items)
     pids: list[int] = []
     pipes: list[tuple[BinaryIO, BinaryIO]] = []  # the parent's ends: to and from each worker
     sys.stdout.flush()  # a worker that prints must not repeat what the parent buffered
@@ -160,13 +140,16 @@ def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
             os.close(task_r)
             os.close(result_w)
         sent, error = 0, None  # the last `workers` batches sent await their results
-        while True:
+        while error is None:
+            batch = []
             try:
-                batch = next(batches)
-            except StopIteration:
-                break
-            except Exception as exc:
+                for item in items:
+                    batch.append(item)
+                    if len(batch) == PMAP_BATCH:
+                        break
+            except Exception as exc:  # a read error: send what was read, then stop
                 error = exc
+            if not batch:
                 break
             tasks, results = pipes[sent % workers]
             done = collect(results) if sent >= workers else []
@@ -189,18 +172,6 @@ def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def _emit(results: Iterable[tuple[str, str]], out: TextIO) -> int:
-    """Write ok-payload lines in order; report rejected records. Returns failure count."""
-    failures = 0
-    for status, payload in results:
-        if status == "ok":
-            out.write(payload + "\n")
-        else:
-            failures += 1
-            print(payload, file=sys.stderr)
-    return failures
-
-
 def _refuse_input(flag: str, path: str, *inputs: str) -> None:
     """Raise ValueError if the output path names an existing input file: opening
     it for writing would empty the input before it is read."""
@@ -212,8 +183,14 @@ def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable, *inp
     """Write worker's results over items to --out in input order; 1 if any record was rejected.
     inputs are the paths items are read from."""
     _refuse_input("--out", args.out, *inputs)
+    failures = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        failures = _emit(_pmap(worker, items, args.workers), out)
+        for status, payload in _pmap(worker, items, args.workers):
+            if status == "ok":
+                out.write(payload + "\n")
+            else:
+                failures += 1
+                print(payload, file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -93,45 +93,36 @@ class ProvenanceStats(NamedTuple):
     target_words_per_chunk: MeanStd
 
 
-class _Acc:
-    """Running mean / population-std accumulator (single pass, O(1) memory)."""
-
-    __slots__ = ("n", "total", "total_sq")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        self.total += x
-        self.total_sq += x * x
-
-    def result(self) -> MeanStd:
-        mean = self.total / self.n
-        return MeanStd(mean, max(self.total_sq / self.n - mean * mean, 0.0) ** 0.5)
+def _mean_std(n: int, total: int, total_sq: int) -> MeanStd:
+    mean = total / n
+    return MeanStd(mean, max(total_sq / n - mean * mean, 0.0) ** 0.5)
 
 
 def corpus_stats(trajs: Iterable[Trajectory]) -> dict[str, ProvenanceStats]:
-    """Chunk statistics per provenance."""
-    accs: dict[str, tuple[_Acc, _Acc, _Acc]] = {}
+    """Chunk statistics per provenance, from exact integer sums and sums of squares
+    of the chunks per trajectory and the source and target words per chunk."""
+    sums: dict[str, list[int]] = {}
     for traj in trajs:
-        chunks, src, tgt = accs.setdefault(traj.provenance, (_Acc(), _Acc(), _Acc()))
-        chunks.add(len(traj.chunks))
-        for c in traj.chunks:
-            src.add(c.n_read)
-            tgt.add(c.n_write)
-    if not accs:
+        s = sums.setdefault(traj.provenance, [0] * 7)
+        n = len(traj.chunks)
+        s[0] += 1
+        s[1] += n
+        s[2] += n * n
+        for read, write, _ in traj.chunks:
+            s[3] += read
+            s[4] += read * read
+            s[5] += write
+            s[6] += write * write
+    if not sums:
         raise ValueError("empty trajectory corpus")
     return {
         key: ProvenanceStats(
-            trajectories=chunks.n,
-            chunks_per_trajectory=chunks.result(),
-            source_words_per_chunk=src.result(),
-            target_words_per_chunk=tgt.result(),
+            trajectories=count,
+            chunks_per_trajectory=_mean_std(count, chunks, chunks_sq),
+            source_words_per_chunk=_mean_std(chunks, src, src_sq),
+            target_words_per_chunk=_mean_std(chunks, tgt, tgt_sq),
         )
-        for key, (chunks, src, tgt) in accs.items()
+        for key, (count, chunks, chunks_sq, src, src_sq, tgt, tgt_sq) in sums.items()
     }
 
 

@@ -1,8 +1,8 @@
 """Serialization of trajectories into SFT dialogue text with loss masks.
 
-Templates are plain data (turn-open / turn-sep / turn-close strings plus the
-offline-prompt scaffolding), so a new chat format needs no code changes. The
-built-in ``llama2`` template renders each chunk as
+There is one chat template, ``llama2``, held as plain data: the turn-open,
+turn-sep and turn-close strings plus the offline-prompt scaffolding. It renders
+each chunk as
 
     <s>[INST] {read words} [/INST] {write words}</s>
 
@@ -32,25 +32,21 @@ class ChatTemplate(NamedTuple):
 
 DEFAULT_TEMPLATE = "llama2"
 
-TEMPLATES: dict[str, ChatTemplate] = {
-    "llama2": ChatTemplate(
-        name="llama2",
-        turn_open="<s>[INST] ",
-        turn_sep=" [/INST] ",
-        turn_close="</s>",
-        system_wrap="<<SYS>>\n{}\n<</SYS>>\n\n",
-        offline_instruction="Translate the following text:",
-        offline_response_header="Translation:",
-    ),
-}
+LLAMA2 = ChatTemplate(
+    name=DEFAULT_TEMPLATE,
+    turn_open="<s>[INST] ",
+    turn_sep=" [/INST] ",
+    turn_close="</s>",
+    system_wrap="<<SYS>>\n{}\n<</SYS>>\n\n",
+    offline_instruction="Translate the following text:",
+    offline_response_header="Translation:",
+)
 
 
 def get_template(template_id: str) -> ChatTemplate:
-    try:
-        return TEMPLATES[template_id]
-    except KeyError:
-        known = ", ".join(sorted(TEMPLATES))
-        raise ValueError(f"unknown template id {template_id!r} (known: {known})") from None
+    if template_id != LLAMA2.name:
+        raise ValueError(f"unknown template id {template_id!r} (known: {LLAMA2.name})")
+    return LLAMA2
 
 
 class SftRecord(NamedTuple):
@@ -74,28 +70,19 @@ def render_conversational(
 ) -> SftRecord:
     """Render a trajectory as multi-turn dialogue text with span bookkeeping."""
     tpl = get_template(template_id)
-    parts: list[str] = []
-    pos = 0
+    text = ""  # grows in place: no other reference to it is kept
     turns: list[tuple[Span, Span]] = []
     loss_spans: list[Span] = []
-
-    def emit(s: str) -> None:
-        nonlocal pos
-        parts.append(s)
-        pos += len(s)
-
     for t, (chunk, reads, words) in enumerate(traj.segments()):
-        emit(tpl.turn_open)
+        text += tpl.turn_open
         if t == 0 and system_msg:
-            emit(tpl.system_wrap.format(system_msg))
+            text += tpl.system_wrap.format(system_msg)
         user_text = " ".join(reads)
-        user_span = (pos, pos + len(user_text))
-        emit(user_text)
-        emit(tpl.turn_sep)
+        user_span = (len(text), len(text) + len(user_text))
+        text += user_text + tpl.turn_sep
         assistant_text = " ".join(words)
-        assistant_span = (pos, pos + len(assistant_text))
-        emit(assistant_text)
-        emit(tpl.turn_close)
+        assistant_span = (len(text), len(text) + len(assistant_text))
+        text += assistant_text + tpl.turn_close
         turns.append((user_span, assistant_span))
 
         shifted = chunk.shifted_prefix_len
@@ -108,7 +95,7 @@ def render_conversational(
 
     return SftRecord(
         id=traj.pair_id,
-        text="".join(parts),
+        text=text,
         turns=tuple(turns),
         loss_mask_spans=tuple(loss_spans),
         template=tpl.name,

@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 # dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
-from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
+from simultraj.sftformat import LLAMA2, dialogue_prompt, offline_prompt
 from simultraj.trajectory import _only_str
 
 DEFAULT_BEAM = 5
@@ -196,7 +196,7 @@ def run(
     source = tuple(source)
     if not source:
         raise ValueError("empty source")
-    tpl = get_template(DEFAULT_TEMPLATE)
+    tpl = LLAMA2
     conversational = prompt_mode == CONVERSATIONAL
     # A chunk's words are its prompt words when no source word is empty or
     # holds whitespace, as with every source that str.split() cut.
@@ -316,9 +316,11 @@ def _checked_event(line: str, lineno: int) -> dict:
     except json.JSONDecodeError:
         end = 0
     if line[end:] != "\n":
-        # Not one JSON value and then a newline: json.loads raises its own
-        # error, or reads the value with the other whitespace around it.
-        record = json.loads(line)
+        # Not one JSON value and then a newline: read the line as json.loads does.
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"event line {lineno}: {exc.msg}: char {exc.pos}") from None
     if type(record) is dict:
         get = record.get
         conv = get("recompute_tokens_conversational")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from simultraj import cli
-from simultraj.cli import DEFAULT_CHUNK_SIZES, build_parser, main
+from simultraj.cli import build_parser, main
 from conftest import write_sim_case, write_toy_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -21,7 +21,6 @@ def test_pipeline_config_defaults():
     parser = build_parser()
     aug = parser.parse_args(["augment", "--in", "i", "--out", "o"])
     assert (aug.delta_min, aug.delta_max, aug.beta, aug.rho_min) == (2, 10, 0.5, 0.5)
-    assert DEFAULT_CHUNK_SIZES == (3, 5, 7, 9, 11, 13)
     sim = parser.parse_args(["simulate", "--src", "s", "--model", "m", "--out", "o"])
     assert sim.beam == 5
     assert sim.gamma == 0.6
@@ -165,9 +164,11 @@ def test_format_golden_single_turn(tmp_path):
     assert record["text"][start:end] == "Hello"
 
 
-def test_format_unknown_template_errors(tmp_path):
+def test_format_unknown_template_errors(tmp_path, capsys):
     _, meta = curate(tmp_path)
+    capsys.readouterr()
     assert main(["format", "--in", str(meta), "--template", "gpt9", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: unknown template id 'gpt9' (known: llama2)"
 
 
 def test_stats_prints_table(tmp_path, capsys):
@@ -368,11 +369,13 @@ def test_pmap_reads_a_bounded_window_ahead(monkeypatch, no_leftover_children):
     assert list(results) == list(range(1, 100))
 
 
-def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypatch, no_leftover_children):
+@pytest.mark.parametrize("kept", [19, 18], ids=["mid-batch", "batch-boundary"])
+def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypatch, no_leftover_children, kept):
     monkeypatch.setattr(cli, "PMAP_BATCH", 3)
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20, seed=4)
     lines = align.read_text(encoding="utf-8").splitlines()
-    align.write_text("\n".join(lines[:19]) + "\n", encoding="utf-8")  # ends mid-batch
+    # 18 lines end on a whole batch, so the error comes when no item is pending.
+    align.write_text("\n".join(lines[:kept]) + "\n", encoding="utf-8")
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"meta{workers}.jsonl"
@@ -380,7 +383,7 @@ def test_input_error_writes_same_records_with_workers(tmp_path, capsys, monkeypa
                      "--out", str(out), "--workers", workers]) == 2
         assert "line count mismatch" in capsys.readouterr().err
         outs.append(out.read_bytes())
-    assert len(outs[0].splitlines()) == 19
+    assert len(outs[0].splitlines()) == kept
     assert outs[1] == outs[0]
 
 
@@ -693,18 +696,18 @@ GOOD_LINE = json.dumps(GOOD_EVENT)
 
 
 @pytest.mark.parametrize(
-    "line",
+    "line, error",
     [
-        GOOD_LINE[:-3] + "\n",
-        GOOD_LINE + " x\n",
-        GOOD_LINE + "\x0c\n",  # whitespace that JSON does not allow
-        "\ufeff" + GOOD_LINE + "\n",
-        "\t " + GOOD_LINE + " \r\n",
-        GOOD_LINE,  # the last line, with no newline
+        (GOOD_LINE[:-3] + "\n", "event line 2: Expecting value: char 187"),
+        (GOOD_LINE + " x\n", "event line 2: Extra data: char 190"),
+        (GOOD_LINE + "\x0c\n", "event line 2: Extra data: char 189"),  # whitespace that JSON does not allow
+        ("\ufeff" + GOOD_LINE + "\n", "event line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): char 0"),
+        ("\t " + GOOD_LINE + " \r\n", None),
+        (GOOD_LINE, None),  # the last line, with no newline
     ],
     ids=["cut-short", "extra-data", "form-feed", "byte-order-mark", "json-whitespace", "no-newline"],
 )
-def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, line):
+def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, line, error):
     events = tmp_path / "events.jsonl"
     events.write_text(GOOD_LINE + "\n" + line, encoding="utf-8", newline="")
     code = main(["eval", "--events", str(events)])
@@ -712,9 +715,11 @@ def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, line):
     try:
         json.loads(line.replace("\r\n", "\n"))  # eval reads the file with universal newlines
     except ValueError as exc:
+        assert f"{exc.msg}: char {exc.pos}" in error
         assert code == 2
-        assert err.endswith(f"\nerror: {exc}\n")
+        assert err.endswith(f"\nerror: {error}\n")
     else:
+        assert error is None
         assert code == 0
     assert "Traceback" not in err
 

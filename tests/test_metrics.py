@@ -3,6 +3,8 @@ import random
 from statistics import fmean
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     committed,
@@ -14,7 +16,7 @@ from conftest import (
     ref_simulated_wwt,
     trajectory_average_lagging,
 )
-from simultraj.augment import AugmentConfig, derive_rng, merge
+from simultraj.augment import AugmentConfig, augment_pipeline, derive_rng, merge
 from simultraj.metrics import (
     CostModel,
     average_lagging,
@@ -35,7 +37,7 @@ from simultraj.simulator import (
     run,
     scripted_echo,
 )
-from simultraj.trajectory import META, Chunk, Trajectory, from_record, to_record
+from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Chunk, Trajectory, from_record, to_record
 
 
 def al_by_direct_sum(g, source_len, target_len):
@@ -247,6 +249,36 @@ def test_corpus_stats_population_std():
     stats = corpus_stats(trajs)[META]
     # counts 1 and 3: population std is 1.0 (sample std would be sqrt(2))
     assert math.isclose(stats.chunks_per_trajectory.std, 1.0)
+
+
+def _mean_std(values):
+    mean = sum(values) / len(values)
+    return mean, max(sum(x * x for x in values) / len(values) - mean * mean, 0.0) ** 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**32), st.sampled_from([META, MERGED, MERGED_SHIFTED])),
+                min_size=1, max_size=30))
+def test_corpus_stats_equals_mean_and_std_of_plain_lists(picks):
+    trajs = []
+    for case, (seed, provenance) in enumerate(picks):
+        traj = meta_of(*random_case(random.Random(seed), max_len=12, pair_id=case))[1]
+        if provenance == MERGED:
+            traj = merge(traj, AugmentConfig(seed=seed), derive_rng(seed, case))
+        elif provenance == MERGED_SHIFTED:
+            traj = augment_pipeline(traj, AugmentConfig(seed=seed))
+        trajs.append(traj)
+    expected = {}
+    for provenance in {traj.provenance for traj in trajs}:
+        group = [traj for traj in trajs if traj.provenance == provenance]
+        chunks = [chunk for traj in group for chunk in traj.chunks]
+        expected[provenance] = (
+            len(group),
+            _mean_std([len(traj.chunks) for traj in group]),
+            _mean_std([chunk.n_read for chunk in chunks]),
+            _mean_std([chunk.n_write for chunk in chunks]),
+        )
+    assert corpus_stats(trajs) == expected
 
 
 def test_corpus_stats_rejects_empty():

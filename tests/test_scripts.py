@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,11 @@ def test_sweep_chunk_sizes_output_unchanged(tmp_path):
     )
     assert result.returncode == 2
     assert "argument --cost-recompute: must be finite and at least 0, got nan" in result.stderr
+
+
+def test_sweep_chunk_sizes_default_sizes():
+    script = runpy.run_path(str(ROOT / "scripts" / "sweep_chunk_sizes.py"))
+    assert script["DEFAULT_CHUNK_SIZES"] == (3, 5, 7, 9, 11, 13)
 
 
 def test_output_digests_repeat_one_line_per_output():
