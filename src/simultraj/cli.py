@@ -19,14 +19,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
 from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
-from simultraj.augment import (
-    DEFAULT_BETA,
-    DEFAULT_DELTA_MAX,
-    DEFAULT_DELTA_MIN,
-    DEFAULT_RHO_MIN,
-    AugmentConfig,
-    augment_pipeline,
-)
+from simultraj.augment import AugmentConfig, augment_pipeline
 from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report
 # monotonicize is not called here; bench/tracer.py wraps it under this module.
 from simultraj.monotonic import monotonicize, plan_links
@@ -36,6 +29,7 @@ from simultraj.simulator import (
     DEFAULT_BEAM,
     DEFAULT_GAMMA,
     PROMPT_MODES,
+    SELECT_KINDS,
     ScriptedModel,
     SelectStrategy,
     SimRun,
@@ -449,11 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="meta trajectories -> merged+shifted trajectories")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--delta-min", type=int, default=DEFAULT_DELTA_MIN)
-    p.add_argument("--delta-max", type=int, default=DEFAULT_DELTA_MAX)
-    p.add_argument("--beta", type=nonnegative_float, default=DEFAULT_BETA)
-    p.add_argument("--rho-min", type=nonnegative_float, default=DEFAULT_RHO_MIN)
-    p.add_argument("--seed", type=int, default=0)
+    aug = AugmentConfig()
+    p.add_argument("--delta-min", type=int, default=aug.delta_min)
+    p.add_argument("--delta-max", type=int, default=aug.delta_max)
+    p.add_argument("--beta", type=nonnegative_float, default=aug.beta)
+    p.add_argument("--rho-min", type=nonnegative_float, default=aug.rho_min)
+    p.add_argument("--seed", type=int, default=aug.seed)
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--debug", action="store_true")
     p.set_defaults(func=cmd_augment)
@@ -475,17 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--chunk", type=positive_int, default=5)
     p.add_argument("--beam", type=positive_int, default=DEFAULT_BEAM)
-    p.add_argument("--select", choices=["lcp", "ralcp", "greedy"], default="ralcp")
+    p.add_argument("--select", choices=SELECT_KINDS, default="ralcp")
     p.add_argument("--gamma", type=nonnegative_float, default=DEFAULT_GAMMA)
-    p.add_argument("--prompt", choices=list(PROMPT_MODES), default=CONVERSATIONAL)
+    p.add_argument("--prompt", choices=PROMPT_MODES, default=CONVERSATIONAL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="latency report from a simulation event log")
     p.add_argument("--events", required=True)
-    p.add_argument("--cost-recompute", type=nonnegative_float, default=1.0)
-    p.add_argument("--cost-word", type=nonnegative_float, default=1.0)
-    p.add_argument("--prompt", choices=list(PROMPT_MODES), default=CONVERSATIONAL)
+    cost = CostModel()
+    p.add_argument("--cost-recompute", type=nonnegative_float, default=cost.per_recomputed_token)
+    p.add_argument("--cost-word", type=nonnegative_float, default=cost.per_generated_word)
+    p.add_argument("--prompt", choices=PROMPT_MODES, default=CONVERSATIONAL)
     p.add_argument("--csv", default="")
     p.set_defaults(func=cmd_eval)
 

@@ -25,18 +25,16 @@ def average_lagging(g: Sequence[int], source_len: int, target_len: int) -> float
     """Word-level AL of a read schedule g over I source and J target words."""
     if target_len < 1 or len(g) != target_len:
         raise ValueError("g must hold one read count per target word, target_len >= 1")
-    prev = 1
-    for gt in g:
+    prev = 0
+    tau = target_len
+    for t, gt in enumerate(g, start=1):
         if not (1 <= gt <= source_len):
             raise ValueError(f"read count {gt} outside [1, {source_len}]")
         if gt < prev:
             raise ValueError("read schedule must be nondecreasing")
-        prev = gt
-    tau = target_len
-    for t, gt in enumerate(g, start=1):
-        if gt == source_len:
+        if prev < gt == source_len:  # g reaches I here for the first time
             tau = t
-            break
+        prev = gt
     rate = target_len / source_len
     return sum(g[t - 1] - (t - 1) / rate for t in range(1, tau + 1)) / tau
 

@@ -39,6 +39,7 @@ DEFAULT_GAMMA = 0.6
 CONVERSATIONAL = "conversational"
 OFFLINE = "offline"
 PROMPT_MODES = (CONVERSATIONAL, OFFLINE)
+SELECT_KINDS = ("lcp", "ralcp", "greedy")
 
 
 class SimulationError(RuntimeError):
@@ -98,7 +99,7 @@ class SelectStrategy(namedtuple("SelectStrategy", "kind gamma")):
     __slots__ = ()
 
     def __new__(cls, kind: str, gamma: float = 1.0) -> SelectStrategy:
-        if kind not in ("lcp", "ralcp", "greedy"):
+        if kind not in SELECT_KINDS:
             raise ValueError(f"unknown selection strategy {kind!r}")
         if kind != "ralcp":
             gamma = 1.0  # LCP is RALCP at unanimity; greedy takes no vote
@@ -309,8 +310,9 @@ _EVENT_INT_FIELDS = {
 
 
 def _checked_event(line: str, lineno: int) -> dict:
-    """Parse one event line; raise ValueError naming the line and the field
-    when a field that `eval` reads is missing, of the wrong type or out of range."""
+    """Parse one event line; raise ValueError naming the line and the first field
+    that `eval` reads and finds missing, of the wrong type or out of range: those
+    of `_EVENT_INT_FIELDS` in order, then committed_words. Other keys may be anything."""
     try:
         record, end = raw_decode_json(line)
     except json.JSONDecodeError:
@@ -321,21 +323,6 @@ def _checked_event(line: str, lineno: int) -> dict:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"event line {lineno}: {exc.msg}: char {exc.pos}") from None
-    if type(record) is dict:
-        get = record.get
-        conv = get("recompute_tokens_conversational")
-        off = get("recompute_tokens_offline")
-        read = get("cumulative_source_read")
-        words = get("committed_words")
-        if (
-            type(get("id")) is int
-            and type(conv) is int and conv >= 0
-            and type(off) is int and off >= 0
-            and type(read) is int and read >= 1
-            and type(words) is list and _only_str(map(type, words))
-        ):
-            return record
-    # Name the first field that is wrong.
     if type(record) is not dict:
         raise ValueError(f"event line {lineno}: not an object")
     for key, least in _EVENT_INT_FIELDS.items():

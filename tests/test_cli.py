@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -100,12 +101,25 @@ def test_curate_rejects_bad_record_nonzero_exit(tmp_path, capsys):
 
 
 def test_curate_debug_keeps_indices(tmp_path):
-    src, tgt, align = write_toy_corpus(tmp_path)
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20)
     out = tmp_path / "meta.jsonl"
     assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
                  "--out", str(out), "--debug"]) == 0
     record = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
     assert record["indices"][0]["read"][0] == 1
+    augmented = tmp_path / "aug.jsonl"
+    assert main(["augment", "--in", str(out), "--out", str(augmented), "--debug"]) == 0
+    merged = 0
+    for meta_line, line in zip(out.read_text(encoding="utf-8").splitlines(),
+                               augmented.read_text(encoding="utf-8").splitlines(), strict=True):
+        meta, record = json.loads(meta_line), json.loads(line)
+        merged += len(record["chunks"]) < len(meta["chunks"])
+        for rec, side in product((meta, record), ("read", "write")):
+            # One 1-based position per word of each chunk, running through 1..I and 1..J in order.
+            assert [len(c[side]) for c in rec["indices"]] == [len(c[side]) for c in rec["chunks"]]
+            positions = [i for c in rec["indices"] for i in c[side]]
+            assert positions == list(range(1, len(positions) + 1))
+    assert merged > 0
 
 
 def test_simulate_rejects_malformed_model_file(tmp_path, capsys):
@@ -292,6 +306,27 @@ def test_simulate_then_eval(tmp_path, capsys):
     assert line["runs"] == 1
     assert line["recompute_total_conversational"] <= line["recompute_total_offline"]
     assert "WWT (simulated" in out
+
+
+def test_eval_one_word_session_lags_one_word(tmp_path, capsys):
+    # I = 1: tau is the first target word, so AL is 1 for any number of target words.
+    (tmp_path / "src.txt").write_text("a\n", encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps({"rounds": [[["X", "Y", "Z"]]]}), encoding="utf-8")
+    events = tmp_path / "events.jsonl"
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model", str(tmp_path / "model.json"),
+                 "--chunk", "1", "--beam", "1", "--select", "greedy", "--out", str(events)]) == 0
+    assert main(["eval", "--events", str(events)]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert report["al_mean"] == 1.0
+
+
+def test_simulate_unknown_select_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--src", "s", "--model", "m", "--out", "o", "--select", "beam"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "simultraj simulate: error: argument --select: invalid choice: 'beam' "
+        "(choose from 'lcp', 'ralcp', 'greedy')\n")
 
 
 def two_usable_cpus(monkeypatch):
@@ -672,11 +707,14 @@ GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "
         ({**GOOD_EVENT, "recompute_tokens_conversational": True}, "recompute_tokens_conversational is not an integer"),
         # A valid line that commits nothing is accepted.
         ({**GOOD_EVENT, "round": 1, "committed_words": []}, None),
+        # So is each field at its least value, any integer id, and a key eval does not read.
+        ({**GOOD_EVENT, "id": -3, "recompute_tokens_conversational": 0, "recompute_tokens_offline": 0,
+          "cumulative_source_read": 1, "note": "x"}, None),
     ],
     ids=["list", "string", "words-string", "words-int", "id-string", "id-bool", "no-cumulative",
          "offline-float", "conversational-null", "conversational-negative", "offline-negative",
          "cumulative-zero", "id-bool-and-cumulative-zero", "offline-bool", "conversational-bool",
-         "no-words-accepted"],
+         "no-words-accepted", "least-values-accepted"],
 )
 def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
     events = tmp_path / "events.jsonl"

@@ -69,6 +69,16 @@ def test_flat_two_by_two_schedule():
     assert average_lagging([2, 2], 2, 2) == 2.0
 
 
+@pytest.mark.parametrize(
+    "g, source_len, expected",
+    [([1, 1, 1], 1, 1.0), ([1, 1], 1, 1.0), ([1, 2, 2, 2], 2, 1.25), ([1, 3, 3], 3, 1.5)],
+    ids=["one-by-three", "one-by-two", "tau-2-of-4", "tau-2-of-3"],
+)
+def test_tau_is_first_word_written_after_full_read(g, source_len, expected):
+    assert average_lagging(g, source_len, len(g)) == expected
+    assert al_by_direct_sum(g, source_len, len(g)) == expected
+
+
 def test_wait_k_invariant_under_uniform_scaling():
     k = 3
     for scale in (1, 2, 4):
