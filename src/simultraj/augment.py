@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Chunk, Trajectory
+from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Chunk, Trajectory, _chunk
 
 # Defaults: merge 2..10 consecutive chunks; shift with probability 0.5 at a
 # proportion drawn from U(0.5, 0.9).
@@ -67,9 +67,10 @@ def merge(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajector
     while pos < len(traj.chunks):
         delta = rng.randint(cfg.delta_min, cfg.delta_max)
         group = traj.chunks[pos : pos + delta]
-        merged.append(Chunk(sum(c.n_read for c in group), sum(c.n_write for c in group)))
+        reads, writes, _ = zip(*group)
+        merged.append(_chunk((sum(reads), sum(writes), 0)))
         pos += len(group)
-    return Trajectory(tuple(merged), traj.pair, MERGED)
+    return tuple.__new__(Trajectory, (tuple(merged), traj.pair, MERGED))
 
 
 def shift(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajectory:
@@ -87,9 +88,9 @@ def shift(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajector
         k = max(1, int(rho * cur.n_write))  # <= n_write - 1: rho < 1 and n_write >= 2
         moved = cur.n_write - k
         nxt = chunks[c + 1]
-        chunks[c] = Chunk(cur.n_read, k, min(cur.shifted_prefix_len, k))
-        chunks[c + 1] = Chunk(nxt.n_read, moved + nxt.n_write, moved)
-    return Trajectory(tuple(chunks), traj.pair, MERGED_SHIFTED)
+        chunks[c] = _chunk((cur.n_read, k, min(cur.shifted_prefix_len, k)))
+        chunks[c + 1] = _chunk((nxt.n_read, moved + nxt.n_write, moved))
+    return tuple.__new__(Trajectory, (tuple(chunks), traj.pair, MERGED_SHIFTED))
 
 
 def augment_pipeline(traj: Trajectory, cfg: AugmentConfig) -> Trajectory:

@@ -34,6 +34,7 @@ from simultraj.simulator import (
     SelectStrategy,
     SimRun,
     SimulationError,
+    decode_line,
     dump_events_jsonl,
     encode_json,
     load_events_jsonl,
@@ -228,7 +229,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 def _augment_record(line: str, cfg: AugmentConfig, debug: bool) -> tuple[str, str]:
     try:
-        traj = from_record(json.loads(line))
+        traj = from_record(decode_line(line))
         if traj.provenance != META:
             return ("err", f"record {traj.pair_id} rejected: provenance {traj.provenance!r} is not meta")
         augmented = augment_pipeline(traj, cfg)
@@ -263,7 +264,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def _format_record(line: str, system_msg: str, template: str) -> tuple[str, str]:
     try:
-        traj = from_record(json.loads(line))
+        traj = from_record(decode_line(line))
         problems = verify(traj)
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
@@ -282,7 +283,7 @@ def cmd_format(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ stats
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = corpus_stats(from_record(json.loads(line)) for line in _iter_lines(args.in_path))
+    stats = corpus_stats(from_record(decode_line(line)) for line in _iter_lines(args.in_path))
     print(corpus_stats_table(stats))
     return 0
 

@@ -287,9 +287,20 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
 encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False).encode
 
 # json.JSONDecoder().raw_decode, built once: the JSON value that starts at an
-# index of a string, and the index after it. The model file's scripts and the
-# event lines decode through it.
+# index of a string, and the index after it. The model file's scripts and
+# decode_line decode through it.
 raw_decode_json = json.JSONDecoder().raw_decode
+
+
+def decode_line(line: str) -> object:
+    """json.loads(line): its value or its error. Every JSONL reader decodes
+    through this. A line that is one JSON value and then a newline, as this
+    package writes them, skips json.loads's whitespace scans."""
+    try:
+        value, end = raw_decode_json(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    return value if line[end:] == "\n" else json.loads(line)
 
 
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
@@ -314,15 +325,9 @@ def _checked_event(line: str, lineno: int) -> dict:
     that `eval` reads and finds missing, of the wrong type or out of range: those
     of `_EVENT_INT_FIELDS` in order, then committed_words. Other keys may be anything."""
     try:
-        record, end = raw_decode_json(line)
-    except json.JSONDecodeError:
-        end = 0
-    if line[end:] != "\n":
-        # Not one JSON value and then a newline: read the line as json.loads does.
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"event line {lineno}: {exc.msg}: char {exc.pos}") from None
+        record = decode_line(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"event line {lineno}: {exc.msg}: char {exc.pos}") from None
     if type(record) is not dict:
         raise ValueError(f"event line {lineno}: not an object")
     for key, least in _EVENT_INT_FIELDS.items():

@@ -54,22 +54,28 @@ class Trajectory(NamedTuple):
             j += chunk.n_write
 
 
+# C-level helpers: "every type is str" over map(type, words), and a Chunk from
+# an (n_read, n_write, shifted) sequence, without NamedTuple's Python __new__.
+_only_str = frozenset((str,)).issuperset
+_chunk = partial(tuple.__new__, Chunk)
+
+
 def build_meta(plan: MonotonicPlan, pair: SentencePair) -> Trajectory:
     """Minimum-latency trajectory for a plan: one chunk per requirement increase."""
     if plan.target_len != pair.target_len or plan.source_len != pair.source_len:
         raise ValueError(f"record {pair.id}: plan shape does not match sentence pair")
-    counts: list[list[int]] = []  # [n_read, n_write] per chunk
+    counts: list[list[int]] = []  # [n_read, n_write, shifted] per chunk
     consumed = 0
     for m in plan.prefix_req:
         if m > consumed:
-            counts.append([m - consumed, 1])
+            counts.append([m - consumed, 1, 0])
             consumed = m
         else:
             counts[-1][1] += 1
     # Trailing source the last write never waited on: flush into the final READ.
     if consumed < plan.source_len:
         counts[-1][0] += plan.source_len - consumed
-    return Trajectory(tuple(Chunk(r, w) for r, w in counts), pair, META)
+    return tuple.__new__(Trajectory, (tuple(map(_chunk, counts)), pair, META))
 
 
 def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
@@ -120,12 +126,6 @@ def to_record(traj: Trajectory, debug_indices: bool = False) -> dict:
     return record
 
 
-# C-level helpers for from_record: "every type is str" over map(type, words),
-# and a Chunk from a (n_read, n_write, shifted) tuple.
-_only_str = frozenset((str,)).issuperset
-_chunk = partial(tuple.__new__, Chunk)
-
-
 def from_record(record: object) -> Trajectory:
     """Rebuild a trajectory from its JSONL record; chunk counts are word counts.
 
@@ -133,6 +133,11 @@ def from_record(record: object) -> Trajectory:
     builds them). A record that breaks the format (an object with an integer
     id, a known provenance, and chunks holding lists of string words and an
     integer shifted count) raises ValueError naming what is wrong.
+
+    JSON's own dicts and lists, with every key present, are checked in C:
+    types in one loop, then each side's words at once. Anything else (a missing
+    key, another type, a bad word) goes to the checking loop, which names the
+    first error. A str subclass word (never from JSON) passes only the C check.
     """
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
@@ -143,11 +148,30 @@ def from_record(record: object) -> Trajectory:
     if provenance not in PROVENANCES:
         raise ValueError(f"record {rid}: unknown provenance {provenance!r}")
     chunks = record.get("chunks")
-    if not isinstance(chunks, list):
-        raise ValueError(f"record {rid}: chunks is not a list")
     src: list[str] = []
     tgt: list[str] = []
-    counts: list[tuple[int, int, int]] = []
+    counts: list[tuple[int, int, int]] = []  # (n_read, n_write, shifted) per chunk
+    if type(chunks) is list:
+        try:
+            for chunk in chunks:
+                if type(chunk) is not dict:
+                    break
+                read, write, shifted = chunk["read"], chunk["write"], chunk["shifted"]
+                if type(read) is not list or type(write) is not list or type(shifted) is not int:
+                    break
+                src += read
+                tgt += write
+                counts.append((len(read), len(write), shifted))
+            else:
+                # SentencePair's word check: words come back from a join and a split.
+                if src and tgt and " ".join(src).split() == src and " ".join(tgt).split() == tgt:
+                    pair = tuple.__new__(SentencePair, (tuple(src), tuple(tgt), rid))
+                    return tuple.__new__(Trajectory, (tuple(map(_chunk, counts)), pair, provenance))
+        except (KeyError, TypeError):  # a missing key; a word that is not a string
+            pass
+        src, tgt, counts = [], [], []
+    if not isinstance(chunks, list):
+        raise ValueError(f"record {rid}: chunks is not a list")
     for c, chunk in enumerate(chunks):
         if not isinstance(chunk, dict):
             raise ValueError(f"record {rid}: chunk {c} is not an object")

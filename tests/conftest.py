@@ -12,7 +12,7 @@ from simultraj.metrics import CostModel, average_lagging
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import DEFAULT_TEMPLATE, dialogue_prompt, get_template, offline_prompt
 from simultraj.simulator import CONVERSATIONAL, ScriptedModel, SelectStrategy, SimRun
-from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, Chunk, Trajectory, build_meta
+from simultraj.trajectory import MERGED, MERGED_SHIFTED, META, PROVENANCES, Chunk, Trajectory, build_meta
 
 
 @pytest.fixture
@@ -487,3 +487,37 @@ def ref_to_record(traj: RefTrajectory, debug_indices: bool = False) -> dict:
             {"read": list(chunk.read), "write": list(chunk.write)} for chunk in traj.chunks
         ]
     return record
+
+
+# trajectory.from_record as it was before its C-checked path: one loop checks
+# every chunk in order, then SentencePair checks the words. test_trajectory.py
+# checks that both accept the same records and name the same first error.
+def ref_from_record(record: object) -> Trajectory:
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
+    rid = record.get("id")
+    if type(rid) is not int:
+        raise ValueError(f"record id {rid!r} is not an integer")
+    provenance = record.get("provenance")
+    if provenance not in PROVENANCES:
+        raise ValueError(f"record {rid}: unknown provenance {provenance!r}")
+    chunks = record.get("chunks")
+    if not isinstance(chunks, list):
+        raise ValueError(f"record {rid}: chunks is not a list")
+    src: list[str] = []
+    tgt: list[str] = []
+    counts: list[tuple[int, int, int]] = []
+    for c, chunk in enumerate(chunks):
+        if not isinstance(chunk, dict):
+            raise ValueError(f"record {rid}: chunk {c} is not an object")
+        read, write, shifted = chunk.get("read"), chunk.get("write"), chunk.get("shifted", 0)
+        for side, words in (("read", read), ("write", write)):
+            if not (isinstance(words, (list, tuple)) and all(type(w) is str for w in words)):
+                raise ValueError(f"record {rid}: chunk {c} {side} is not a list of strings")
+        if type(shifted) is not int:
+            raise ValueError(f"record {rid}: chunk {c} shifted {shifted!r} is not an integer")
+        src += read
+        tgt += write
+        counts.append((len(read), len(write), shifted))
+    pair = SentencePair(tuple(src), tuple(tgt), rid)
+    return Trajectory(tuple(Chunk(*n) for n in counts), pair, provenance)

@@ -13,6 +13,7 @@ import pytest
 
 from simultraj import cli
 from simultraj.cli import build_parser, main
+from simultraj.simulator import decode_line
 from conftest import write_sim_case, write_toy_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -610,10 +611,18 @@ def _chunks(*chunks):
          "record id None is not an integer"),
         ({"id": 0, "provenance": "raw", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]},
          "record 0: unknown provenance 'raw'"),
+        (_chunks({"write": ["x"], "shifted": 0}), "record 0: chunk 0 read is not a list of strings"),
+        # Every chunk is checked before any word's text: chunk 1's fault is named first.
+        (_chunks({"read": ["b c"], "write": ["x"], "shifted": 0}, 5), "record 0: chunk 1 is not an object"),
+        (_chunks({"read": [1], "write": ["x"], "shifted": 0}, 5), "record 0: chunk 0 read is not a list of strings"),
+        # A chunk with no shifted key is accepted (shifted 0): chunk 1's fault is named.
+        (_chunks({"read": ["a"], "write": ["x"]}, {"read": ["b"], "write": ["y", 3], "shifted": 0}),
+         "record 0: chunk 1 write is not a list of strings"),
     ],
     ids=["list", "string", "chunks-int", "chunk-int", "read-int", "write-string", "shifted-string",
          "shifted-bool", "write-int-chunk-1", "word-with-space", "word-empty", "id-string", "no-id",
-         "unknown-provenance"],
+         "unknown-provenance", "no-read", "word-with-space-then-chunk-int", "read-int-then-chunk-int",
+         "no-shifted-then-write-int"],
 )
 def test_malformed_record_rejected_and_run_goes_on(tmp_path, capsys, bad, reason):
     src = tmp_path / "in.jsonl"
@@ -762,6 +771,49 @@ def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, line, e
     assert "Traceback" not in err
 
 
+# The lines of test_eval_reads_each_event_line_as_json_loads_does, each built
+# around one good JSON line.
+LINE_SHAPES = {
+    "cut-short": lambda good: good[:-3] + "\n",
+    "extra-data": lambda good: good + " x\n",
+    "form-feed": lambda good: good + "\x0c\n",
+    "byte-order-mark": lambda good: "\ufeff" + good + "\n",
+    "json-whitespace": lambda good: "\t " + good + " \r\n",
+    "no-newline": lambda good: good,
+}
+RECORD_LINE = json.dumps({**GOOD_META, "id": 8})
+
+
+@pytest.mark.parametrize("shape", LINE_SHAPES)
+def test_record_readers_read_each_line_as_json_loads_does(tmp_path, capsys, shape):
+    line = LINE_SHAPES[shape](RECORD_LINE)
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(GOOD_META) + "\n" + line, encoding="utf-8", newline="")
+    try:
+        json.loads(line.replace("\r\n", "\n"))  # the readers read with universal newlines
+    except ValueError as exc:
+        error = str(exc)
+    else:
+        error = None
+    for command in ("augment", "format"):
+        out = tmp_path / f"{command}.jsonl"
+        code = main([command, "--in", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        ids = [json.loads(x)["id"] for x in out.read_text(encoding="utf-8").splitlines()]
+        if error is None:
+            assert (code, ids) == (0, [7, 8])
+        else:
+            assert (code, ids) == (1, [7])
+            assert err.endswith(f"\nrecord rejected: {error}\n")
+        assert "Traceback" not in err
+    code = main(["stats", "--in", str(src)])
+    err = capsys.readouterr().err
+    assert code == (0 if error is None else 2)
+    assert "Traceback" not in err
+    if error is not None:
+        assert err.endswith(f"\nerror: {error}\n")
+
+
 def test_eval_names_the_run_whose_reads_go_backwards(tmp_path, capsys):
     first = {**GOOD_EVENT, "id": 3, "cumulative_source_read": 2}
     second = {**GOOD_EVENT, "id": 3, "round": 1, "cumulative_source_read": 1}
@@ -775,6 +827,30 @@ def test_eval_names_the_run_whose_reads_go_backwards(tmp_path, capsys):
 
 
 DEEP = "[" * 100_000  # deeper than any JSON decoder recursion limit
+
+
+def _decoded(decode, line):
+    try:
+        return repr(decode(line))  # repr: NaN equals itself
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+DECODE_CASES = {
+    **{f"{shape}-{kind}": LINE_SHAPES[shape](good)
+       for shape in LINE_SHAPES for kind, good in (("event", GOOD_LINE), ("record", RECORD_LINE))},
+    "nan": "NaN\n",
+    "infinities": '{"a": [NaN, -Infinity]}\n',
+    "two-newlines": "[1, 2]\n\n",
+    "newline-only": "\n",
+    "empty": "",
+    "deeply-nested": DEEP + "\n",
+}
+
+
+@pytest.mark.parametrize("line", DECODE_CASES.values(), ids=DECODE_CASES.keys())
+def test_decode_line_is_json_loads(line):
+    assert _decoded(decode_line, line) == _decoded(json.loads, line)
 
 
 @pytest.mark.parametrize("command", ["augment", "format"])

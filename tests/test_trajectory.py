@@ -1,18 +1,24 @@
 import json
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import (
     brute_min_read_counts,
     make_pair,
     meta_of,
     random_case,
     read_counts_before_write,
+    ref_from_record,
     write_read_counts,
 )
 from simultraj.alignment import AlignmentSet, sufficient_sets
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.trajectory import (
     META,
+    PROVENANCES,
     Chunk,
     Trajectory,
     build_meta,
@@ -131,6 +137,90 @@ def test_jsonl_file_round_trip(tmp_path, capsys):
     assert [from_record(json.loads(line)) for line in lines] == trajs
     assert main(["stats", "--in", str(path)]) == 0
     assert capsys.readouterr().out == corpus_stats_table(corpus_stats(trajs)) + "\n"
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# Values that break one part of a record: a container of the wrong type, a
+# word that is not a string, is empty or holds whitespace (as str.split sees
+# it), and a shifted count that is not an int (bool, float) or is one but huge.
+NOT_CONTAINERS = ("ab", 3, None, {})
+BAD_WORDS = (1, None, ["a"], "", "a b", " a", "a\t", "\u3000", "a\x1cb")
+SHIFTED = (True, False, 1.0, 0.0, 10**30, -1)
+# One fault in one chunk: (kind, key, value).
+CHUNK_FAULTS = (
+    *(("missing", key, None) for key in ("read", "write", "shifted")),
+    *(("chunk", None, value) for value in (*NOT_CONTAINERS, _Dict)),
+    *(("side", key, value) for key in ("read", "write") for value in (*NOT_CONTAINERS, _List, tuple)),
+    *(("word", key, word) for key in ("read", "write") for word in BAD_WORDS),
+    *(("shifted", "shifted", value) for value in SHIFTED),
+)
+
+
+def _break_chunk(chunks: list, c: int, fault: tuple, k: int) -> None:
+    """Apply one fault to chunk c; a word fault replaces word k (mod its length)."""
+    kind, key, value = fault
+    if kind == "missing":
+        del chunks[c][key]
+    elif kind == "chunk":
+        chunks[c] = value(chunks[c]) if value is _Dict else value
+    elif kind == "word":
+        chunks[c][key][k % len(chunks[c][key])] = value
+    else:
+        chunks[c][key] = value(chunks[c][key]) if value in (_List, tuple) else value
+
+
+def assert_same_as_reference(record: object) -> None:
+    """from_record returns what ref_from_record returns, or raises the same error."""
+    try:
+        expected = ref_from_record(record)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            from_record(record)
+        assert str(got.value) == str(exc)
+    else:
+        assert repr(from_record(record)) == repr(expected)  # the types too
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=4),
+    st.integers(-5, 5),
+    st.sampled_from(PROVENANCES),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(CHUNK_FAULTS), st.sampled_from(CHUNK_FAULTS)), max_size=4),
+)
+def test_from_record_matches_reference_on_broken_records(counts, pair_id, provenance, c, doubles):
+    pair = make_pair(sum(n[0] for n in counts), sum(n[1] for n in counts), pair_id)
+    traj = Trajectory(tuple(Chunk(r, w, min(s, w)) for r, w, s in counts), pair, provenance)
+    text = json.dumps(to_record(traj))  # loaded anew for each fault: lists, as a JSONL reader gets them
+    assert from_record(json.loads(text)) == traj
+    n = len(counts)
+    for fault in CHUNK_FAULTS:  # each fault alone, in chunk c
+        record = json.loads(text)
+        _break_chunk(record["chunks"], c % n, fault, c)
+        assert_same_as_reference(record)
+    for offset, first, second in doubles:  # two faults in different chunks
+        if n > 1:
+            record = json.loads(text)
+            _break_chunk(record["chunks"], c % n, first, c)
+            _break_chunk(record["chunks"], (c + 1 + offset % (n - 1)) % n, second, offset)
+            assert_same_as_reference(record)
+    for swap in (*NOT_CONTAINERS, _List, tuple, "empty", _Dict):
+        record = json.loads(text)
+        if swap is _Dict:
+            record = _Dict(record)
+        elif swap == "empty":
+            record["chunks"] = []
+        else:
+            record["chunks"] = swap(record["chunks"]) if swap in (_List, tuple) else swap
+        assert_same_as_reference(record)
 
 
 def test_record_words_materialized():
