@@ -5,6 +5,14 @@ Files are processed line-by-line in input order; optional process parallelism
 the CLI seed and the record id. Every subcommand prints its resolved
 configuration to stderr for provenance. Exit status: 0 all records clean,
 1 some records rejected (reasons on stderr), 2 hard error.
+
+`main` returns the exit status and never ends the process, so tests, the
+benchmark and library callers can run it in-process. `process_main`, behind
+`python -m simultraj.cli` and the `simultraj` script, runs it as the whole
+process: it flushes stdout and stderr, then ends with os._exit, skipping the
+interpreter's teardown. A failed flush is exit 2. Tools that report at
+interpreter exit (cProfile, coverage) see no end of such a process; profile
+through `main` in-process instead.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import os
 import sys
 from functools import partial
 from itertools import chain, repeat, zip_longest
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TextIO
 
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
 from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
@@ -505,5 +513,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def process_main() -> NoReturn:
+    """main() on sys.argv as the whole process: flush stdout and stderr, then os._exit.
+
+    main has closed its output files and _pmap has waited for its workers, so
+    the interpreter's teardown would only free memory that the OS frees anyway.
+    An exception from main, argparse's SystemExit included, exits the usual way.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None: the process started with that descriptor closed
+                stream.flush()
+        except OSError as exc:  # the output is lost
+            code = 2
+            try:
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+            except OSError:  # stderr is what failed
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

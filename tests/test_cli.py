@@ -1039,17 +1039,21 @@ def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypat
     # Small reads, so that both model files span many of them.
     monkeypatch.setattr(cli, "MODEL_BLOCK", 8192)
     peaks = []
-    for sessions in (250, 1000):
+    for sessions in (250, 2500):
         work = tmp_path / str(sessions)
         work.mkdir()
         src, model, _ = write_sim_case(work, sessions)
+        # Parsed before tracing: building the parser peaks ~60 kB above the
+        # ~95 kB a run holds, which would hide a leak of ~50 B per session.
+        args = build_parser().parse_args(["simulate", "--src", str(src), "--model", str(model),
+                                          "--chunk", "3", "--beam", "5", "--out", str(work / "e.jsonl")])
         # Free what earlier tests left in cycles, so that the peak is this run's,
         # then refill the free lists that the collection emptied.
         gc.collect()
         refill_free_lists()
         tracemalloc.start()
         try:
-            assert simulate(src, model, work / "e.jsonl") == 0
+            assert args.func(args) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -1,0 +1,204 @@
+"""The CLI run as a process: the `__main__` block of simultraj.cli, which ends
+the process with os._exit once stdout and stderr are flushed.
+
+Every process here runs under `python -I -B`: -I drops PYTHONPATH (src/ is put
+on sys.path by hand) and PYTHONUNBUFFERED, so stdout is block-buffered and is
+written only by the final flush.
+"""
+
+import ast
+import errno
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from simultraj import cli
+from simultraj.cli import main
+from conftest import write_sim_case, write_toy_corpus
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# Runs simultraj.cli's __main__ block as `python -m` does, on the arguments
+# after src/, from a `python -I -B` process.
+MAIN_BLOCK = (
+    "import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "runpy.run_module('simultraj.cli', run_name='__main__')"
+)
+
+# Runs each argv of a JSON list through the __main__ block in a process forked
+# from this one, with stdout and stderr sent to the files <i>.out and <i>.err,
+# then prints the exit codes. The modules simultraj.cli imports are loaded once,
+# before the first fork, so the matrix pays one interpreter start, not one per run.
+FORKED_RUNS = """
+import json, os, runpy, sys
+sys.path.insert(0, sys.argv[1])
+import simultraj.cli
+del sys.modules["simultraj.cli"]  # runpy runs it afresh, as -m does
+codes = []
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    pid = os.fork()
+    if pid == 0:
+        for fd, name in ((1, f"{i}.out"), (2, f"{i}.err")):
+            os.dup2(os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+        sys.argv = ["simultraj", *argv]
+        runpy.run_module("simultraj.cli", run_name="__main__")
+        os._exit(99)  # the __main__ block returned
+    codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+print(json.dumps(codes))
+"""
+
+CURATE = ["curate", "--src", "src.txt", "--tgt", "tgt.txt", "--out", "curated.jsonl", "--align"]
+SIMULATE = ["simulate", "--model", "model.json", "--chunk", "3", "--out", "sim.jsonl", "--src"]
+# id: (exit code, argv), run from the directory the `inputs` fixture fills.
+PROCESS_CASES = {
+    "curate-clean": (0, CURATE + ["align.txt"]),
+    "curate-rejected": (1, CURATE + ["bad_align.txt"]),
+    "curate-hard": (2, CURATE + ["short_align.txt"]),
+    "augment-clean": (0, ["augment", "--in", "meta.jsonl", "--out", "aug.jsonl"]),
+    "augment-rejected": (1, ["augment", "--in", "bad_meta.jsonl", "--out", "aug.jsonl"]),
+    "augment-hard": (2, ["augment", "--in", "meta.jsonl", "--out", "meta.jsonl"]),
+    "format-clean": (0, ["format", "--in", "meta.jsonl", "--out", "sft.jsonl"]),
+    "format-rejected": (1, ["format", "--in", "bad_meta.jsonl", "--out", "sft.jsonl"]),
+    "format-hard": (2, ["format", "--in", "meta.jsonl", "--template", "gpt9", "--out", "sft.jsonl"]),
+    "stats-clean": (0, ["stats", "--in", "meta.jsonl"]),
+    "stats-hard": (2, ["stats", "--in", "bad_meta.jsonl"]),
+    "simulate-clean": (0, SIMULATE + ["sim_src.txt"]),
+    "simulate-rejected": (1, SIMULATE + ["blank_src.txt"]),
+    "simulate-hard": (2, SIMULATE + ["sim_src.txt", "--model", "bad_model.json"]),
+    "eval-clean": (0, ["eval", "--events", "events.jsonl"]),
+    "eval-hard": (2, ["eval", "--events", "missing.jsonl"]),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory of tiny inputs for every case."""
+    work = tmp_path_factory.mktemp("process")
+    write_toy_corpus(work, n_pairs=3)
+    lines = (work / "align.txt").read_text(encoding="utf-8").splitlines()
+    (work / "bad_align.txt").write_text("\n".join(lines[:2] + ["0-99"]) + "\n", encoding="utf-8")
+    (work / "short_align.txt").write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
+    meta = work / "meta.jsonl"
+    assert main(["curate", "--src", str(work / "src.txt"), "--tgt", str(work / "tgt.txt"),
+                 "--align", str(work / "align.txt"), "--out", str(meta)]) == 0
+    (work / "bad_meta.jsonl").write_text(meta.read_text(encoding="utf-8") + "[1, 2]\n", encoding="utf-8")
+    sim_src, model, scripts = write_sim_case(work, 2)
+    (work / "blank_src.txt").write_text("\n" + sim_src.read_text(encoding="utf-8"), encoding="utf-8")
+    (work / "bad_model.json").write_text(json.dumps([scripts[0], {"beams": []}]), encoding="utf-8")
+    assert main(["simulate", "--src", str(sim_src), "--model", str(model), "--chunk", "3",
+                 "--out", str(work / "events.jsonl")]) == 0
+    return work
+
+
+@pytest.fixture(scope="module")
+def process_runs(inputs):
+    """Each case's (exit code, stdout, stderr) from its own process."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the cases run in forked processes")
+    argvs = [argv for _, argv in PROCESS_CASES.values()]
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", FORKED_RUNS, str(SRC), json.dumps(argvs)],
+                            cwd=inputs, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0 and not result.stderr, result.stderr
+    return {
+        case: (code, *((inputs / f"{i}.{name}").read_text(encoding="utf-8") for name in ("out", "err")))
+        for i, (case, code) in enumerate(zip(PROCESS_CASES, json.loads(result.stdout)))
+    }
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_process_exit_code_and_output_match_main(inputs, process_runs, case, capsys, monkeypatch):
+    expected, argv = PROCESS_CASES[case]
+    code, out, err = process_runs[case]
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+    monkeypatch.chdir(inputs)
+    capsys.readouterr()
+    assert main(argv) == expected
+    # eval and stats print their report; every stage prints its config and reasons.
+    assert (out, err) == capsys.readouterr()
+
+
+def test_main_in_process_never_ends_the_process(tmp_path, monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) called from main")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    write_toy_corpus(tmp_path, n_pairs=3)
+    out = tmp_path / "meta.jsonl"
+    argv = ["curate", "--src", str(tmp_path / "src.txt"), "--tgt", str(tmp_path / "tgt.txt"), "--out", str(out)]
+    assert main(argv + ["--align", str(tmp_path / "align.txt")]) == 0
+    out.write_text("[1, 2]\n", encoding="utf-8")
+    assert main(["format", "--in", str(out), "--out", str(tmp_path / "sft.jsonl")]) == 1
+    assert main(["stats", "--in", str(tmp_path / "missing.jsonl")]) == 2
+
+
+class Exited(Exception):
+    pass
+
+
+def test_process_started_without_stdout_exits_clean(inputs, monkeypatch):
+    def exit_(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.chdir(inputs)
+    monkeypatch.setattr(sys, "argv", ["simultraj", *PROCESS_CASES["stats-clean"][1]])
+    monkeypatch.setattr(sys, "stdout", None)  # as when descriptor 1 is closed at start
+    with pytest.raises(Exited) as exited:
+        cli.process_main()
+    assert exited.value.args == (0,)
+
+
+def test_console_script_runs_the_main_block_function():
+    tomllib = pytest.importorskip("tomllib")
+    tree = ast.parse((SRC / "simultraj" / "cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [statement] = block.body
+    call = statement.value
+    assert isinstance(call, ast.Call) and not call.args, ast.unparse(statement)
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"simultraj": f"simultraj.cli:{call.func.id}"}
+
+
+def spawn_main_block(argv, stdout, cwd=None):
+    return subprocess.Popen([sys.executable, "-I", "-B", "-c", MAIN_BLOCK, str(SRC), *argv],
+                            cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+# Where stdout goes, and the errno of the final flush there.
+BROKEN_STDOUT = {"closed-pipe": errno.EPIPE, "/dev/full": errno.ENOSPC}
+
+
+def test_failed_final_flush_is_a_hard_error(inputs):
+    """The report of eval and stats is lost at the final flush: exit 2 with one
+    error line. The processes run at once; `simulate -h` still exits 0."""
+    procs = {}
+    for sink in BROKEN_STDOUT:
+        if sink == "/dev/full" and not os.path.exists(sink):
+            continue
+        for command in ("eval", "stats"):
+            argv = PROCESS_CASES[f"{command}-clean"][1]
+            if sink == "closed-pipe":
+                proc = spawn_main_block(argv, subprocess.PIPE, inputs)
+                proc.stdout.close()  # before the process writes its report
+            else:
+                with open(sink, "wb") as stdout:
+                    proc = spawn_main_block(argv, stdout, inputs)
+            procs[command, sink] = proc
+    usage = spawn_main_block(["simulate", "-h"], subprocess.PIPE)
+    for (command, sink), proc in procs.items():
+        err = proc.communicate(timeout=60)[1]
+        config, *rest = err.splitlines()
+        code = BROKEN_STDOUT[sink]
+        assert config.startswith(f"{command} resolved config: "), (sink, err)
+        assert (proc.returncode, rest) == (2, [f"error: [Errno {code}] {os.strerror(code)}"]), (sink, err)
+    out, err = usage.communicate(timeout=60)
+    assert (usage.returncode, err) == (0, "")
+    assert out.startswith("usage: simultraj simulate")
