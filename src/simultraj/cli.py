@@ -4,25 +4,23 @@ Files are processed line-by-line in input order; optional process parallelism
 (--workers) never changes output bytes because all randomness is derived from
 the CLI seed and the record id. Every subcommand prints its resolved
 configuration to stderr for provenance. Exit status: 0 all records clean,
-1 some records rejected (reasons on stderr), 2 hard error.
-
-`main` returns the exit status and never ends the process, so tests, the
-benchmark and library callers can run it in-process. `process_main`, behind
-`python -m simultraj.cli` and the `simultraj` script, runs it as the whole
-process: it flushes stdout and stderr, then ends with os._exit, skipping the
-interpreter's teardown. A failed flush is exit 2. Tools that report at
-interpreter exit (cProfile, coverage) see no end of such a process; profile
-through `main` in-process instead.
+1 some records rejected (reasons on stderr), 2 hard error, an unwritable
+stdout or stderr included. `main` alone turns failures into a status, and it
+flushes stdout and stderr before it returns. It never ends the process, so
+tests, the benchmark and library callers run it in-process. `process_main`,
+behind `python -m simultraj.cli` and the `simultraj` script, ends the process
+with os._exit on main's status, skipping the interpreter's teardown. Tools that
+report at interpreter exit (cProfile, coverage) see no end of such a process;
+profile through `main` in-process instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
-from itertools import chain, repeat, zip_longest
+from itertools import chain, zip_longest
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TextIO
 
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
@@ -46,7 +44,7 @@ from simultraj.simulator import (
     dump_events_jsonl,
     encode_json,
     load_events_jsonl,
-    raw_decode_json,
+    read_scripts,
     run as simulate_run,
 )
 from simultraj.trajectory import META, build_meta, from_record, to_record, verify
@@ -298,60 +296,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- simulate
 
-# Characters read from a model file at a time. A script that runs past the text
-# read so far is parsed again after a read that at least doubles that text.
-MODEL_BLOCK = 1 << 16
-# The longest JSON token a read can cut short. A syntax error that a cut read
-# causes lies less than this many characters before the end of the text read,
-# or is an unterminated string.
-_LONGEST_TOKEN = len("-Infinity")
-_skip = json.decoder.WHITESPACE.match
-
-
-def _list_items(f: TextIO, buf: str) -> Iterator[object]:
-    """Yield the elements of the JSON list in f one at a time; buf is the text
-    read from f so far, a '[' after optional whitespace and then more.
-
-    Only the text of the element being parsed is held. An element is taken
-    once the delimiter after it has been read too: a number cut short by the
-    end of a read would still parse. A syntax error that no cut read can
-    cause is raised without reading on.
-    """
-    pos, delim = _skip(buf).end() + 1, "["  # delim: the token before the next element
-    base = 0  # characters of f before buf
-    while delim != "]":
-        try:
-            pos = _skip(buf, pos).end()
-            if delim == "[" and buf[pos] == "]":  # IndexError: only whitespace read after pos
-                pos += 1
-                break
-            obj, end = raw_decode_json(buf, pos)
-            end = _skip(buf, end).end()
-            if buf[end] not in ",]":  # may be the rest of a number cut by a read: 1|.5
-                raise json.JSONDecodeError("Expecting ',' delimiter", buf, end)
-        except (IndexError, json.JSONDecodeError) as exc:
-            cut = (
-                isinstance(exc, IndexError)
-                or exc.msg.startswith("Unterminated string")
-                or len(buf) - exc.pos < _LONGEST_TOKEN
-            )
-            more = cut and f.read(max(MODEL_BLOCK, len(buf) - pos))
-            if more:
-                base, buf, pos = base + pos, buf[pos:] + more, 0
-                continue
-            if isinstance(exc, IndexError):
-                raise ValueError("model file ends inside its script list") from None
-            raise ValueError(f"model file: {exc.msg}: char {base + exc.pos}") from None
-        yield obj
-        delim, pos = buf[end], end + 1
-    tail = buf[pos:]
-    while not tail.strip():
-        tail = f.read(MODEL_BLOCK)
-        if not tail:
-            return
-    raise ValueError("model file has data after its script list")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     strategy = SelectStrategy(args.select, args.gamma)
     _refuse_input("--out", args.out, args.src, args.model)
@@ -398,18 +342,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
 
     with open(args.src, encoding="utf-8") as src, open(args.model, encoding="utf-8") as f:
-        head = f.read(MODEL_BLOCK)
-        while head.isspace() and (more := f.read(MODEL_BLOCK)):
-            head += more
-        listed = head.lstrip()[:1] == "["
-        if listed:
-            scripts: Iterator = _list_items(f, head)
-        else:
-            # One script object serves every source line.
-            obj = json.loads(head + f.read())
-            if not isinstance(obj, dict):
-                raise ValueError("model file must hold a script object or a list of them")
-            scripts = repeat(obj)
+        listed, scripts = read_scripts(f)
         with open(args.out, "w", encoding="utf-8") as out:
             dump_events_jsonl(runs(src, scripts, listed), out)
     return 1 if blank else 0
@@ -505,33 +438,27 @@ def main(argv: list[str] | None = None) -> int:
         # serially where there is no os.fork.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         args.workers = min(args.workers, cpus or 1) if hasattr(os, "fork") else 1
-    _print_config(args)
     try:
-        return args.func(args)
+        _print_config(args)
+        code = args.func(args)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the process started with that descriptor closed
+                stream.flush()
+        return code
     except (SimulationError, ValueError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr is what failed
+            pass
         return 2
 
 
 def process_main() -> NoReturn:
-    """main() on sys.argv as the whole process: flush stdout and stderr, then os._exit.
-
-    main has closed its output files and _pmap has waited for its workers, so
-    the interpreter's teardown would only free memory that the OS frees anyway.
-    An exception from main, argparse's SystemExit included, exits the usual way.
-    """
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:  # None: the process started with that descriptor closed
-                stream.flush()
-        except OSError as exc:  # the output is lost
-            code = 2
-            try:
-                print(f"error: {exc}", file=sys.stderr, flush=True)
-            except OSError:  # stderr is what failed
-                pass
-    os._exit(code)
+    """main() on sys.argv as the whole process, ended with os._exit: main has
+    flushed its outputs and _pmap has waited for its workers, so the teardown
+    would only free memory that the OS frees anyway. argparse's SystemExit, and
+    any exception main does not turn into a status, exit the usual way."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from what each round adds, so a round costs time in its chunk and commit, not
 in the prompt length; only the active mode's prompt is rendered, for the model.
 The tests re-render every round's prompts in full
 (``tests/conftest.py::oracle_run``) and check these counts against them.
+
+``read_scripts`` reads `simulate`'s model file for ``ScriptedModel.from_obj``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -84,6 +86,75 @@ class ScriptedModel:
         out = list(self.rounds[self._cursor][:beam])
         self._cursor += 1
         return out
+
+
+# Characters read from a model file at a time. A script that runs past the text
+# read so far is parsed again after a read that at least doubles that text.
+MODEL_BLOCK = 1 << 16
+# The longest JSON token a read can cut short. A syntax error that a cut read
+# causes lies less than this many characters before the end of the text read,
+# or is an unterminated string.
+_LONGEST_TOKEN = len("-Infinity")
+_skip = json.decoder.WHITESPACE.match
+
+
+def read_scripts(f: IO[str]) -> tuple[bool, Iterator[object]]:
+    """The scripts of a model file, for `ScriptedModel.from_obj`: (True, the
+    elements of its JSON list, read one at a time) or, for a file that holds
+    one script object, (False, that object repeated without end)."""
+    head = f.read(MODEL_BLOCK)
+    while head.isspace() and (more := f.read(MODEL_BLOCK)):
+        head += more
+    if head.lstrip()[:1] == "[":
+        return True, _list_items(f, head)
+    obj = json.loads(head + f.read())
+    if not isinstance(obj, dict):
+        raise ValueError("model file must hold a script object or a list of them")
+    return False, repeat(obj)
+
+
+def _list_items(f: IO[str], buf: str) -> Iterator[object]:
+    """Yield the elements of the JSON list in f one at a time; buf is the text
+    read from f so far, a '[' after optional whitespace and then more.
+
+    Only the text of the element being parsed is held. An element is taken
+    once the delimiter after it has been read too: a number cut short by the
+    end of a read would still parse. A syntax error that no cut read can
+    cause is raised without reading on.
+    """
+    pos, delim = _skip(buf).end() + 1, "["  # delim: the token before the next element
+    base = 0  # characters of f before buf
+    while delim != "]":
+        try:
+            pos = _skip(buf, pos).end()
+            if delim == "[" and buf[pos] == "]":  # IndexError: only whitespace read after pos
+                pos += 1
+                break
+            obj, end = raw_decode_json(buf, pos)
+            end = _skip(buf, end).end()
+            if buf[end] not in ",]":  # may be the rest of a number cut by a read: 1|.5
+                raise json.JSONDecodeError("Expecting ',' delimiter", buf, end)
+        except (IndexError, json.JSONDecodeError) as exc:
+            cut = (
+                isinstance(exc, IndexError)
+                or exc.msg.startswith("Unterminated string")
+                or len(buf) - exc.pos < _LONGEST_TOKEN
+            )
+            more = cut and f.read(max(MODEL_BLOCK, len(buf) - pos))
+            if more:
+                base, buf, pos = base + pos, buf[pos:] + more, 0
+                continue
+            if isinstance(exc, IndexError):
+                raise ValueError("model file ends inside its script list") from None
+            raise ValueError(f"model file: {exc.msg}: char {base + exc.pos}") from None
+        yield obj
+        delim, pos = buf[end], end + 1
+    tail = buf[pos:]
+    while not tail.strip():
+        tail = f.read(MODEL_BLOCK)
+        if not tail:
+            return
+    raise ValueError("model file has data after its script list")
 
 
 def scripted_echo(source: Sequence[str], chunk_size: int, beam: int = 1) -> ScriptedModel:
@@ -287,8 +358,8 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
 encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False).encode
 
 # json.JSONDecoder().raw_decode, built once: the JSON value that starts at an
-# index of a string, and the index after it. The model file's scripts and
-# decode_line decode through it.
+# index of a string, and the index after it. read_scripts and decode_line
+# decode through it.
 raw_decode_json = json.JSONDecoder().raw_decode
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from simultraj import cli
+from simultraj import cli, simulator
 from simultraj.cli import build_parser, main
 from simultraj.simulator import decode_line
 from conftest import write_sim_case, write_toy_corpus
@@ -917,7 +917,7 @@ def test_simulate_streamed_model_layouts_give_compact_events(tmp_path, sim_case,
     }[layout]
     (tmp_path / "m.json").write_text(text, encoding="utf-8")
     if block:
-        monkeypatch.setattr(cli, "MODEL_BLOCK", block)
+        monkeypatch.setattr(simulator, "MODEL_BLOCK", block)
     assert simulate(src, tmp_path / "m.json", tmp_path / "e.jsonl") == 0
     assert (tmp_path / "e.jsonl").read_bytes() == events
 
@@ -969,7 +969,7 @@ def test_simulate_single_object_model_serves_every_line(tmp_path, sim_case, monk
     line = src.read_text(encoding="utf-8").splitlines()[0]
     (tmp_path / "one.txt").write_text(f"{line}\n{line}\n", encoding="utf-8")
     (tmp_path / "m.json").write_text(json.dumps(scripts[0], indent=1), encoding="utf-8")
-    monkeypatch.setattr(cli, "MODEL_BLOCK", 5)  # the object is read whole
+    monkeypatch.setattr(simulator, "MODEL_BLOCK", 5)  # the object is read whole
     assert simulate(tmp_path / "one.txt", tmp_path / "m.json", tmp_path / "e.jsonl") == 0
     first = [line for line in events.decode("utf-8").splitlines() if json.loads(line)["id"] == 0]
     second = [line.replace('{"id": 0,', '{"id": 1,', 1) for line in first]
@@ -983,7 +983,7 @@ def test_simulate_model_syntax_error_names_its_char(tmp_path, capsys, monkeypatc
     at = text.index("}, {") + 3  # the start of the second script
     model.write_text(text[:at] + "[[[x" + text[at:], encoding="utf-8")
     if block:
-        monkeypatch.setattr(cli, "MODEL_BLOCK", block)
+        monkeypatch.setattr(simulator, "MODEL_BLOCK", block)
     assert simulate(src, model, tmp_path / "e.jsonl") == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: model file: Expecting value: char {at + 3}\n")
@@ -999,7 +999,7 @@ def test_simulate_number_cut_by_a_read_is_reported_as_with_whole_reads(tmp_path,
     results = []
     for block in (None, 3):
         if block:
-            monkeypatch.setattr(cli, "MODEL_BLOCK", block)
+            monkeypatch.setattr(simulator, "MODEL_BLOCK", block)
         code = simulate(tmp_path / "src.txt", tmp_path / "m.json", tmp_path / "e.jsonl")
         results.append((code, capsys.readouterr().err.splitlines()[-1]))
     assert results[0] == results[1]
@@ -1012,9 +1012,9 @@ def test_model_syntax_error_is_raised_without_reading_on(tmp_path, monkeypatch):
     text = model.read_text(encoding="utf-8")
     at = text.index("}, {") + 3
     text = text[:at] + "[[[x" + text[at:]
-    monkeypatch.setattr(cli, "MODEL_BLOCK", 64)
+    monkeypatch.setattr(simulator, "MODEL_BLOCK", 64)
     f = io.StringIO(text)
-    items = cli._list_items(f, f.read(cli.MODEL_BLOCK))
+    items = simulator._list_items(f, f.read(simulator.MODEL_BLOCK))
     next(items)
     with pytest.raises(ValueError, match=f"^model file: Expecting value: char {at + 3}$"):
         next(items)
@@ -1037,7 +1037,7 @@ def refill_free_lists():
 
 def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypatch):
     # Small reads, so that both model files span many of them.
-    monkeypatch.setattr(cli, "MODEL_BLOCK", 8192)
+    monkeypatch.setattr(simulator, "MODEL_BLOCK", 8192)
     peaks = []
     for sessions in (250, 2500):
         work = tmp_path / str(sessions)

@@ -1,0 +1,140 @@
+"""Bounded fuzz of the whole CLI: `main` in-process on mutated inputs, for all
+six subcommands.
+
+Whatever the input, only argparse's SystemExit (a bad flag value) may leave
+`main`, the exit status is one of the documented 0/1/2, and a report that
+`eval` prints with status 0 is strict JSON.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simultraj.cli import main
+from conftest import write_sim_case, write_toy_corpus
+
+# The clean argv of each subcommand, run in the work directory, and its input files.
+COMMANDS = {
+    "curate": (["curate", "--src", "src.txt", "--tgt", "tgt.txt", "--align", "align.txt", "--out", "out.jsonl"],
+               ["src.txt", "tgt.txt", "align.txt"]),
+    "augment": (["augment", "--in", "meta.jsonl", "--out", "out.jsonl"], ["meta.jsonl"]),
+    "format": (["format", "--in", "meta.jsonl", "--out", "out.jsonl"], ["meta.jsonl"]),
+    "stats": (["stats", "--in", "meta.jsonl"], ["meta.jsonl"]),
+    "simulate": (["simulate", "--src", "sim_src.txt", "--model", "model.json", "--chunk", "3", "--out", "out.jsonl"],
+                 ["sim_src.txt", "model.json"]),
+    "eval": (["eval", "--events", "events.jsonl"], ["events.jsonl"]),
+}
+# The flags of each subcommand that take a value (--csv and --out name files).
+VALUE_FLAGS = {
+    "curate": ["--workers"],
+    "augment": ["--delta-min", "--delta-max", "--beta", "--rho-min", "--seed", "--workers"],
+    "format": ["--template", "--workers"],
+    "stats": [],
+    "simulate": ["--chunk", "--beam", "--select", "--gamma", "--prompt"],
+    "eval": ["--cost-recompute", "--cost-word", "--prompt"],
+}
+# None is a valid --workers value, so no run forks a worker; "9" * 5000 is past
+# int()'s digit limit.
+BAD_VALUES = ["0", "-1", "nan", "-inf", "1e400", "x", "", "9" * 5000]
+HUGE_INTS = [b"9" * 5000, b"1" + b"0" * 30, b"-" + b"9" * 25]
+NAN_LITERALS = [b"NaN", b"Infinity", b"-Infinity"]
+WRONG_TYPES = [b"1", b"1.5", b'"x"', b"null", b"true", b"[]", b"{}", b"[1, 2]", b'{"id": "0"}']
+DEEP = [b"[" * 3 + b"]" * 3, b"[" * 100_000 + b"]" * 100_000, b"{" * 50_000]
+# A JSON string or a number: the tokens a mutation replaces.
+TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+@pytest.fixture(scope="module")
+def clean(tmp_path_factory):
+    """The work directory and the clean bytes of every input file."""
+    work = tmp_path_factory.mktemp("fuzz")
+    write_toy_corpus(work, n_pairs=4)
+    write_sim_case(work, 3)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["curate", "--src", str(work / "src.txt"), "--tgt", str(work / "tgt.txt"),
+                     "--align", str(work / "align.txt"), "--out", str(work / "meta.jsonl")]) == 0
+        assert main(["simulate", "--src", str(work / "sim_src.txt"), "--model", str(work / "model.json"),
+                     "--chunk", "3", "--out", str(work / "events.jsonl")]) == 0
+    names = {name for _, names in COMMANDS.values() for name in names}
+    return work, {name: (work / name).read_bytes() for name in names}
+
+
+@st.composite
+def mutations(draw, data):
+    """data with one mutation at a drawn place; the place is a byte offset, and a
+    line mutation takes the line that holds it."""
+    at = draw(st.integers(0, len(data)))
+    start = data.rfind(b"\n", 0, at) + 1
+    end = data.find(b"\n", at)
+    end = len(data) if end < 0 else end
+    tokens = list(TOKEN.finditer(data))
+    token = tokens[at % len(tokens)] if tokens else None
+    kind = draw(st.sampled_from(["truncate-line", "truncate-file", "drop-line", "repeat-line", "blank-line",
+                                 "non-utf8", "deep", "wrong-type", "huge-int", "nan"]))
+    if kind == "truncate-line":
+        return data[:at] + data[end:]
+    if kind == "truncate-file":
+        return data[:at]
+    if kind == "drop-line":  # a count mismatch
+        return data[:start] + data[end + 1:]
+    if kind == "repeat-line":  # a count mismatch, or an id that reappears
+        return data[:end] + b"\n" + data[start:end] + data[end:]
+    if kind == "blank-line":
+        return data[:start] + draw(st.sampled_from([b"\n", b"  \t\n"])) + data[start:]
+    if kind == "non-utf8":
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    new = draw(st.sampled_from({"deep": DEEP, "wrong-type": WRONG_TYPES, "huge-int": HUGE_INTS,
+                                "nan": NAN_LITERALS}[kind]))
+    if token is None:
+        return data[:at] + new + data[at:]
+    return data[:token.start()] + new + data[token.end():]
+
+
+@st.composite
+def cases(draw, command, inputs):
+    """(argv, {input name: bytes}) for one run of command: one input mutated,
+    or a bad value for one of its flags."""
+    files = dict(inputs)
+    flags = VALUE_FLAGS[command]
+    if flags and draw(st.integers(0, 4)) == 0:
+        return [draw(st.sampled_from(flags)), draw(st.sampled_from(BAD_VALUES))], files
+    name = draw(st.sampled_from(sorted(files)))
+    files[name] = draw(mutations(files[name]))
+    return [], files
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} in a JSON output")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_on_mutated_inputs_exits_with_a_documented_status(clean, command, monkeypatch):
+    work, inputs = clean
+    argv, names = COMMANDS[command]
+    monkeypatch.chdir(work)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(cases(command, {name: inputs[name] for name in names}))
+    def run(case):
+        extra, files = case
+        for name, data in files.items():
+            (work / name).write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + extra)
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2 and extra, err.getvalue()
+                assert err.getvalue().startswith("usage: ")
+                return
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if command == "eval" and code == 0:
+            json.loads(out.getvalue().splitlines()[0], parse_constant=reject_constant)
+
+    run()

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -30,21 +31,25 @@ MAIN_BLOCK = (
     "runpy.run_module('simultraj.cli', run_name='__main__')"
 )
 
-# Runs each argv of a JSON list through the __main__ block in a process forked
-# from this one, with stdout and stderr sent to the files <i>.out and <i>.err,
-# then prints the exit codes. The modules simultraj.cli imports are loaded once,
-# before the first fork, so the matrix pays one interpreter start, not one per run.
+# Runs each [argv, stderr] of a JSON list through the __main__ block in a
+# process forked from this one, with stdout sent to the file <i>.out and stderr
+# to the file named (descriptor 2 is closed for null), then prints the exit
+# codes. The modules simultraj.cli imports are loaded once, before the first
+# fork, so the matrix pays one interpreter start, not one per run.
 FORKED_RUNS = """
 import json, os, runpy, sys
 sys.path.insert(0, sys.argv[1])
 import simultraj.cli
 del sys.modules["simultraj.cli"]  # runpy runs it afresh, as -m does
 codes = []
-for i, argv in enumerate(json.loads(sys.argv[2])):
+for i, (argv, err) in enumerate(json.loads(sys.argv[2])):
     pid = os.fork()
     if pid == 0:
-        for fd, name in ((1, f"{i}.out"), (2, f"{i}.err")):
-            os.dup2(os.open(name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+        os.dup2(os.open(f"{i}.out", os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 1)
+        if err is None:
+            os.close(2)
+        else:
+            os.dup2(os.open(err, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 2)
         sys.argv = ["simultraj", *argv]
         runpy.run_module("simultraj.cli", run_name="__main__")
         os._exit(99)  # the __main__ block returned
@@ -73,6 +78,10 @@ PROCESS_CASES = {
     "eval-clean": (0, ["eval", "--events", "events.jsonl"]),
     "eval-hard": (2, ["eval", "--events", "missing.jsonl"]),
 }
+COMMANDS = ("curate", "augment", "format", "stats", "simulate", "eval")
+# Where stderr goes in a boundary run, which runs a command's clean case: a
+# device that takes no byte, or no descriptor at all (None).
+STDERR_SINKS = {"stderr-full": "/dev/full", "stderr-closed": None}
 
 
 @pytest.fixture(scope="module")
@@ -97,17 +106,23 @@ def inputs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def process_runs(inputs):
-    """Each case's (exit code, stdout, stderr) from its own process."""
+    """Each case's (exit code, stdout, stderr) from its own process, and each
+    boundary run's (exit code, stdout, None) under (command, sink id)."""
     if not hasattr(os, "fork"):
         pytest.skip("the cases run in forked processes")
-    argvs = [argv for _, argv in PROCESS_CASES.values()]
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", FORKED_RUNS, str(SRC), json.dumps(argvs)],
+    cases = {case: (argv, f"{i}.err") for i, (case, (_, argv)) in enumerate(PROCESS_CASES.items())}
+    for command, sink in product(COMMANDS, STDERR_SINKS):
+        path = STDERR_SINKS[sink]
+        if path is None or os.path.exists(path):
+            cases[command, sink] = (PROCESS_CASES[f"{command}-clean"][1], path)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", FORKED_RUNS, str(SRC), json.dumps([*cases.values()])],
                             cwd=inputs, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0 and not result.stderr, result.stderr
-    return {
-        case: (code, *((inputs / f"{i}.{name}").read_text(encoding="utf-8") for name in ("out", "err")))
-        for i, (case, code) in enumerate(zip(PROCESS_CASES, json.loads(result.stdout)))
-    }
+    runs = {}
+    for i, (case, code) in enumerate(zip(cases, json.loads(result.stdout))):
+        err = (inputs / cases[case][1]).read_text(encoding="utf-8") if case in PROCESS_CASES else None
+        runs[case] = (code, (inputs / f"{i}.out").read_text(encoding="utf-8"), err)
+    return runs
 
 
 @pytest.mark.parametrize("case", PROCESS_CASES)
@@ -122,6 +137,17 @@ def test_process_exit_code_and_output_match_main(inputs, process_runs, case, cap
     assert main(argv) == expected
     # eval and stats print their report; every stage prints its config and reasons.
     assert (out, err) == capsys.readouterr()
+
+
+@pytest.mark.parametrize("sink", STDERR_SINKS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unwritable_stderr_is_a_hard_error(process_runs, command, sink):
+    """The resolved config cannot be printed, nor then the error: exit 2 with
+    nothing on stdout, as for any other hard error."""
+    if (command, sink) not in process_runs:
+        pytest.skip(f"no {STDERR_SINKS[sink]}")
+    code, out, _ = process_runs[command, sink]
+    assert (code, out) == (2, "")
 
 
 def test_main_in_process_never_ends_the_process(tmp_path, monkeypatch):
