@@ -11,8 +11,8 @@ Inputs: ``scripts/make_toy_corpus.py --pairs N --seed S``, and for simulate and
 eval the first 5,000 of its source lines with a scripted beam model from
 ``bench/inputs.write_sim_inputs`` (chunk 3, beam 5, disagreement 0.25, seed S).
 simulate also reads the same scripts pretty-printed (``indent=1``), which must
-give the bytes of the compact file, and the first script as a single-object
-model for a file of just the first source line.
+give the bytes of the compact file, and a one-script list for a file of just
+the first source line.
 
 Usage:
   python scripts/output_digests.py --pairs 50000 --seed 42
@@ -85,7 +85,7 @@ def main() -> None:
             work / name for name in ("model_indent.json", "sim_src_one.txt", "model_one.json"))
         sim["model_indent"].write_text(json.dumps(scripts, ensure_ascii=False, indent=1), encoding="utf-8")
         sim["sim_src_one"].write_text(lines[0] + "\n", encoding="utf-8")
-        sim["model_one"].write_text(json.dumps(scripts[0], ensure_ascii=False), encoding="utf-8")
+        sim["model_one"].write_text(json.dumps([scripts[0]], ensure_ascii=False), encoding="utf-8")
         del scripts
         for argv, outputs in runs(work, corpus, sim, args.seed):
             stdout = next((work / o for o in outputs if o.endswith(".stdout")), None)

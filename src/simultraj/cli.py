@@ -2,16 +2,20 @@
 
 Files are processed line-by-line in input order; optional process parallelism
 (--workers) never changes output bytes because all randomness is derived from
-the CLI seed and the record id. Every subcommand prints its resolved
-configuration to stderr for provenance. Exit status: 0 all records clean,
-1 some records rejected (reasons on stderr), 2 hard error, an unwritable
-stdout or stderr included. `main` alone turns failures into a status, and it
-flushes stdout and stderr before it returns. It never ends the process, so
-tests, the benchmark and library callers run it in-process. `process_main`,
-behind `python -m simultraj.cli` and the `simultraj` script, ends the process
-with os._exit on main's status, skipping the interpreter's teardown. Tools that
-report at interpreter exit (cProfile, coverage) see no end of such a process;
-profile through `main` in-process instead.
+the CLI seed and the record id. JSONL inputs are read as bytes and each line is
+decoded on its own, so a line that is not UTF-8 is one rejected record. Every
+subcommand prints its resolved configuration to stderr for provenance; that
+line, the rejection reasons and the error line all go through `_note`, which
+never lets them reach stdout. Exit status: 0 all records clean, 1 some records
+rejected (reasons on stderr), 2 hard error, an unwritable stdout or stderr
+included. `main` alone turns failures into a status, and it flushes stdout and
+stderr before it returns. It never ends the process, so tests, the benchmark
+and library callers run it in-process. `process_main`, behind `python -m
+simultraj.cli` and the `simultraj` script, ends the process with os._exit on
+main's status, skipping the interpreter's teardown; it also flushes argparse's
+own output (-h, a usage error), so that output failing is exit 2 as well.
+Tools that report at interpreter exit (cProfile, coverage) see no end of such
+a process; profile through `main` in-process instead.
 """
 
 from __future__ import annotations
@@ -64,9 +68,23 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
+def _note(line: str) -> None:
+    """Print one diagnostic line to stderr; every diagnostic goes through here.
+    A process started with descriptor 2 closed has sys.stderr None, and print
+    would write the line to stdout: it is dropped instead."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr, flush=True)
+
+
+def _flush_outputs() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None: the process started with that descriptor closed
+            stream.flush()
+
+
 def _print_config(args: argparse.Namespace) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print(f"{args.command} resolved config: {encode_json(resolved)}", file=sys.stderr)
+    _note(f"{args.command} resolved config: {encode_json(resolved)}")
 
 
 # Items per batch sent to a --workers worker: one pipe round trip per batch. On
@@ -121,8 +139,7 @@ def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
     items = iter(items)
     pids: list[int] = []
     pipes: list[tuple[BinaryIO, BinaryIO]] = []  # the parent's ends: to and from each worker
-    sys.stdout.flush()  # a worker that prints must not repeat what the parent buffered
-    sys.stderr.flush()
+    _flush_outputs()  # a worker that prints must not repeat what the parent buffered
     try:
         for _ in range(workers):
             task_r, task_w = os.pipe()
@@ -191,7 +208,7 @@ def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable, *inp
                 out.write(payload + "\n")
             else:
                 failures += 1
-                print(payload, file=sys.stderr)
+                _note(payload)
     return 1 if failures else 0
 
 
@@ -233,7 +250,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- augment
 
-def _augment_record(line: str, cfg: AugmentConfig, debug: bool) -> tuple[str, str]:
+def _augment_record(line: bytes, cfg: AugmentConfig, debug: bool) -> tuple[str, str]:
     try:
         traj = from_record(decode_line(line))
         if traj.provenance != META:
@@ -247,8 +264,10 @@ def _augment_record(line: str, cfg: AugmentConfig, debug: bool) -> tuple[str, st
         return ("err", f"record rejected: {exc}")
 
 
-def _iter_lines(path: str) -> Iterator[str]:
-    with open(path, encoding="utf-8") as f:
+def _iter_lines(path: str) -> Iterator[bytes]:
+    """The lines of a JSONL file that hold more than ASCII whitespace, as bytes:
+    decode_line decodes each one, so a line that is not UTF-8 is one bad record."""
+    with open(path, "rb") as f:
         for line in f:
             if not line.isspace():
                 yield line
@@ -268,7 +287,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- format
 
-def _format_record(line: str, system_msg: str, template: str) -> tuple[str, str]:
+def _format_record(line: bytes, system_msg: str, template: str) -> tuple[str, str]:
     try:
         traj = from_record(decode_line(line))
         problems = verify(traj)
@@ -301,7 +320,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _refuse_input("--out", args.out, args.src, args.model)
     blank = 0
 
-    def runs(src: TextIO, scripts: Iterator, listed: bool) -> Iterator[SimRun]:
+    def runs(src: TextIO, scripts: Iterator) -> Iterator[SimRun]:
         # Session ids are 0-based source line numbers. Each session is written
         # as soon as it ends, then dropped; one script is held at a time.
         nonlocal blank
@@ -310,7 +329,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             source = line.split()
             if not source:
                 blank += 1
-                print(f"session {idx} rejected: blank source line", file=sys.stderr)
+                _note(f"session {idx} rejected: blank source line")
                 continue
             try:
                 script = next(scripts)
@@ -337,14 +356,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             except SimulationError as exc:
                 raise SimulationError(f"session {idx}: {exc}") from None
-        extra = sum(1 for _ in scripts) if listed else 0
-        if extra:
+        if extra := sum(1 for _ in scripts):
             raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
 
     with open(args.src, encoding="utf-8") as src, open(args.model, encoding="utf-8") as f:
-        listed, scripts = read_scripts(f)
+        scripts = read_scripts(f)
         with open(args.out, "w", encoding="utf-8") as out:
-            dump_events_jsonl(runs(src, scripts, listed), out)
+            dump_events_jsonl(runs(src, scripts), out)
     return 1 if blank else 0
 
 
@@ -441,24 +459,37 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _print_config(args)
         code = args.func(args)
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None: the process started with that descriptor closed
-                stream.flush()
+        _flush_outputs()
         return code
     except (SimulationError, ValueError, OSError, RecursionError) as exc:
-        try:
-            print(f"error: {exc}", file=sys.stderr, flush=True)
-        except OSError:  # stderr is what failed
-            pass
-        return 2
+        return _failed(exc)
+
+
+def _failed(exc: BaseException) -> int:
+    """Exit status 2, once the error line is printed where stderr still takes it."""
+    try:
+        _note(f"error: {exc}")
+    except OSError:  # stderr is what failed
+        pass
+    return 2
 
 
 def process_main() -> NoReturn:
     """main() on sys.argv as the whole process, ended with os._exit: main has
     flushed its outputs and _pmap has waited for its workers, so the teardown
-    would only free memory that the OS frees anyway. argparse's SystemExit, and
-    any exception main does not turn into a status, exit the usual way."""
-    os._exit(main())
+    would only free memory that the OS frees anyway. argparse's SystemExit (-h,
+    a usage error) leaves main with argparse's text still buffered: it is
+    flushed here, and a failed flush is exit 2 too. Any exception main does not
+    turn into a status exits the usual way."""
+    try:
+        code = main()
+    except SystemExit:
+        try:
+            _flush_outputs()
+        except OSError as exc:
+            os._exit(_failed(exc))
+        raise
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ in the prompt length; only the active mode's prompt is rendered, for the model.
 The tests re-render every round's prompts in full
 (``tests/conftest.py::oracle_run``) and check these counts against them.
 
-``read_scripts`` reads `simulate`'s model file for ``ScriptedModel.from_obj``.
+``read_scripts`` reads `simulate`'s model file, a JSON list of scripts, one
+script at a time for ``ScriptedModel.from_obj``. ``decode_line`` decodes one
+line of a JSONL file, read as bytes, for every JSONL reader.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from functools import partial
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -98,19 +100,14 @@ _LONGEST_TOKEN = len("-Infinity")
 _skip = json.decoder.WHITESPACE.match
 
 
-def read_scripts(f: IO[str]) -> tuple[bool, Iterator[object]]:
-    """The scripts of a model file, for `ScriptedModel.from_obj`: (True, the
-    elements of its JSON list, read one at a time) or, for a file that holds
-    one script object, (False, that object repeated without end)."""
+def read_scripts(f: IO[str]) -> Iterator[object]:
+    """The scripts of a model file, the elements of its JSON list, read one at a time."""
     head = f.read(MODEL_BLOCK)
     while head.isspace() and (more := f.read(MODEL_BLOCK)):
         head += more
-    if head.lstrip()[:1] == "[":
-        return True, _list_items(f, head)
-    obj = json.loads(head + f.read())
-    if not isinstance(obj, dict):
-        raise ValueError("model file must hold a script object or a list of them")
-    return False, repeat(obj)
+    if head.lstrip(" \t\n\r")[:1] != "[":  # JSON's whitespace, then the list
+        raise ValueError("model file must hold a JSON list of scripts")
+    return _list_items(f, head)
 
 
 def _list_items(f: IO[str], buf: str) -> Iterator[object]:
@@ -363,15 +360,17 @@ encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_n
 raw_decode_json = json.JSONDecoder().raw_decode
 
 
-def decode_line(line: str) -> object:
-    """json.loads(line): its value or its error. Every JSONL reader decodes
-    through this. A line that is one JSON value and then a newline, as this
-    package writes them, skips json.loads's whitespace scans."""
+def decode_line(line: bytes) -> object:
+    """json.loads(line.decode("utf-8")): its value or its error, a
+    UnicodeDecodeError included. Every JSONL reader decodes through this. A
+    line that is one JSON value and then a newline, as this package writes
+    them, skips json.loads's whitespace scans."""
+    text = line.decode("utf-8")
     try:
-        value, end = raw_decode_json(line)
+        value, end = raw_decode_json(text)
     except json.JSONDecodeError:
-        return json.loads(line)
-    return value if line[end:] == "\n" else json.loads(line)
+        return json.loads(text)
+    return value if text[end:] == "\n" else json.loads(text)
 
 
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
@@ -391,7 +390,7 @@ _EVENT_INT_FIELDS = {
 }
 
 
-def _checked_event(line: str, lineno: int) -> dict:
+def _checked_event(line: bytes, lineno: int) -> dict:
     """Parse one event line; raise ValueError naming the line and the first field
     that `eval` reads and finds missing, of the wrong type or out of range: those
     of `_EVENT_INT_FIELDS` in order, then committed_words. Other keys may be anything."""
@@ -399,6 +398,8 @@ def _checked_event(line: str, lineno: int) -> dict:
         record = decode_line(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"event line {lineno}: {exc.msg}: char {exc.pos}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"event line {lineno}: {exc}") from None
     if type(record) is not dict:
         raise ValueError(f"event line {lineno}: not an object")
     for key, least in _EVENT_INT_FIELDS.items():
@@ -422,7 +423,7 @@ def load_events_jsonl(path: str) -> Iterator[list[dict]]:
     missing, of the wrong type or out of range, raises ValueError.
     """
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         records = (_checked_event(line, n) for n, line in enumerate(f, 1) if not line.isspace())
         for rid, events in groupby(records, key=itemgetter("id")):
             if rid in seen:

@@ -125,11 +125,13 @@ def test_curate_debug_keeps_indices(tmp_path):
 
 def test_simulate_rejects_malformed_model_file(tmp_path, capsys):
     (tmp_path / "src.txt").write_text("a b\n", encoding="utf-8")
-    (tmp_path / "model.json").write_text('{"beams": []}', encoding="utf-8")
-    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
-                 str(tmp_path / "model.json"), "--chunk", "2",
-                 "--out", str(tmp_path / "e.jsonl")]) == 2
-    assert "rounds" in capsys.readouterr().err
+    for model, message in (('{"beams": []}', "error: model file must hold a JSON list of scripts"),
+                           ('[{"beams": []}]', "rounds")):
+        (tmp_path / "model.json").write_text(model, encoding="utf-8")
+        assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
+                     str(tmp_path / "model.json"), "--chunk", "2",
+                     "--out", str(tmp_path / "e.jsonl")]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_simulate_script_too_short_is_hard_error_naming_session(tmp_path, capsys):
@@ -204,7 +206,7 @@ def write_sim_inputs(tmp_path):
     (tmp_path / "sim_src.txt").write_text("w1 w2 w3 w4\n", encoding="utf-8")
     script = {"rounds": [[["A", "B"], ["A", "B"], ["A", "C"]],
                          [["D", "E"], ["D", "E"], ["D", "E"]]]}
-    (tmp_path / "model.json").write_text(json.dumps(script), encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps([script]), encoding="utf-8")
     return tmp_path / "sim_src.txt", tmp_path / "model.json"
 
 
@@ -312,7 +314,7 @@ def test_simulate_then_eval(tmp_path, capsys):
 def test_eval_one_word_session_lags_one_word(tmp_path, capsys):
     # I = 1: tau is the first target word, so AL is 1 for any number of target words.
     (tmp_path / "src.txt").write_text("a\n", encoding="utf-8")
-    (tmp_path / "model.json").write_text(json.dumps({"rounds": [[["X", "Y", "Z"]]]}), encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps([{"rounds": [[["X", "Y", "Z"]]]}]), encoding="utf-8")
     events = tmp_path / "events.jsonl"
     assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model", str(tmp_path / "model.json"),
                  "--chunk", "1", "--beam", "1", "--select", "greedy", "--out", str(events)]) == 0
@@ -564,7 +566,7 @@ def _reject_constant(name):
 
 def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
     (tmp_path / "src.txt").write_text("a b\n", encoding="utf-8")
-    (tmp_path / "model.json").write_text(json.dumps({"rounds": [[[]]]}), encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps([{"rounds": [[[]]]}]), encoding="utf-8")
     events = tmp_path / "events.jsonl"
     assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
                  str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
@@ -739,62 +741,71 @@ def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
     assert "Traceback" not in err
 
 
-GOOD_LINE = json.dumps(GOOD_EVENT)
+GOOD_LINE = json.dumps(GOOD_EVENT).encode("utf-8")
+# Lines built around one good JSON line. The readers read bytes, cut lines at
+# b"\n" only, and decode each line before json reads it.
+LINE_SHAPES = {
+    "cut-short": lambda good: good[:-3] + b"\n",
+    "extra-data": lambda good: good + b" x\n",
+    "form-feed": lambda good: good + b"\x0c\n",  # whitespace that JSON does not allow
+    "byte-order-mark": lambda good: b"\xef\xbb\xbf" + good + b"\n",
+    "json-whitespace": lambda good: b"\t " + good + b" \r\n",
+    "no-newline": lambda good: good,  # the last line
+    "non-utf-8": lambda good: good[:5] + b"\xff" + good[5:] + b"\n",
+    "lone-carriage-return": lambda good: good + b"\r" + good + b"\n",  # one line, not two
+    "ideographic-space": lambda good: "\u3000\n".encode("utf-8"),  # not a blank line
+}
+# eval's error for the second line of an event file, per shape (None: no error).
+EVENT_LINE_ERRORS = {
+    "cut-short": "event line 2: Expecting value: char 187",
+    "extra-data": "event line 2: Extra data: char 190",
+    "form-feed": "event line 2: Extra data: char 189",
+    "byte-order-mark": "event line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): char 0",
+    "json-whitespace": None,
+    "no-newline": None,
+    "non-utf-8": "event line 2: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte",
+    "lone-carriage-return": "event line 2: Extra data: char 190",
+    "ideographic-space": "event line 2: Expecting value: char 0",
+}
 
 
-@pytest.mark.parametrize(
-    "line, error",
-    [
-        (GOOD_LINE[:-3] + "\n", "event line 2: Expecting value: char 187"),
-        (GOOD_LINE + " x\n", "event line 2: Extra data: char 190"),
-        (GOOD_LINE + "\x0c\n", "event line 2: Extra data: char 189"),  # whitespace that JSON does not allow
-        ("\ufeff" + GOOD_LINE + "\n", "event line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): char 0"),
-        ("\t " + GOOD_LINE + " \r\n", None),
-        (GOOD_LINE, None),  # the last line, with no newline
-    ],
-    ids=["cut-short", "extra-data", "form-feed", "byte-order-mark", "json-whitespace", "no-newline"],
-)
-def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, line, error):
+def _json_loads_error(line):
+    """What json.loads makes of the decoded line: None, or its error."""
+    try:
+        json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("shape", LINE_SHAPES)
+def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, shape):
+    line, error = LINE_SHAPES[shape](GOOD_LINE), EVENT_LINE_ERRORS[shape]
     events = tmp_path / "events.jsonl"
-    events.write_text(GOOD_LINE + "\n" + line, encoding="utf-8", newline="")
+    events.write_bytes(GOOD_LINE + b"\n" + line)
     code = main(["eval", "--events", str(events)])
     err = capsys.readouterr().err
-    try:
-        json.loads(line.replace("\r\n", "\n"))  # eval reads the file with universal newlines
-    except ValueError as exc:
-        assert f"{exc.msg}: char {exc.pos}" in error
+    exc = _json_loads_error(line)
+    if exc is None:
+        assert (error, code) == (None, 0)
+    else:
+        reason = f"{exc.msg}: char {exc.pos}" if isinstance(exc, json.JSONDecodeError) else str(exc)
+        assert error == f"event line 2: {reason}"
         assert code == 2
         assert err.endswith(f"\nerror: {error}\n")
-    else:
-        assert error is None
-        assert code == 0
     assert "Traceback" not in err
 
 
-# The lines of test_eval_reads_each_event_line_as_json_loads_does, each built
-# around one good JSON line.
-LINE_SHAPES = {
-    "cut-short": lambda good: good[:-3] + "\n",
-    "extra-data": lambda good: good + " x\n",
-    "form-feed": lambda good: good + "\x0c\n",
-    "byte-order-mark": lambda good: "\ufeff" + good + "\n",
-    "json-whitespace": lambda good: "\t " + good + " \r\n",
-    "no-newline": lambda good: good,
-}
-RECORD_LINE = json.dumps({**GOOD_META, "id": 8})
+RECORD_LINE = json.dumps({**GOOD_META, "id": 8}).encode("utf-8")
 
 
 @pytest.mark.parametrize("shape", LINE_SHAPES)
 def test_record_readers_read_each_line_as_json_loads_does(tmp_path, capsys, shape):
     line = LINE_SHAPES[shape](RECORD_LINE)
     src = tmp_path / "in.jsonl"
-    src.write_text(json.dumps(GOOD_META) + "\n" + line, encoding="utf-8", newline="")
-    try:
-        json.loads(line.replace("\r\n", "\n"))  # the readers read with universal newlines
-    except ValueError as exc:
-        error = str(exc)
-    else:
-        error = None
+    src.write_bytes(json.dumps(GOOD_META).encode("utf-8") + b"\n" + line)
+    exc = _json_loads_error(line)
+    error = None if exc is None else str(exc)
     for command in ("augment", "format"):
         out = tmp_path / f"{command}.jsonl"
         code = main([command, "--in", str(src), "--out", str(out)])
@@ -812,6 +823,28 @@ def test_record_readers_read_each_line_as_json_loads_does(tmp_path, capsys, shap
     assert "Traceback" not in err
     if error is not None:
         assert err.endswith(f"\nerror: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["augment", "format"])
+def test_non_utf8_record_is_rejected_and_run_goes_on(tmp_path, capsys, monkeypatch, no_leftover_children, command):
+    # A text stream decodes a block of lines at once, so one bad byte used to
+    # lose the good records around it too, and the run stopped with exit 2.
+    two_usable_cpus(monkeypatch)
+    _, meta = curate(tmp_path, n_pairs=40)
+    lines = meta.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines[:20]) + b'{"id": 999, "x": "\xff"}\n' + b"".join(lines[20:]))
+    clean = tmp_path / "clean.jsonl"
+    assert main([command, "--in", str(meta), "--out", str(clean)]) == 0
+    capsys.readouterr()
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.jsonl"
+        assert main([command, "--in", str(bad), "--out", str(out), "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\nrecord rejected: 'utf-8' codec can't decode byte 0xff in position 18: "
+                            "invalid start byte\n")
+        assert out.read_bytes() == clean.read_bytes()
+    assert len(clean.read_bytes().splitlines()) == 40
 
 
 def test_eval_names_the_run_whose_reads_go_backwards(tmp_path, capsys):
@@ -839,18 +872,18 @@ def _decoded(decode, line):
 DECODE_CASES = {
     **{f"{shape}-{kind}": LINE_SHAPES[shape](good)
        for shape in LINE_SHAPES for kind, good in (("event", GOOD_LINE), ("record", RECORD_LINE))},
-    "nan": "NaN\n",
-    "infinities": '{"a": [NaN, -Infinity]}\n',
-    "two-newlines": "[1, 2]\n\n",
-    "newline-only": "\n",
-    "empty": "",
-    "deeply-nested": DEEP + "\n",
+    "nan": b"NaN\n",
+    "infinities": b'{"a": [NaN, -Infinity]}\n',
+    "two-newlines": b"[1, 2]\n\n",
+    "newline-only": b"\n",
+    "empty": b"",
+    "deeply-nested": DEEP.encode("utf-8") + b"\n",
 }
 
 
 @pytest.mark.parametrize("line", DECODE_CASES.values(), ids=DECODE_CASES.keys())
 def test_decode_line_is_json_loads(line):
-    assert _decoded(decode_line, line) == _decoded(json.loads, line)
+    assert _decoded(decode_line, line) == _decoded(lambda b: json.loads(b.decode("utf-8")), line)
 
 
 @pytest.mark.parametrize("command", ["augment", "format"])
@@ -964,16 +997,18 @@ def test_simulate_empty_script_list(tmp_path, capsys, src_text, code, err):
     assert (tmp_path / "e.jsonl").read_bytes() == b""
 
 
-def test_simulate_single_object_model_serves_every_line(tmp_path, sim_case, monkeypatch):
-    src, scripts, events = sim_case
-    line = src.read_text(encoding="utf-8").splitlines()[0]
-    (tmp_path / "one.txt").write_text(f"{line}\n{line}\n", encoding="utf-8")
-    (tmp_path / "m.json").write_text(json.dumps(scripts[0], indent=1), encoding="utf-8")
-    monkeypatch.setattr(simulator, "MODEL_BLOCK", 5)  # the object is read whole
-    assert simulate(tmp_path / "one.txt", tmp_path / "m.json", tmp_path / "e.jsonl") == 0
-    first = [line for line in events.decode("utf-8").splitlines() if json.loads(line)["id"] == 0]
-    second = [line.replace('{"id": 0,', '{"id": 1,', 1) for line in first]
-    assert (tmp_path / "e.jsonl").read_text(encoding="utf-8").splitlines() == first + second
+def test_simulate_refuses_a_single_object_model(tmp_path, sim_case, capsys, monkeypatch):
+    src, scripts, _ = sim_case
+    monkeypatch.setattr(simulator, "MODEL_BLOCK", 5)  # the head is read past whitespace
+    # One script object, as older versions took for every line; then other
+    # heads that are not a JSON list (form feed is not JSON whitespace).
+    for text in (json.dumps(scripts[0], indent=1), "\n \n{}", "", "\x0c[]"):
+        (tmp_path / "m.json").write_text(text, encoding="utf-8")
+        assert simulate(src, tmp_path / "m.json", tmp_path / "e.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.endswith("\nerror: model file must hold a JSON list of scripts\n"), text
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.jsonl").exists()  # refused before --out is opened
 
 
 @pytest.mark.parametrize("block", [7, 64, None])

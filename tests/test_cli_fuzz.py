@@ -3,16 +3,18 @@ six subcommands.
 
 Whatever the input, only argparse's SystemExit (a bad flag value) may leave
 `main`, the exit status is one of the documented 0/1/2, and a report that
-`eval` prints with status 0 is strict JSON.
+`eval` prints with status 0 is strict JSON. The per-record stages, augment and
+format, also set a mutated line apart: every other record comes out as it did.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simultraj.cli import main
@@ -45,6 +47,8 @@ HUGE_INTS = [b"9" * 5000, b"1" + b"0" * 30, b"-" + b"9" * 25]
 NAN_LITERALS = [b"NaN", b"Infinity", b"-Infinity"]
 WRONG_TYPES = [b"1", b"1.5", b'"x"', b"null", b"true", b"[]", b"{}", b"[1, 2]", b'{"id": "0"}']
 DEEP = [b"[" * 3 + b"]" * 3, b"[" * 100_000 + b"]" * 100_000, b"{" * 50_000]
+# The mutations that keep a line one line.
+LINE_KINDS = ["truncate-line", "non-utf8", "deep", "wrong-type", "huge-int", "nan"]
 # A JSON string or a number: the tokens a mutation replaces.
 TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
@@ -65,17 +69,16 @@ def clean(tmp_path_factory):
 
 
 @st.composite
-def mutations(draw, data):
-    """data with one mutation at a drawn place; the place is a byte offset, and a
-    line mutation takes the line that holds it."""
+def mutations(draw, data, kinds=(*LINE_KINDS, "truncate-file", "drop-line", "repeat-line", "blank-line")):
+    """data with one mutation of a kind drawn from kinds at a drawn place; the
+    place is a byte offset, and a line mutation takes the line that holds it."""
     at = draw(st.integers(0, len(data)))
     start = data.rfind(b"\n", 0, at) + 1
     end = data.find(b"\n", at)
     end = len(data) if end < 0 else end
     tokens = list(TOKEN.finditer(data))
     token = tokens[at % len(tokens)] if tokens else None
-    kind = draw(st.sampled_from(["truncate-line", "truncate-file", "drop-line", "repeat-line", "blank-line",
-                                 "non-utf8", "deep", "wrong-type", "huge-int", "nan"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "truncate-line":
         return data[:at] + data[end:]
     if kind == "truncate-file":
@@ -136,5 +139,47 @@ def test_main_on_mutated_inputs_exits_with_a_documented_status(clean, command, m
         assert "Traceback" not in err.getvalue()
         if command == "eval" and code == 0:
             json.loads(out.getvalue().splitlines()[0], parse_constant=reject_constant)
+
+    run()
+
+
+@pytest.mark.parametrize("command", ["augment", "format"])
+def test_per_record_stage_sets_a_mutated_line_apart(clean, command, monkeypatch, no_leftover_children):
+    """One mutated line of a meta file gives its own record or one rejection
+    reason; the other records are the clean run's, in order, at --workers 1 and
+    2 alike."""
+    work, inputs = clean
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool of 2 anywhere
+    lines = inputs["meta.jsonl"].splitlines(keepends=True)
+    (work / "one.jsonl").write_bytes(inputs["meta.jsonl"])  # the other fuzz tests mutate meta.jsonl
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--in", "one.jsonl", "--out", "clean.jsonl"]) == 0
+    clean_out = (work / "clean.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(clean_out) == len(lines)
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(st.data())
+    def run(data):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        line = data.draw(mutations(lines[k].rstrip(b"\n"), LINE_KINDS))
+        assume(line and not line.isspace())  # a blank line is skipped, not a record
+        (work / "one.jsonl").write_bytes(b"".join([*lines[:k], line + b"\n", *lines[k + 1:]]))
+        outs = []
+        for workers in ("1", "2"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--in", "one.jsonl", "--out", f"w{workers}.jsonl", "--workers", workers])
+            reasons = err.getvalue().splitlines()[1:]  # after the resolved config
+            assert (code, len(reasons)) in ((0, 0), (1, 1)), err.getvalue()
+            outs.append((work / f"w{workers}.jsonl").read_bytes())
+        assert outs[0] == outs[1]
+        out = outs[0].splitlines(keepends=True)
+        assert len(out) == len(lines) - code
+        assert out[:k] == clean_out[:k]
+        assert out[k + 1 - code:] == clean_out[k + 1:]
+        records = [json.loads(x, parse_constant=reject_constant) for x in out]
+        if code == 0:  # the line's own record
+            assert records[k]["id"] == json.loads(line)["id"]
 
     run()

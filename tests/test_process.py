@@ -31,25 +31,33 @@ MAIN_BLOCK = (
     "runpy.run_module('simultraj.cli', run_name='__main__')"
 )
 
-# Runs each [argv, stderr] of a JSON list through the __main__ block in a
-# process forked from this one, with stdout sent to the file <i>.out and stderr
-# to the file named (descriptor 2 is closed for null), then prints the exit
-# codes. The modules simultraj.cli imports are loaded once, before the first
-# fork, so the matrix pays one interpreter start, not one per run.
+# Where stdout or stderr goes in a forked run: the run's own file (FILE), a
+# device named by its path, no descriptor at all (None), or, for stderr only,
+# UNSET: descriptor 2 closed at start, for which Python sets sys.stderr to None.
+FILE, UNSET = "file", "unset"
+
+# Runs each [argv, stdout, stderr] of a JSON list through the __main__ block in
+# a process forked from this one, with each stream sent where it says (FILE for
+# run i is the file <i>.<descriptor>), then prints the exit codes. The modules
+# simultraj.cli imports are loaded once, before the first fork, so the matrix
+# pays one interpreter start, not one per run.
 FORKED_RUNS = """
 import json, os, runpy, sys
 sys.path.insert(0, sys.argv[1])
 import simultraj.cli
 del sys.modules["simultraj.cli"]  # runpy runs it afresh, as -m does
 codes = []
-for i, (argv, err) in enumerate(json.loads(sys.argv[2])):
+for i, (argv, *sinks) in enumerate(json.loads(sys.argv[2])):
     pid = os.fork()
     if pid == 0:
-        os.dup2(os.open(f"{i}.out", os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 1)
-        if err is None:
-            os.close(2)
-        else:
-            os.dup2(os.open(err, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 2)
+        for fd, sink in enumerate(sinks, 1):
+            if sink in (None, "unset"):
+                os.close(fd)
+            else:
+                path = f"{i}.{fd}" if sink == "file" else sink
+                os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+        if sinks[1] == "unset":
+            sys.stderr = None
         sys.argv = ["simultraj", *argv]
         runpy.run_module("simultraj.cli", run_name="__main__")
         os._exit(99)  # the __main__ block returned
@@ -67,6 +75,8 @@ PROCESS_CASES = {
     "augment-clean": (0, ["augment", "--in", "meta.jsonl", "--out", "aug.jsonl"]),
     "augment-rejected": (1, ["augment", "--in", "bad_meta.jsonl", "--out", "aug.jsonl"]),
     "augment-hard": (2, ["augment", "--in", "meta.jsonl", "--out", "meta.jsonl"]),
+    # A pool, where one is allowed: it flushes stdout and stderr before it forks.
+    "augment-workers": (0, ["augment", "--in", "meta.jsonl", "--out", "aug2.jsonl", "--workers", "2"]),
     "format-clean": (0, ["format", "--in", "meta.jsonl", "--out", "sft.jsonl"]),
     "format-rejected": (1, ["format", "--in", "bad_meta.jsonl", "--out", "sft.jsonl"]),
     "format-hard": (2, ["format", "--in", "meta.jsonl", "--template", "gpt9", "--out", "sft.jsonl"]),
@@ -82,6 +92,10 @@ COMMANDS = ("curate", "augment", "format", "stats", "simulate", "eval")
 # Where stderr goes in a boundary run, which runs a command's clean case: a
 # device that takes no byte, or no descriptor at all (None).
 STDERR_SINKS = {"stderr-full": "/dev/full", "stderr-closed": None}
+# argparse's own output, id: (argv, stdout, stderr), each run once with both
+# streams writable and once with the one it writes to on /dev/full.
+ARGPARSE_CASES = {"help": (["stats", "-h"], "/dev/full", FILE),
+                  "usage-error": (["stats", "--in", "meta.jsonl", "--bogus"], FILE, "/dev/full")}
 
 
 @pytest.fixture(scope="module")
@@ -106,23 +120,29 @@ def inputs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def process_runs(inputs):
-    """Each case's (exit code, stdout, stderr) from its own process, and each
-    boundary run's (exit code, stdout, None) under (command, sink id)."""
+    """(exit code, stdout, stderr) of every run, each from its own process;
+    a stream that went to no file of the run's own reads None. The runs:
+    each case, under its id, and again without sys.stderr, under (id, UNSET);
+    each boundary run, under (command, sink id); each argparse case, under
+    its id with writable streams, and under (id, "/dev/full")."""
     if not hasattr(os, "fork"):
         pytest.skip("the cases run in forked processes")
-    cases = {case: (argv, f"{i}.err") for i, (case, (_, argv)) in enumerate(PROCESS_CASES.items())}
+    runs = {case: (argv, FILE, FILE) for case, (_, argv) in PROCESS_CASES.items()}
+    runs.update({(case, UNSET): (argv, FILE, UNSET) for case, (_, argv) in PROCESS_CASES.items()})
     for command, sink in product(COMMANDS, STDERR_SINKS):
         path = STDERR_SINKS[sink]
         if path is None or os.path.exists(path):
-            cases[command, sink] = (PROCESS_CASES[f"{command}-clean"][1], path)
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", FORKED_RUNS, str(SRC), json.dumps([*cases.values()])],
+            runs[command, sink] = (PROCESS_CASES[f"{command}-clean"][1], FILE, path)
+    for case, (argv, out, err) in ARGPARSE_CASES.items():
+        runs[case] = (argv, FILE, FILE)
+        if os.path.exists("/dev/full"):
+            runs[case, "/dev/full"] = (argv, out, err)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", FORKED_RUNS, str(SRC), json.dumps([*runs.values()])],
                             cwd=inputs, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0 and not result.stderr, result.stderr
-    runs = {}
-    for i, (case, code) in enumerate(zip(cases, json.loads(result.stdout))):
-        err = (inputs / cases[case][1]).read_text(encoding="utf-8") if case in PROCESS_CASES else None
-        runs[case] = (code, (inputs / f"{i}.out").read_text(encoding="utf-8"), err)
-    return runs
+    return {run: (code, *((inputs / f"{i}.{fd}").read_text(encoding="utf-8") if sink == FILE else None
+                          for fd, sink in enumerate(runs[run][1:], 1)))
+            for i, (run, code) in enumerate(zip(runs, json.loads(result.stdout)))}
 
 
 @pytest.mark.parametrize("case", PROCESS_CASES)
@@ -148,6 +168,31 @@ def test_unwritable_stderr_is_a_hard_error(process_runs, command, sink):
         pytest.skip(f"no {STDERR_SINKS[sink]}")
     code, out, _ = process_runs[command, sink]
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_no_stderr_leaves_stdout_and_exit_code_as_they_are(process_runs, case):
+    """Without sys.stderr, print would write the resolved config, the rejection
+    reasons and the error line to stdout. They are dropped instead, and the
+    exit code still comes from the data."""
+    code, out, _ = process_runs[case]
+    assert process_runs[case, UNSET][:2] == (code, out)
+
+
+@pytest.mark.parametrize("case", ARGPARSE_CASES)
+def test_unwritable_argparse_output_is_a_hard_error(process_runs, case):
+    """argparse writes -h and usage errors itself, then raises SystemExit; the
+    failed write shows only when its buffered text is flushed."""
+    if (case, "/dev/full") not in process_runs:
+        pytest.skip("no /dev/full")
+    code, out, err = process_runs[case]
+    if case == "help":
+        assert (code, err) == (0, "") and out.startswith("usage: simultraj stats")
+        full = (2, None, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    else:
+        assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --bogus\n")
+        full = (2, "", None)  # a traceback could only show on stdout
+    assert process_runs[case, "/dev/full"] == full
 
 
 def test_main_in_process_never_ends_the_process(tmp_path, monkeypatch):
