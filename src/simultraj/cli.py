@@ -2,9 +2,9 @@
 
 Files are processed line-by-line in input order; optional process parallelism
 (--workers) never changes output bytes because all randomness is derived from
-the CLI seed and the record id. JSONL inputs are read as bytes and each line is
-decoded on its own, so a line that is not UTF-8 is one rejected record. Every
-subcommand prints its resolved configuration to stderr for provenance; that
+the CLI seed and the record id. Every input but the model file is read as bytes
+by `read_lines` and decoded one line at a time, where its record is parsed.
+Every subcommand prints its resolved configuration to stderr for provenance; that
 line, the rejection reasons and the error line all go through `_note`, which
 never lets them reach stdout. Exit status: 0 all records clean, 1 some records
 rejected (reasons on stderr), 2 hard error, an unwritable stdout or stderr
@@ -25,7 +25,7 @@ import os
 import sys
 from functools import partial
 from itertools import chain, zip_longest
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
 from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
@@ -48,6 +48,7 @@ from simultraj.simulator import (
     dump_events_jsonl,
     encode_json,
     load_events_jsonl,
+    read_lines,
     read_scripts,
     run as simulate_run,
 )
@@ -198,48 +199,52 @@ def _refuse_input(flag: str, path: str, *inputs: str) -> None:
 
 
 def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable, *inputs: str) -> int:
-    """Write worker's results over items to --out in input order; 1 if any record was rejected.
-    inputs are the paths items are read from."""
+    """Write worker's results over items to --out in input order; 1 if any record
+    was rejected. A result is ("ok", a _jsonl_line) or ("err", a reason); inputs
+    are the paths items are read from."""
     _refuse_input("--out", args.out, *inputs)
     failures = 0
-    with open(args.out, "w", encoding="utf-8") as out:
+    with open(args.out, "wb") as out:
         for status, payload in _pmap(worker, items, args.workers):
             if status == "ok":
-                out.write(payload + "\n")
+                out.write(payload)
             else:
                 failures += 1
                 _note(payload)
     return 1 if failures else 0
 
 
+def _jsonl_line(record: dict) -> bytes:
+    """A record's JSONL line in UTF-8; ValueError naming the record's id if one
+    of its strings holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        return (encode_json(record) + "\n").encode()
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"record {record['id']}: {exc}") from None
+
+
 # ----------------------------------------------------------------- curate
 
-def _curate_record(item: tuple[int, str, str, str], debug: bool) -> tuple[str, str]:
+def _curate_record(item: tuple[int, bytes, bytes, bytes], debug: bool) -> tuple[str, bytes | str]:
     idx, src, tgt, align = item
-    try:
-        pair = SentencePair.from_text(src, tgt, idx)
-        plan = plan_links(parse_pharaoh(align, pair.source_len, pair.target_len, idx))
+    try:  # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
+        pair = SentencePair.from_text(src.decode(), tgt.decode(), idx)
+        plan = plan_links(parse_pharaoh(align.decode(), pair.source_len, pair.target_len, idx))
         traj = build_meta(plan, pair)
         problems = verify(traj, plan)
         if problems:
             return ("err", f"record {idx} rejected: " + "; ".join(problems))
-        return ("ok", encode_json(to_record(traj, debug)))
+        return ("ok", _jsonl_line(to_record(traj, debug)))
     except ValueError as exc:  # AlignmentError is a ValueError
         return ("err", f"record {idx} rejected: {exc}")
 
 
-def _iter_curate_inputs(src_path: str, tgt_path: str, align_path: str) -> Iterator[tuple[int, str, str, str]]:
-    with open(src_path, encoding="utf-8") as fs, open(tgt_path, encoding="utf-8") as ft, open(
-        align_path, encoding="utf-8"
-    ) as fa:
-        for idx, lines in enumerate(zip_longest(fs, ft, fa)):
-            if None in lines:  # one file ran out of lines before another
-                raise AlignmentError(
-                    f"line count mismatch among {src_path}, {tgt_path}, {align_path} "
-                    f"at record {idx}"
-                )
-            src, tgt, align = (line.rstrip("\n") for line in lines)
-            yield idx, src, tgt, align
+def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+    for idx, lines in enumerate(zip_longest(*map(read_lines, paths))):
+        if None in lines:  # one file ran out of lines before another
+            raise AlignmentError(f"line count mismatch among {', '.join(paths)} at record {idx}")
+        (_, src), (_, tgt), (_, align) = lines
+        yield idx, src, tgt, align
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -250,7 +255,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- augment
 
-def _augment_record(line: bytes, cfg: AugmentConfig, debug: bool) -> tuple[str, str]:
+def _augment_record(line: bytes, cfg: AugmentConfig, debug: bool) -> tuple[str, bytes | str]:
     try:
         traj = from_record(decode_line(line))
         if traj.provenance != META:
@@ -259,18 +264,14 @@ def _augment_record(line: bytes, cfg: AugmentConfig, debug: bool) -> tuple[str, 
         problems = verify(augmented)
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
-        return ("ok", encode_json(to_record(augmented, debug)))
+        return ("ok", _jsonl_line(to_record(augmented, debug)))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         return ("err", f"record rejected: {exc}")
 
 
-def _iter_lines(path: str) -> Iterator[bytes]:
-    """The lines of a JSONL file that hold more than ASCII whitespace, as bytes:
-    decode_line decodes each one, so a line that is not UTF-8 is one bad record."""
-    with open(path, "rb") as f:
-        for line in f:
-            if not line.isspace():
-                yield line
+def _record_lines(path: str) -> Iterator[bytes]:
+    """The lines of a JSONL file that hold more than ASCII whitespace: its records."""
+    return (line for _, line in read_lines(path) if not line.isspace())
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -282,33 +283,34 @@ def cmd_augment(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     worker = partial(_augment_record, cfg=cfg, debug=args.debug)
-    return _run_stage(args, worker, _iter_lines(args.in_path), args.in_path)
+    return _run_stage(args, worker, _record_lines(args.in_path), args.in_path)
 
 
 # ----------------------------------------------------------------- format
 
-def _format_record(line: bytes, system_msg: str, template: str) -> tuple[str, str]:
+def _format_record(line: bytes, system_msg: str, template: str) -> tuple[str, bytes | str]:
     try:
         traj = from_record(decode_line(line))
         problems = verify(traj)
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         record = render_conversational(traj, system_msg, template)
-        return ("ok", encode_json(record_to_dict(record)))
+        return ("ok", _jsonl_line(record_to_dict(record)))
     except (ValueError, RecursionError) as exc:
         return ("err", f"record rejected: {exc}")
 
 
 def cmd_format(args: argparse.Namespace) -> int:
-    get_template(args.template)  # fail fast on an unknown template id
+    get_template(args.template)  # fail fast on an unknown template id,
+    args.system_msg.encode()  # or on a lone surrogate, which every record would hold
     worker = partial(_format_record, system_msg=args.system_msg, template=args.template)
-    return _run_stage(args, worker, _iter_lines(args.in_path), args.in_path)
+    return _run_stage(args, worker, _record_lines(args.in_path), args.in_path)
 
 
 # ------------------------------------------------------------------ stats
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = corpus_stats(from_record(decode_line(line)) for line in _iter_lines(args.in_path))
+    stats = corpus_stats(from_record(decode_line(line)) for line in _record_lines(args.in_path))
     print(corpus_stats_table(stats))
     return 0
 
@@ -318,23 +320,27 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     strategy = SelectStrategy(args.select, args.gamma)
     _refuse_input("--out", args.out, args.src, args.model)
-    blank = 0
+    rejected = 0
 
-    def runs(src: TextIO, scripts: Iterator) -> Iterator[SimRun]:
+    def runs(lines: Iterator[tuple[int, bytes]], scripts: Iterator) -> Iterator[SimRun]:
         # Session ids are 0-based source line numbers. Each session is written
-        # as soon as it ends, then dropped; one script is held at a time.
-        nonlocal blank
+        # as soon as it ends, then dropped; one script is held at a time. A line
+        # that is not UTF-8 is not blank: it takes its script, then is rejected.
+        nonlocal rejected
         used = 0
-        for idx, line in enumerate(src):
-            source = line.split()
+        for idx, line in lines:
+            try:
+                source = line.decode().split()
+            except UnicodeDecodeError as exc:
+                source = exc
             if not source:
-                blank += 1
+                rejected += 1
                 _note(f"session {idx} rejected: blank source line")
                 continue
             try:
                 script = next(scripts)
             except StopIteration:
-                rest = sum(1 for line in src if line.split())
+                rest = sum(1 for _, line in lines if line.decode(errors="replace").split())
                 raise ValueError(
                     f"model file has {used} scripts for {used + 1 + rest} non-blank source lines"
                 ) from None
@@ -342,8 +348,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             try:
                 model = ScriptedModel.from_obj(script)
             except (TypeError, ValueError) as exc:
-                # No rounds list, or rounds, beams or words of the wrong JSON type.
+                # No rounds list, or rounds, beams or words of the wrong JSON
+                # type, or a word with a lone surrogate.
                 raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
+            if isinstance(source, UnicodeDecodeError):
+                rejected += 1
+                _note(f"session {idx} rejected: {source}")
+                continue
             try:
                 yield simulate_run(
                     source,
@@ -359,11 +370,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if extra := sum(1 for _ in scripts):
             raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
 
-    with open(args.src, encoding="utf-8") as src, open(args.model, encoding="utf-8") as f:
+    with open(args.model, encoding="utf-8") as f:
         scripts = read_scripts(f)
         with open(args.out, "w", encoding="utf-8") as out:
-            dump_events_jsonl(runs(src, scripts), out)
-    return 1 if blank else 0
+            dump_events_jsonl(runs(read_lines(args.src), scripts), out)
+    return 1 if rejected else 0
 
 
 # ------------------------------------------------------------------- eval
@@ -461,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         _flush_outputs()
         return code
-    except (SimulationError, ValueError, OSError, RecursionError) as exc:
+    except (SimulationError, ValueError, OSError, RecursionError, ArithmeticError) as exc:
         return _failed(exc)
 
 

@@ -13,7 +13,6 @@ deviation, matching the mean+-std convention of summary tables.
 
 from __future__ import annotations
 
-from math import fsum
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -175,17 +174,29 @@ def _fixed4(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+# Every finite float is a whole number of 2**-_ULP_BITS (the least subnormal),
+# so events_report sums its per-run values exactly as ints; dividing such a sum
+# by 2**_ULP_BITS rounds it once, to the float that fsum of the values gives.
+_ULP_BITS = 1074
+
+
+def _exact(x: float) -> int:
+    """x in units of 2**-_ULP_BITS; OverflowError on an infinity."""
+    n, d = x.as_integer_ratio()
+    return n << _ULP_BITS + 1 - d.bit_length()  # d is a power of two
+
+
 _conversational_recompute = itemgetter("recompute_tokens_conversational")
 _offline_recompute = itemgetter("recompute_tokens_offline")
 
 
 def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:
     """Aggregate a parsed event log, one list of event records per run, into one
-    report. Each run is reduced by `run_latency` as it arrives, so the runs may
-    be streamed."""
-    al_values: list[float] = []
-    wwt_values: list[float] = []
+    report. Each run is reduced by `run_latency` as it arrives and added to
+    exact sums, so the runs may be streamed in constant memory."""
+    al_sum = wwt_sum = 0  # see _exact
     runs = 0
+    scored = 0  # runs that commit a word
     rounds = 0
     total_conv = 0
     total_off = 0
@@ -196,18 +207,21 @@ def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode
         total_off += sum(map(_offline_recompute, events))
         try:
             latency = run_latency(events, cost, prompt_mode)
-        except ValueError as exc:
+            if latency is not None:
+                al_sum += _exact(latency[0])
+                wwt_sum += _exact(latency[1])
+                scored += 1
+        except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a count too big for a float
             raise ValueError(f"run id {events[0]['id']}: {exc}") from None
-        if latency is not None:
-            al_values.append(latency[0])
-            wwt_values.append(latency[1])
     if not runs:
         raise ValueError("no runs in event log")
+    unit = 1 << _ULP_BITS
     return LatencyReport(
         runs=runs,
-        # fsum over the count is how statistics.fmean computes a mean.
-        al_mean=fsum(al_values) / len(al_values) if al_values else None,
-        wwt_simulated_mean=fsum(wwt_values) / len(wwt_values) if wwt_values else None,
+        # The sum rounded as fsum rounds it, over the count, as statistics.fmean
+        # computes a mean. A sum past the float range raises OverflowError.
+        al_mean=al_sum / unit / scored if scored else None,
+        wwt_simulated_mean=wwt_sum / unit / scored if scored else None,
         rounds_total=rounds,
         recompute_total_conversational=total_conv,
         recompute_total_offline=total_off,

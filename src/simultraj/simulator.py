@@ -20,8 +20,8 @@ The tests re-render every round's prompts in full
 (``tests/conftest.py::oracle_run``) and check these counts against them.
 
 ``read_scripts`` reads `simulate`'s model file, a JSON list of scripts, one
-script at a time for ``ScriptedModel.from_obj``. ``decode_line`` decodes one
-line of a JSONL file, read as bytes, for every JSONL reader.
+script at a time for ``ScriptedModel.from_obj``. ``read_lines`` reads every
+line-oriented input as bytes, and ``decode_line`` decodes one JSONL line.
 """
 
 from __future__ import annotations
@@ -69,15 +69,15 @@ class ScriptedModel:
     def from_obj(cls, obj: dict) -> ScriptedModel:
         if not isinstance(obj, dict) or not isinstance(obj.get("rounds"), list):
             raise ValueError("scripted model needs a 'rounds' list of beam candidate lists")
-        # Each candidate must be a list of strings; the first one that is not
-        # raises TypeError.
+        # Each candidate must be a list of strings that the UTF-8 event log can
+        # hold; the first one that is not raises TypeError or UnicodeEncodeError.
         rounds = []
         for beam in obj["rounds"]:
             candidates = []
             for words in beam:
                 if type(words) is not list:
                     raise TypeError(f"a candidate is a {type(words).__name__}, not a list of words")
-                " ".join(words)  # raises TypeError on a word that is not a string
+                " ".join(words).encode()
                 candidates.append(tuple(words))
             rounds.append(tuple(candidates))
         return cls(tuple(rounds))
@@ -360,6 +360,14 @@ encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_n
 raw_decode_json = json.JSONDecoder().raw_decode
 
 
+def read_lines(path: str) -> Iterator[tuple[int, bytes]]:
+    """Each line of a line-oriented input, as its 0-based number and its bytes.
+    A line ends at b"\\n" only, so a CR is whitespace inside a line; each line
+    is decoded where its record is parsed."""
+    with open(path, "rb") as f:
+        yield from enumerate(f)
+
+
 def decode_line(line: bytes) -> object:
     """json.loads(line.decode("utf-8")): its value or its error, a
     UnicodeDecodeError included. Every JSONL reader decodes through this. A
@@ -418,15 +426,14 @@ def load_events_jsonl(path: str) -> Iterator[list[dict]]:
     """Yield the event records of one run at a time, in file order.
 
     `dump_events_jsonl` writes each run as one block of consecutive records
-    with the same id, so only one run is held at a time. An id that reappears
-    after another run's records, or a record whose fields `eval` reads are
-    missing, of the wrong type or out of range, raises ValueError.
+    with the same id, in ascending id order, so only one run is held at a time.
+    A run whose id is not above the previous run's, or a record whose fields
+    `eval` reads are missing, of the wrong type or out of range, raises ValueError.
     """
-    seen: set[int] = set()
-    with open(path, "rb") as f:
-        records = (_checked_event(line, n) for n, line in enumerate(f, 1) if not line.isspace())
-        for rid, events in groupby(records, key=itemgetter("id")):
-            if rid in seen:
-                raise ValueError(f"run id {rid} reappears after another run in {path}")
-            seen.add(rid)
-            yield list(events)
+    last = None
+    records = (_checked_event(line, n + 1) for n, line in read_lines(path) if not line.isspace())
+    for rid, events in groupby(records, key=itemgetter("id")):
+        if last is not None and rid <= last:
+            raise ValueError(f"run id {rid} follows run id {last} in {path}: run ids must ascend")
+        last = rid
+        yield list(events)

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -263,7 +264,10 @@ def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys
     ({"rounds": [["AB"]]}, "a candidate is a str, not a list of words"),
     # a bad word in a candidate never committed
     ({"rounds": [[["C", "D"], ["X", 2]]]}, "sequence item 1: expected str instance, int found"),
-], ids=[f"script{i}" for i in range(6)])
+    # a word that the UTF-8 event log cannot hold
+    ({"rounds": [[["C", "\ud800"]]]}, "'utf-8' codec can't encode character '\\ud800' in position 2: "
+                                       "surrogates not allowed"),
+], ids=[f"script{i}" for i in range(7)])
 def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys, script, reason):
     (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
     scripts = [{"rounds": [[["A", "B"]]]}, script]
@@ -687,8 +691,45 @@ def test_eval_run_id_reappearing_is_hard_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--events", str(events)]) == 2
     err = capsys.readouterr().err
-    assert "error: run id 1 reappears" in err
+    assert err.endswith(f"\nerror: run id 0 follows run id 1 in {events}: run ids must ascend\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ids, error", [
+    ([-5, -3, 2**64], None),
+    ([0, 2, 1], "run id 1 follows run id 2"),
+    ([0, 1, 0], "run id 0 follows run id 1"),
+])
+def test_eval_run_ids_must_ascend(tmp_path, capsys, ids, error):
+    """simulate writes its runs in ascending id order; eval holds no set of the
+    ids it has seen, only the last one."""
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(json.dumps({**GOOD_EVENT, "id": i}) + "\n" for i in ids), encoding="utf-8")
+    code = main(["eval", "--events", str(events)])
+    out, err = capsys.readouterr()
+    if error is None:
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["runs"] == 3
+    else:
+        assert code == 2
+        assert err.endswith(f"\nerror: {error} in {events}: run ids must ascend\n")
+
+
+@pytest.mark.parametrize("event, flags, error", [
+    # Two finite WWTs whose sum is past the float range.
+    ({}, ["--cost-word", "1.5e308"], "integer division result too large for a float"),
+    # One infinite WWT.
+    ({}, ["--cost-word", "1e308", "--cost-recompute", "1e308"], "run id 0: cannot convert Infinity to integer ratio"),
+    ({"recompute_tokens_conversational": 10**400}, [], "run id 0: int too large to convert to float"),
+    ({"cumulative_source_read": 10**400}, [], "run id 0: float division by zero"),
+], ids=["sum-overflow", "infinite-wwt", "huge-recompute", "huge-read-count"])
+def test_eval_float_overflow_is_hard_error_naming_the_run(tmp_path, capsys, event, flags, error):
+    events = tmp_path / "events.jsonl"
+    records = [{**GOOD_EVENT, **event}, {**GOOD_EVENT, **event, "id": 1}]
+    events.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["eval", "--events", str(events), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[1:]) == ("", [f"error: {error}"])
 
 
 GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "committed_words": ["A"],
@@ -718,8 +759,8 @@ GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "
         ({**GOOD_EVENT, "recompute_tokens_conversational": True}, "recompute_tokens_conversational is not an integer"),
         # A valid line that commits nothing is accepted.
         ({**GOOD_EVENT, "round": 1, "committed_words": []}, None),
-        # So is each field at its least value, any integer id, and a key eval does not read.
-        ({**GOOD_EVENT, "id": -3, "recompute_tokens_conversational": 0, "recompute_tokens_offline": 0,
+        # So is each field at its least value, any greater integer id, and a key eval does not read.
+        ({**GOOD_EVENT, "id": 2**64, "recompute_tokens_conversational": 0, "recompute_tokens_offline": 0,
           "cumulative_source_read": 1, "note": "x"}, None),
     ],
     ids=["list", "string", "words-string", "words-int", "id-string", "id-bool", "no-cumulative",
@@ -845,6 +886,114 @@ def test_non_utf8_record_is_rejected_and_run_goes_on(tmp_path, capsys, monkeypat
                             "invalid start byte\n")
         assert out.read_bytes() == clean.read_bytes()
     assert len(clean.read_bytes().splitlines()) == 40
+
+
+@pytest.mark.parametrize("command", ["augment", "format"])
+def test_record_with_lone_surrogate_is_rejected_naming_its_id(tmp_path, capsys, monkeypatch,
+                                                              no_leftover_children, command):
+    # "\ud800" is valid JSON, but no UTF-8 output line can hold it.
+    two_usable_cpus(monkeypatch)
+    _, meta = curate(tmp_path, n_pairs=7)
+    lines = meta.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines[:3]) + lines[3].replace(b'"read": ["', b'"read": ["\\ud800', 1)
+                    + b"".join(lines[4:]))
+    clean = tmp_path / "clean.jsonl"
+    assert main([command, "--in", str(meta), "--out", str(clean)]) == 0
+    capsys.readouterr()
+    expected = clean.read_bytes().splitlines(keepends=True)
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.jsonl"
+        assert main([command, "--in", str(bad), "--out", str(out), "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[1].startswith("record rejected: record 3: 'utf-8' codec can't encode "
+                                              "character '\\ud800' in position ")
+        assert len(err.splitlines()) == 2
+        assert out.read_bytes() == b"".join(expected[:3] + expected[4:])
+
+
+def test_format_system_message_with_lone_surrogate_is_hard_error(tmp_path):
+    # A non-UTF-8 byte in argv reaches Python as a lone surrogate. Every record
+    # would hold it, so format stops before it opens --out. The config line is
+    # printed first: stderr takes any str here, as a backslashreplace stream does.
+    _, meta = curate(tmp_path, n_pairs=2)
+    out = tmp_path / "sft.jsonl"
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        assert main(["format", "--in", str(meta), "--out", str(out), "--system-msg", "be \udcff"]) == 2
+    err = stderr.getvalue()
+    assert err.endswith("\nerror: 'utf-8' codec can't encode character '\\udcff' in position 3: "
+                        "surrogates not allowed\n")
+    assert not out.exists()
+
+
+# ------------------------------------------- plain-text inputs read as bytes
+
+@pytest.mark.parametrize("name", ["src", "tgt", "align"])
+def test_curate_non_utf8_line_is_rejected_and_run_goes_on(tmp_path, capsys, monkeypatch,
+                                                          no_leftover_children, name):
+    two_usable_cpus(monkeypatch)
+    paths = dict(zip(["src", "tgt", "align"], write_toy_corpus(tmp_path, n_pairs=50)))
+    clean = tmp_path / "clean.jsonl"
+    assert main(["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(clean)]) == 0
+    lines = paths[name].read_bytes().splitlines(keepends=True)
+    lines[20] = b"\xff" + lines[20]
+    paths[name].write_bytes(b"".join(lines))
+    capsys.readouterr()
+    expected = clean.read_bytes().splitlines(keepends=True)
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.jsonl"
+        argv = ["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(out), "--workers", workers]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\nrecord 20 rejected: 'utf-8' codec can't decode byte 0xff in position 0: "
+                            "invalid start byte\n")
+        assert out.read_bytes() == b"".join(expected[:20] + expected[21:])
+
+
+def test_simulate_non_utf8_source_line_takes_its_script(tmp_path, capsys):
+    (tmp_path / "src.txt").write_bytes(b"a b c\nd \xff e\nf g\n")
+    scripts = [{"rounds": [[["A", "B", "C"]]]}, {"rounds": [[["D"]]]}, {"rounds": [[["F", "G"]]]}]
+    (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
+    out = tmp_path / "events.jsonl"
+    assert simulate(tmp_path / "src.txt", tmp_path / "model.json", out) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("\nsession 1 rejected: 'utf-8' codec can't decode byte 0xff in position 2: "
+                        "invalid start byte\n")
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(r["id"], r["committed_words"]) for r in records] == [(0, ["A", "B", "C"]), (2, ["F", "G"])]
+
+
+def test_lone_carriage_return_is_whitespace_inside_a_line(tmp_path, capsys):
+    """A line ends at a newline only, in every input: a lone CR neither starts
+    a session nor moves curate's line count."""
+    (tmp_path / "src.txt").write_bytes(b"a b\rc d\ne f\n")
+    scripts = [{"rounds": [[["A", "B", "C"]], [["D"]]]}, {"rounds": [[["E", "F"]]]}]
+    (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
+    out = tmp_path / "events.jsonl"
+    assert simulate(tmp_path / "src.txt", tmp_path / "model.json", out) == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [(r["id"], r["read_words"]) for r in records] == [(0, ["a", "b", "c"]), (0, ["d"]), (1, ["e", "f"])]
+    paths = dict(zip(["src", "tgt", "align"], write_toy_corpus(tmp_path, n_pairs=3)))
+    clean = tmp_path / "clean.jsonl"
+    assert main(["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(clean)]) == 0
+    for path in paths.values():
+        path.write_bytes(path.read_bytes().replace(b" ", b"\r"))
+    meta = tmp_path / "meta.jsonl"
+    assert main(["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(meta)]) == 0
+    assert meta.read_bytes() == clean.read_bytes()
+
+
+def test_crlf_inputs_read_as_lf(tmp_path, capsys):
+    src, model, _ = write_sim_case(tmp_path, 5)
+    paths = dict(zip(["src", "tgt", "align"], write_toy_corpus(tmp_path, n_pairs=5)))
+    assert simulate(src, model, tmp_path / "lf_events.jsonl") == 0
+    assert main(["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(tmp_path / "lf.jsonl")]) == 0
+    for path in [src, *paths.values()]:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert simulate(src, model, tmp_path / "crlf_events.jsonl") == 0
+    assert main(["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(tmp_path / "crlf.jsonl")]) == 0
+    assert (tmp_path / "crlf_events.jsonl").read_bytes() == (tmp_path / "lf_events.jsonl").read_bytes()
+    assert (tmp_path / "crlf.jsonl").read_bytes() == (tmp_path / "lf.jsonl").read_bytes()
 
 
 def test_eval_names_the_run_whose_reads_go_backwards(tmp_path, capsys):
@@ -1089,6 +1238,30 @@ def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypat
         tracemalloc.start()
         try:
             assert args.func(args) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_eval_memory_does_not_grow_with_runs(tmp_path):
+    """eval holds one run's records and running sums: no list of per-run values
+    and no set of the ids seen."""
+    peaks = []
+    for runs in (250, 2500):
+        events = tmp_path / f"{runs}.jsonl"
+        with events.open("w", encoding="utf-8") as f:
+            for rid in range(runs):
+                words = ["w"] * (1 + rid % 3)
+                f.write(json.dumps({**GOOD_EVENT, "id": rid, "committed_words": words,
+                                    "cumulative_source_read": 1 + rid % 5}) + "\n")
+        args = build_parser().parse_args(["eval", "--events", str(events)])
+        gc.collect()
+        refill_free_lists()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert args.func(args) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

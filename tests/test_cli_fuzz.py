@@ -3,8 +3,9 @@ six subcommands.
 
 Whatever the input, only argparse's SystemExit (a bad flag value) may leave
 `main`, the exit status is one of the documented 0/1/2, and a report that
-`eval` prints with status 0 is strict JSON. The per-record stages, augment and
-format, also set a mutated line apart: every other record comes out as it did.
+`eval` prints with status 0 is strict JSON. The per-record stages (curate,
+augment, format and simulate's sessions) also set a mutated line apart: every
+other record comes out as it did.
 """
 
 import contextlib
@@ -12,6 +13,7 @@ import io
 import json
 import os
 import re
+from itertools import groupby
 
 import pytest
 from hypothesis import assume, given, settings
@@ -47,8 +49,12 @@ HUGE_INTS = [b"9" * 5000, b"1" + b"0" * 30, b"-" + b"9" * 25]
 NAN_LITERALS = [b"NaN", b"Infinity", b"-Infinity"]
 WRONG_TYPES = [b"1", b"1.5", b'"x"', b"null", b"true", b"[]", b"{}", b"[1, 2]", b'{"id": "0"}']
 DEEP = [b"[" * 3 + b"]" * 3, b"[" * 100_000 + b"]" * 100_000, b"{" * 50_000]
-# The mutations that keep a line one line.
-LINE_KINDS = ["truncate-line", "non-utf8", "deep", "wrong-type", "huge-int", "nan"]
+# JSON strings that no UTF-8 output can hold.
+SURROGATES = [b'"\\ud800"', b'"a\\udfffb"']
+# The mutations that keep a line one line: a line ends at b"\n" only, so a lone
+# CR, or one before the newline, is whitespace inside it.
+TEXT_KINDS = ["truncate-line", "non-utf8", "deep", "wrong-type", "huge-int", "nan", "lone-cr", "crlf"]
+LINE_KINDS = [*TEXT_KINDS, "surrogate"]
 # A JSON string or a number: the tokens a mutation replaces.
 TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
@@ -91,8 +97,12 @@ def mutations(draw, data, kinds=(*LINE_KINDS, "truncate-file", "drop-line", "rep
         return data[:start] + draw(st.sampled_from([b"\n", b"  \t\n"])) + data[start:]
     if kind == "non-utf8":
         return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    if kind == "lone-cr":
+        return data[:at] + b"\r" + data[at:]
+    if kind == "crlf":
+        return data[:end] + b"\r" + data[end:]
     new = draw(st.sampled_from({"deep": DEEP, "wrong-type": WRONG_TYPES, "huge-int": HUGE_INTS,
-                                "nan": NAN_LITERALS}[kind]))
+                                "nan": NAN_LITERALS, "surrogate": SURROGATES}[kind]))
     if token is None:
         return data[:at] + new + data[at:]
     return data[:token.start()] + new + data[token.end():]
@@ -143,43 +153,71 @@ def test_main_on_mutated_inputs_exits_with_a_documented_status(clean, command, m
     run()
 
 
-@pytest.mark.parametrize("command", ["augment", "format"])
-def test_per_record_stage_sets_a_mutated_line_apart(clean, command, monkeypatch, no_leftover_children):
-    """One mutated line of a meta file gives its own record or one rejection
-    reason; the other records are the clean run's, in order, at --workers 1 and
-    2 alike."""
+def _sessions(events):
+    """An event log's bytes per session id, in file order."""
+    lines = events.splitlines(keepends=True)
+    return {rid: b"".join(group) for rid, group in groupby(lines, key=lambda line: json.loads(line)["id"])}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("curate", "src.txt"), ("curate", "tgt.txt"), ("curate", "align.txt"),
+    ("augment", "meta.jsonl"), ("format", "meta.jsonl"), ("simulate", "sim_src.txt"),
+], ids=["curate-src", "curate-tgt", "curate-align", "augment", "format", "simulate"])
+def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkeypatch, no_leftover_children):
+    """One mutated line of an input gives its own record (a session, for
+    simulate) or one rejection reason; the other records are the clean run's,
+    in order, at --workers 1 and 2 alike."""
     work, inputs = clean
     monkeypatch.chdir(work)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool of 2 anywhere
-    lines = inputs["meta.jsonl"].splitlines(keepends=True)
-    (work / "one.jsonl").write_bytes(inputs["meta.jsonl"])  # the other fuzz tests mutate meta.jsonl
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert main([command, "--in", "one.jsonl", "--out", "clean.jsonl"]) == 0
-    clean_out = (work / "clean.jsonl").read_bytes().splitlines(keepends=True)
-    assert len(clean_out) == len(lines)
+    argv, names = COMMANDS[command]
+    files = {n: inputs[n] for n in names}
+    if command == "simulate":  # rounds to spare, for a mutated line with more words
+        scripts = json.loads(files["model.json"])
+        files["model.json"] = json.dumps([{"rounds": s["rounds"] + s["rounds"][-1:] * 9} for s in scripts]).encode()
+    # Copies, as the other fuzz tests mutate the inputs; argv names them and an output.
+    for n, data in files.items():
+        (work / f"one_{n}").write_bytes(data)
+    worker_counts = ["1"] if command == "simulate" else ["1", "2"]
 
-    @settings(max_examples=12, deadline=None, database=None)
+    def main_on(out, workers="1"):
+        err = io.StringIO()
+        extra = [] if command == "simulate" else ["--workers", workers]
+        with contextlib.redirect_stderr(err):
+            code = main([{"out.jsonl": out}.get(a, f"one_{a}" if a in files else a) for a in argv] + extra)
+        return code, err.getvalue().splitlines()[1:], (work / out).read_bytes()  # reasons: after the config
+
+    assert main_on("clean.jsonl")[:2] == (0, [])
+    clean_out = (work / "clean.jsonl").read_bytes()
+    lines = files[name].splitlines(keepends=True)
+    kinds = LINE_KINDS if name.endswith(".jsonl") else TEXT_KINDS
+
+    @settings(max_examples=8, deadline=None, database=None)
     @given(st.data())
     def run(data):
         k = data.draw(st.integers(0, len(lines) - 1))
-        line = data.draw(mutations(lines[k].rstrip(b"\n"), LINE_KINDS))
-        assume(line and not line.isspace())  # a blank line is skipped, not a record
-        (work / "one.jsonl").write_bytes(b"".join([*lines[:k], line + b"\n", *lines[k + 1:]]))
-        outs = []
-        for workers in ("1", "2"):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([command, "--in", "one.jsonl", "--out", f"w{workers}.jsonl", "--workers", workers])
-            reasons = err.getvalue().splitlines()[1:]  # after the resolved config
-            assert (code, len(reasons)) in ((0, 0), (1, 1)), err.getvalue()
-            outs.append((work / f"w{workers}.jsonl").read_bytes())
-        assert outs[0] == outs[1]
-        out = outs[0].splitlines(keepends=True)
-        assert len(out) == len(lines) - code
-        assert out[:k] == clean_out[:k]
-        assert out[k + 1 - code:] == clean_out[k + 1:]
+        line = data.draw(mutations(lines[k].rstrip(b"\n"), kinds))
+        if name.endswith(".jsonl"):
+            assume(line and not line.isspace())  # a blank line is skipped, not a record
+        if command == "simulate":
+            assume(line.decode(errors="replace").split())  # a blank line takes no script
+        (work / f"one_{name}").write_bytes(b"".join([*lines[:k], line + b"\n", *lines[k + 1:]]))
+        runs = [main_on(f"w{workers}.jsonl", workers) for workers in worker_counts]
+        code, reasons, out = runs[0]
+        assert all(r == runs[0] for r in runs), runs
+        assert (code, len(reasons)) in ((0, 0), (1, 1)), reasons
+        if command == "simulate":
+            got, want = _sessions(out), _sessions(clean_out)
+            assert (k in got) == (code == 0)
+            assert {i: x for i, x in got.items() if i != k} == {i: x for i, x in want.items() if i != k}
+            assert list(got) == sorted(got)
+            return
+        out, want = out.splitlines(keepends=True), clean_out.splitlines(keepends=True)
+        assert len(out) == len(want) - code
+        assert out[:k] == want[:k]
+        assert out[k + 1 - code:] == want[k + 1:]
         records = [json.loads(x, parse_constant=reject_constant) for x in out]
         if code == 0:  # the line's own record
-            assert records[k]["id"] == json.loads(line)["id"]
+            assert records[k]["id"] == (k if command == "curate" else json.loads(line)["id"])
 
     run()

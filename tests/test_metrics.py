@@ -19,6 +19,8 @@ from conftest import (
 from simultraj.augment import AugmentConfig, augment_pipeline, derive_rng, merge
 from simultraj.metrics import (
     CostModel,
+    _ULP_BITS,
+    _exact,
     average_lagging,
     corpus_stats,
     corpus_stats_table,
@@ -209,6 +211,18 @@ def test_events_report_matches_reference_per_run_values(tmp_path):
             assert report.al_mean == fmean(al)
             assert report.wwt_simulated_mean == fmean(ref_simulated_wwt(sim, cost, mode) for sim in speaking)
     assert silent_logs > 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+def test_exact_sum_rounds_as_fsum(values):
+    """events_report sums its per-run values as exact ints, one at a time; one
+    division rounds the sum to the float that fsum gives."""
+    try:
+        expected = repr(math.fsum(values))
+    except OverflowError:  # fsum went past the float range part-way
+        return
+    assert repr(sum(map(_exact, values)) / (1 << _ULP_BITS)) == expected
 
 
 def test_corpus_stats_single_trajectory():

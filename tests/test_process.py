@@ -72,6 +72,8 @@ PROCESS_CASES = {
     "curate-clean": (0, CURATE + ["align.txt"]),
     "curate-rejected": (1, CURATE + ["bad_align.txt"]),
     "curate-hard": (2, CURATE + ["short_align.txt"]),
+    # A line that is not UTF-8 is one rejected record.
+    "curate-non-utf8": (1, CURATE + ["align.txt", "--src", "non_utf8_src.txt"]),
     "augment-clean": (0, ["augment", "--in", "meta.jsonl", "--out", "aug.jsonl"]),
     "augment-rejected": (1, ["augment", "--in", "bad_meta.jsonl", "--out", "aug.jsonl"]),
     "augment-hard": (2, ["augment", "--in", "meta.jsonl", "--out", "meta.jsonl"]),
@@ -85,6 +87,7 @@ PROCESS_CASES = {
     "simulate-clean": (0, SIMULATE + ["sim_src.txt"]),
     "simulate-rejected": (1, SIMULATE + ["blank_src.txt"]),
     "simulate-hard": (2, SIMULATE + ["sim_src.txt", "--model", "bad_model.json"]),
+    "simulate-non-utf8": (1, SIMULATE + ["non_utf8_sim_src.txt"]),
     "eval-clean": (0, ["eval", "--events", "events.jsonl"]),
     "eval-hard": (2, ["eval", "--events", "missing.jsonl"]),
 }
@@ -106,12 +109,15 @@ def inputs(tmp_path_factory):
     lines = (work / "align.txt").read_text(encoding="utf-8").splitlines()
     (work / "bad_align.txt").write_text("\n".join(lines[:2] + ["0-99"]) + "\n", encoding="utf-8")
     (work / "short_align.txt").write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
+    src_lines = (work / "src.txt").read_bytes().splitlines(keepends=True)
+    (work / "non_utf8_src.txt").write_bytes(b"".join([src_lines[0], b"\xff" + src_lines[1], *src_lines[2:]]))
     meta = work / "meta.jsonl"
     assert main(["curate", "--src", str(work / "src.txt"), "--tgt", str(work / "tgt.txt"),
                  "--align", str(work / "align.txt"), "--out", str(meta)]) == 0
     (work / "bad_meta.jsonl").write_text(meta.read_text(encoding="utf-8") + "[1, 2]\n", encoding="utf-8")
     sim_src, model, scripts = write_sim_case(work, 2)
     (work / "blank_src.txt").write_text("\n" + sim_src.read_text(encoding="utf-8"), encoding="utf-8")
+    (work / "non_utf8_sim_src.txt").write_bytes(b"\xff" + sim_src.read_bytes())
     (work / "bad_model.json").write_text(json.dumps([scripts[0], {"beams": []}]), encoding="utf-8")
     assert main(["simulate", "--src", str(sim_src), "--model", str(model), "--chunk", "3",
                  "--out", str(work / "events.jsonl")]) == 0
@@ -157,6 +163,16 @@ def test_process_exit_code_and_output_match_main(inputs, process_runs, case, cap
     assert main(argv) == expected
     # eval and stats print their report; every stage prints its config and reasons.
     assert (out, err) == capsys.readouterr()
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("curate-non-utf8", "record 1 rejected: "),
+    ("simulate-non-utf8", "session 0 rejected: "),
+])
+def test_non_utf8_line_is_one_rejection(process_runs, case, reason):
+    code, _, err = process_runs[case]
+    assert code == 1
+    assert err.splitlines()[1:] == [reason + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]
 
 
 @pytest.mark.parametrize("sink", STDERR_SINKS)
