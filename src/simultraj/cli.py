@@ -2,8 +2,9 @@
 
 Files are processed line-by-line in input order; optional process parallelism
 (--workers) never changes output bytes because all randomness is derived from
-the CLI seed and the record id. Every input but the model file is read as bytes
-by `read_lines` and decoded one line at a time, where its record is parsed.
+the CLI seed and the record id. Only `simultraj.jsonl` opens inputs, cuts
+lines and codes JSON; a stage opens its outputs after its inputs, so a missing
+input leaves an existing output as it was.
 Every subcommand prints its resolved configuration to stderr for provenance; that
 line, the rejection reasons and the error line all go through `_note`, which
 never lets them reach stdout. Exit status: 0 all records clean, 1 some records
@@ -21,6 +22,7 @@ a process; profile through `main` in-process instead.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from functools import partial
@@ -30,6 +32,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
 from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
 from simultraj.augment import AugmentConfig, augment_pipeline
+from simultraj.jsonl import decode_line, encode_json, jsonl_line, read_lines, read_records, read_scripts
 from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report
 # monotonicize is not called here; bench/tracer.py wraps it under this module.
 from simultraj.monotonic import monotonicize, plan_links
@@ -44,12 +47,8 @@ from simultraj.simulator import (
     SelectStrategy,
     SimRun,
     SimulationError,
-    decode_line,
     dump_events_jsonl,
-    encode_json,
     load_events_jsonl,
-    read_lines,
-    read_scripts,
     run as simulate_run,
 )
 from simultraj.trajectory import META, build_meta, from_record, to_record, verify
@@ -198,11 +197,12 @@ def _refuse_input(flag: str, path: str, *inputs: str) -> None:
         raise ValueError(f"{flag} {path} is also an input")
 
 
-def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable, *inputs: str) -> int:
-    """Write worker's results over items to --out in input order; 1 if any record
-    was rejected. A result is ("ok", a _jsonl_line) or ("err", a reason); inputs
-    are the paths items are read from."""
+def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inputs: str) -> int:
+    """Write worker's results over the items read(*inputs) gives to --out in
+    input order; 1 if any record was rejected. A result is ("ok", a jsonl_line)
+    or ("err", a reason). read opens the inputs before --out is opened."""
     _refuse_input("--out", args.out, *inputs)
+    items = read(*inputs)
     failures = 0
     with open(args.out, "wb") as out:
         for status, payload in _pmap(worker, items, args.workers):
@@ -212,15 +212,6 @@ def _run_stage(args: argparse.Namespace, worker: Callable, items: Iterable, *inp
                 failures += 1
                 _note(payload)
     return 1 if failures else 0
-
-
-def _jsonl_line(record: dict) -> bytes:
-    """A record's JSONL line in UTF-8; ValueError naming the record's id if one
-    of its strings holds a lone surrogate, which UTF-8 cannot encode."""
-    try:
-        return (encode_json(record) + "\n").encode()
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"record {record['id']}: {exc}") from None
 
 
 # ----------------------------------------------------------------- curate
@@ -234,13 +225,18 @@ def _curate_record(item: tuple[int, bytes, bytes, bytes], debug: bool) -> tuple[
         problems = verify(traj, plan)
         if problems:
             return ("err", f"record {idx} rejected: " + "; ".join(problems))
-        return ("ok", _jsonl_line(to_record(traj, debug)))
+        return ("ok", jsonl_line(to_record(traj, debug)))
     except ValueError as exc:  # AlignmentError is a ValueError
         return ("err", f"record {idx} rejected: {exc}")
 
 
 def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]]:
-    for idx, lines in enumerate(zip_longest(*map(read_lines, paths))):
+    """curate's items, one per line of its three inputs, which are opened now."""
+    return _curate_items(zip_longest(*map(read_lines, paths)), paths)
+
+
+def _curate_items(rows: Iterator, paths: tuple[str, ...]) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+    for idx, lines in enumerate(rows):
         if None in lines:  # one file ran out of lines before another
             raise AlignmentError(f"line count mismatch among {', '.join(paths)} at record {idx}")
         (_, src), (_, tgt), (_, align) = lines
@@ -249,29 +245,23 @@ def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]
 
 def cmd_curate(args: argparse.Namespace) -> int:
     worker = partial(_curate_record, debug=args.debug)
-    paths = (args.src, args.tgt, args.align)
-    return _run_stage(args, worker, _iter_curate_inputs(*paths), *paths)
+    return _run_stage(args, worker, _iter_curate_inputs, args.src, args.tgt, args.align)
 
 
 # ---------------------------------------------------------------- augment
 
-def _augment_record(line: bytes, cfg: AugmentConfig, debug: bool) -> tuple[str, bytes | str]:
+def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig, debug: bool) -> tuple[str, bytes | str]:
     try:
-        traj = from_record(decode_line(line))
+        traj = from_record(decode_line(item[1]))
         if traj.provenance != META:
             return ("err", f"record {traj.pair_id} rejected: provenance {traj.provenance!r} is not meta")
         augmented = augment_pipeline(traj, cfg)
         problems = verify(augmented)
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
-        return ("ok", _jsonl_line(to_record(augmented, debug)))
+        return ("ok", jsonl_line(to_record(augmented, debug)))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         return ("err", f"record rejected: {exc}")
-
-
-def _record_lines(path: str) -> Iterator[bytes]:
-    """The lines of a JSONL file that hold more than ASCII whitespace: its records."""
-    return (line for _, line in read_lines(path) if not line.isspace())
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -283,19 +273,19 @@ def cmd_augment(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     worker = partial(_augment_record, cfg=cfg, debug=args.debug)
-    return _run_stage(args, worker, _record_lines(args.in_path), args.in_path)
+    return _run_stage(args, worker, read_records, args.in_path)
 
 
 # ----------------------------------------------------------------- format
 
-def _format_record(line: bytes, system_msg: str, template: str) -> tuple[str, bytes | str]:
+def _format_record(item: tuple[int, bytes], system_msg: str, template: str) -> tuple[str, bytes | str]:
     try:
-        traj = from_record(decode_line(line))
+        traj = from_record(decode_line(item[1]))
         problems = verify(traj)
         if problems:
             return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         record = render_conversational(traj, system_msg, template)
-        return ("ok", _jsonl_line(record_to_dict(record)))
+        return ("ok", jsonl_line(record_to_dict(record)))
     except (ValueError, RecursionError) as exc:
         return ("err", f"record rejected: {exc}")
 
@@ -304,13 +294,13 @@ def cmd_format(args: argparse.Namespace) -> int:
     get_template(args.template)  # fail fast on an unknown template id,
     args.system_msg.encode()  # or on a lone surrogate, which every record would hold
     worker = partial(_format_record, system_msg=args.system_msg, template=args.template)
-    return _run_stage(args, worker, _record_lines(args.in_path), args.in_path)
+    return _run_stage(args, worker, read_records, args.in_path)
 
 
 # ------------------------------------------------------------------ stats
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = corpus_stats(from_record(decode_line(line)) for line in _record_lines(args.in_path))
+    stats = corpus_stats(from_record(decode_line(line)) for _, line in read_records(args.in_path))
     print(corpus_stats_table(stats))
     return 0
 
@@ -370,10 +360,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if extra := sum(1 for _ in scripts):
             raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
 
-    with open(args.model, encoding="utf-8") as f:
-        scripts = read_scripts(f)
-        with open(args.out, "w", encoding="utf-8") as out:
-            dump_events_jsonl(runs(read_lines(args.src), scripts), out)
+    scripts, lines = read_scripts(args.model), read_lines(args.src)  # opened before --out
+    # dump_events_jsonl writes str, as to the io.StringIO of in-memory callers.
+    with io.TextIOWrapper(open(args.out, "wb"), encoding="utf-8") as out:
+        dump_events_jsonl(runs(lines, scripts), out)
     return 1 if rejected else 0
 
 
@@ -387,9 +377,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(encode_json(data))
     print(report.table())
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write(",".join(data.keys()) + "\n")
-            f.write(",".join("" if v is None else str(v) for v in data.values()) + "\n")
+        with open(args.csv, "wb") as f:
+            f.write((",".join(data.keys()) + "\n").encode())
+            f.write((",".join("" if v is None else str(v) for v in data.values()) + "\n").encode())
     return 0
 
 

@@ -19,9 +19,9 @@ in the prompt length; only the active mode's prompt is rendered, for the model.
 The tests re-render every round's prompts in full
 (``tests/conftest.py::oracle_run``) and check these counts against them.
 
-``read_scripts`` reads `simulate`'s model file, a JSON list of scripts, one
-script at a time for ``ScriptedModel.from_obj``. ``read_lines`` reads every
-line-oriented input as bytes, and ``decode_line`` decodes one JSONL line.
+The event log is written by ``dump_events_jsonl`` and read back, one run at a
+time and with the fields `eval` reads checked, by ``load_events_jsonl``; both
+go through the codec of ``simultraj.jsonl``, which also reads the model file.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 # dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
+from simultraj.jsonl import decode_line, encode_json, only_str, read_records
 from simultraj.sftformat import LLAMA2, dialogue_prompt, offline_prompt
-from simultraj.trajectory import _only_str
 
 DEFAULT_BEAM = 5
 DEFAULT_GAMMA = 0.6
@@ -88,70 +88,6 @@ class ScriptedModel:
         out = list(self.rounds[self._cursor][:beam])
         self._cursor += 1
         return out
-
-
-# Characters read from a model file at a time. A script that runs past the text
-# read so far is parsed again after a read that at least doubles that text.
-MODEL_BLOCK = 1 << 16
-# The longest JSON token a read can cut short. A syntax error that a cut read
-# causes lies less than this many characters before the end of the text read,
-# or is an unterminated string.
-_LONGEST_TOKEN = len("-Infinity")
-_skip = json.decoder.WHITESPACE.match
-
-
-def read_scripts(f: IO[str]) -> Iterator[object]:
-    """The scripts of a model file, the elements of its JSON list, read one at a time."""
-    head = f.read(MODEL_BLOCK)
-    while head.isspace() and (more := f.read(MODEL_BLOCK)):
-        head += more
-    if head.lstrip(" \t\n\r")[:1] != "[":  # JSON's whitespace, then the list
-        raise ValueError("model file must hold a JSON list of scripts")
-    return _list_items(f, head)
-
-
-def _list_items(f: IO[str], buf: str) -> Iterator[object]:
-    """Yield the elements of the JSON list in f one at a time; buf is the text
-    read from f so far, a '[' after optional whitespace and then more.
-
-    Only the text of the element being parsed is held. An element is taken
-    once the delimiter after it has been read too: a number cut short by the
-    end of a read would still parse. A syntax error that no cut read can
-    cause is raised without reading on.
-    """
-    pos, delim = _skip(buf).end() + 1, "["  # delim: the token before the next element
-    base = 0  # characters of f before buf
-    while delim != "]":
-        try:
-            pos = _skip(buf, pos).end()
-            if delim == "[" and buf[pos] == "]":  # IndexError: only whitespace read after pos
-                pos += 1
-                break
-            obj, end = raw_decode_json(buf, pos)
-            end = _skip(buf, end).end()
-            if buf[end] not in ",]":  # may be the rest of a number cut by a read: 1|.5
-                raise json.JSONDecodeError("Expecting ',' delimiter", buf, end)
-        except (IndexError, json.JSONDecodeError) as exc:
-            cut = (
-                isinstance(exc, IndexError)
-                or exc.msg.startswith("Unterminated string")
-                or len(buf) - exc.pos < _LONGEST_TOKEN
-            )
-            more = cut and f.read(max(MODEL_BLOCK, len(buf) - pos))
-            if more:
-                base, buf, pos = base + pos, buf[pos:] + more, 0
-                continue
-            if isinstance(exc, IndexError):
-                raise ValueError("model file ends inside its script list") from None
-            raise ValueError(f"model file: {exc.msg}: char {base + exc.pos}") from None
-        yield obj
-        delim, pos = buf[end], end + 1
-    tail = buf[pos:]
-    while not tail.strip():
-        tail = f.read(MODEL_BLOCK)
-        if not tail:
-            return
-    raise ValueError("model file has data after its script list")
 
 
 def scripted_echo(source: Sequence[str], chunk_size: int, beam: int = 1) -> ScriptedModel:
@@ -347,40 +283,6 @@ def event_to_record(sim: SimRun, event: SimEvent) -> dict:
     return dict(zip(_EVENT_KEYS, (sim.pair_id, *event)))
 
 
-# json.dumps(obj, ensure_ascii=False, allow_nan=False) without building an
-# encoder per call; every JSON output (the JSONL stages, the config line and
-# eval's report) encodes through it, so none can hold a NaN or an infinity.
-# Everything it encodes is a tree the program builds, so the check for
-# reference cycles is skipped.
-encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False).encode
-
-# json.JSONDecoder().raw_decode, built once: the JSON value that starts at an
-# index of a string, and the index after it. read_scripts and decode_line
-# decode through it.
-raw_decode_json = json.JSONDecoder().raw_decode
-
-
-def read_lines(path: str) -> Iterator[tuple[int, bytes]]:
-    """Each line of a line-oriented input, as its 0-based number and its bytes.
-    A line ends at b"\\n" only, so a CR is whitespace inside a line; each line
-    is decoded where its record is parsed."""
-    with open(path, "rb") as f:
-        yield from enumerate(f)
-
-
-def decode_line(line: bytes) -> object:
-    """json.loads(line.decode("utf-8")): its value or its error, a
-    UnicodeDecodeError included. Every JSONL reader decodes through this. A
-    line that is one JSON value and then a newline, as this package writes
-    them, skips json.loads's whitespace scans."""
-    text = line.decode("utf-8")
-    try:
-        value, end = raw_decode_json(text)
-    except json.JSONDecodeError:
-        return json.loads(text)
-    return value if text[end:] == "\n" else json.loads(text)
-
-
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
     write = out.write
     for sim in runs:
@@ -389,7 +291,8 @@ def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
 
 
 # The integer fields of an event record that `metrics.events_report` reads,
-# each with its least value (None: any integer).
+# each with its least value (None: any integer). A field with a least value is
+# at most 2**53 too, so that it converts to a float exactly; id is only compared.
 _EVENT_INT_FIELDS = {
     "id": None,
     "recompute_tokens_conversational": 0,
@@ -414,10 +317,14 @@ def _checked_event(line: bytes, lineno: int) -> dict:
         value = record.get(key)
         if type(value) is not int:
             raise ValueError(f"event line {lineno}: {key} is not an integer")
-        if least is not None and value < least:
+        if least is None:
+            continue
+        if value < least:
             raise ValueError(f"event line {lineno}: {key} is below {least}")
+        if value > 2**53:
+            raise ValueError(f"event line {lineno}: {key} is above 2**53")
     words = record.get("committed_words")
-    if type(words) is not list or not _only_str(map(type, words)):
+    if type(words) is not list or not only_str(map(type, words)):
         raise ValueError(f"event line {lineno}: committed_words is not a list of strings")
     return record
 
@@ -431,7 +338,7 @@ def load_events_jsonl(path: str) -> Iterator[list[dict]]:
     `eval` reads are missing, of the wrong type or out of range, raises ValueError.
     """
     last = None
-    records = (_checked_event(line, n + 1) for n, line in read_lines(path) if not line.isspace())
+    records = (_checked_event(line, n + 1) for n, line in read_records(path))
     for rid, events in groupby(records, key=itemgetter("id")):
         if last is not None and rid <= last:
             raise ValueError(f"run id {rid} follows run id {last} in {path}: run ids must ascend")

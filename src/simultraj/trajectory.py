@@ -13,6 +13,7 @@ from functools import partial
 from typing import Iterator, NamedTuple
 
 from simultraj.alignment import SentencePair
+from simultraj.jsonl import only_str
 from simultraj.monotonic import MonotonicPlan
 
 META = "meta"
@@ -54,9 +55,7 @@ class Trajectory(NamedTuple):
             j += chunk.n_write
 
 
-# C-level helpers: "every type is str" over map(type, words), and a Chunk from
-# an (n_read, n_write, shifted) sequence, without NamedTuple's Python __new__.
-_only_str = frozenset((str,)).issuperset
+# A Chunk from an (n_read, n_write, shifted) sequence, without NamedTuple's __new__.
 _chunk = partial(tuple.__new__, Chunk)
 
 
@@ -176,9 +175,9 @@ def from_record(record: object) -> Trajectory:
         if not isinstance(chunk, dict):
             raise ValueError(f"record {rid}: chunk {c} is not an object")
         read, write, shifted = chunk.get("read"), chunk.get("write"), chunk.get("shifted", 0)
-        if not (isinstance(read, (list, tuple)) and _only_str(map(type, read))):
+        if not (isinstance(read, (list, tuple)) and only_str(map(type, read))):
             raise ValueError(f"record {rid}: chunk {c} read is not a list of strings")
-        if not (isinstance(write, (list, tuple)) and _only_str(map(type, write))):
+        if not (isinstance(write, (list, tuple)) and only_str(map(type, write))):
             raise ValueError(f"record {rid}: chunk {c} write is not a list of strings")
         if type(shifted) is not int:
             raise ValueError(f"record {rid}: chunk {c} shifted {shifted!r} is not an integer")

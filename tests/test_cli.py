@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from simultraj import cli, simulator
+from simultraj import cli, jsonl
 from simultraj.cli import build_parser, main
-from simultraj.simulator import decode_line
+from simultraj.jsonl import decode_line
 from conftest import write_sim_case, write_toy_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -720,9 +720,7 @@ def test_eval_run_ids_must_ascend(tmp_path, capsys, ids, error):
     ({}, ["--cost-word", "1.5e308"], "integer division result too large for a float"),
     # One infinite WWT.
     ({}, ["--cost-word", "1e308", "--cost-recompute", "1e308"], "run id 0: cannot convert Infinity to integer ratio"),
-    ({"recompute_tokens_conversational": 10**400}, [], "run id 0: int too large to convert to float"),
-    ({"cumulative_source_read": 10**400}, [], "run id 0: float division by zero"),
-], ids=["sum-overflow", "infinite-wwt", "huge-recompute", "huge-read-count"])
+], ids=["sum-overflow", "infinite-wwt"])
 def test_eval_float_overflow_is_hard_error_naming_the_run(tmp_path, capsys, event, flags, error):
     events = tmp_path / "events.jsonl"
     records = [{**GOOD_EVENT, **event}, {**GOOD_EVENT, **event, "id": 1}]
@@ -730,6 +728,25 @@ def test_eval_float_overflow_is_hard_error_naming_the_run(tmp_path, capsys, even
     assert main(["eval", "--events", str(events), *flags]) == 2
     out, err = capsys.readouterr()
     assert (out, err.splitlines()[1:]) == ("", [f"error: {error}"])
+
+
+@pytest.mark.parametrize("value", [2**53, 2**53 + 1, 10**400], ids=["2**53", "2**53+1", "10**400"])
+@pytest.mark.parametrize("field", ["recompute_tokens_conversational", "recompute_tokens_offline",
+                                   "cumulative_source_read"])
+def test_eval_event_integers_are_at_most_2_53(tmp_path, capsys, field, value):
+    """eval turns these counts into floats: up to 2**53 every integer converts
+    exactly. Above it, the field is named, as by the other field checks, and
+    not the float error it would cause."""
+    events = tmp_path / "events.jsonl"
+    records = [GOOD_EVENT, {**GOOD_EVENT, field: value, "id": 1}]
+    events.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code = main(["eval", "--events", str(events)])
+    out, err = capsys.readouterr()
+    if value == 2**53:
+        assert code == 0, err
+        assert json.loads(out.splitlines()[0])["runs"] == 2
+    else:
+        assert (code, out, err.splitlines()[1:]) == (2, "", [f"error: event line 2: {field} is above 2**53"])
 
 
 GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "committed_words": ["A"],
@@ -1099,7 +1116,7 @@ def test_simulate_streamed_model_layouts_give_compact_events(tmp_path, sim_case,
     }[layout]
     (tmp_path / "m.json").write_text(text, encoding="utf-8")
     if block:
-        monkeypatch.setattr(simulator, "MODEL_BLOCK", block)
+        monkeypatch.setattr(jsonl, "MODEL_BLOCK", block)
     assert simulate(src, tmp_path / "m.json", tmp_path / "e.jsonl") == 0
     assert (tmp_path / "e.jsonl").read_bytes() == events
 
@@ -1148,7 +1165,7 @@ def test_simulate_empty_script_list(tmp_path, capsys, src_text, code, err):
 
 def test_simulate_refuses_a_single_object_model(tmp_path, sim_case, capsys, monkeypatch):
     src, scripts, _ = sim_case
-    monkeypatch.setattr(simulator, "MODEL_BLOCK", 5)  # the head is read past whitespace
+    monkeypatch.setattr(jsonl, "MODEL_BLOCK", 5)  # the head is read past whitespace
     # One script object, as older versions took for every line; then other
     # heads that are not a JSON list (form feed is not JSON whitespace).
     for text in (json.dumps(scripts[0], indent=1), "\n \n{}", "", "\x0c[]"):
@@ -1167,7 +1184,7 @@ def test_simulate_model_syntax_error_names_its_char(tmp_path, capsys, monkeypatc
     at = text.index("}, {") + 3  # the start of the second script
     model.write_text(text[:at] + "[[[x" + text[at:], encoding="utf-8")
     if block:
-        monkeypatch.setattr(simulator, "MODEL_BLOCK", block)
+        monkeypatch.setattr(jsonl, "MODEL_BLOCK", block)
     assert simulate(src, model, tmp_path / "e.jsonl") == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: model file: Expecting value: char {at + 3}\n")
@@ -1183,7 +1200,7 @@ def test_simulate_number_cut_by_a_read_is_reported_as_with_whole_reads(tmp_path,
     results = []
     for block in (None, 3):
         if block:
-            monkeypatch.setattr(simulator, "MODEL_BLOCK", block)
+            monkeypatch.setattr(jsonl, "MODEL_BLOCK", block)
         code = simulate(tmp_path / "src.txt", tmp_path / "m.json", tmp_path / "e.jsonl")
         results.append((code, capsys.readouterr().err.splitlines()[-1]))
     assert results[0] == results[1]
@@ -1196,9 +1213,9 @@ def test_model_syntax_error_is_raised_without_reading_on(tmp_path, monkeypatch):
     text = model.read_text(encoding="utf-8")
     at = text.index("}, {") + 3
     text = text[:at] + "[[[x" + text[at:]
-    monkeypatch.setattr(simulator, "MODEL_BLOCK", 64)
+    monkeypatch.setattr(jsonl, "MODEL_BLOCK", 64)
     f = io.StringIO(text)
-    items = simulator._list_items(f, f.read(simulator.MODEL_BLOCK))
+    items = jsonl._list_items(f, f.read(jsonl.MODEL_BLOCK))
     next(items)
     with pytest.raises(ValueError, match=f"^model file: Expecting value: char {at + 3}$"):
         next(items)
@@ -1221,7 +1238,7 @@ def refill_free_lists():
 
 def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypatch):
     # Small reads, so that both model files span many of them.
-    monkeypatch.setattr(simulator, "MODEL_BLOCK", 8192)
+    monkeypatch.setattr(jsonl, "MODEL_BLOCK", 8192)
     peaks = []
     for sessions in (250, 2500):
         work = tmp_path / str(sessions)
@@ -1301,3 +1318,36 @@ def test_output_naming_an_input_is_hard_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"error: {flag} {argv[-1]} is also an input\n" in err
     assert victim.read_bytes() == before
+
+
+# ------------------------------------------- inputs opened before --out
+
+# Per stage: the flags of its inputs, and the flag of the file it writes.
+INPUT_FLAGS = {"curate": (("--src", "--tgt", "--align"), "--out"), "augment": (("--in",), "--out"),
+               "format": (("--in",), "--out"), "simulate": (("--src", "--model"), "--out"),
+               "eval": (("--events",), "--csv")}
+MISSING_INPUT_CASES = [(stage, flag, workers) for stage, (flags, _) in INPUT_FLAGS.items() for flag in flags
+                       for workers in (("1", "2") if stage in ("curate", "augment", "format") else (None,))]
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-output", "no-output"])
+@pytest.mark.parametrize("stage, flag, workers", MISSING_INPUT_CASES,
+                         ids=[f"{s}{f}" + (f"-w{w}" if w else "") for s, f, w in MISSING_INPUT_CASES])
+def test_missing_input_leaves_the_output_as_it_was(tmp_path, capsys, monkeypatch, stage, flag, workers, existing):
+    """Every input is opened before the output, which opening empties: a
+    missing one stops the stage with the output's bytes kept, or with no
+    output created."""
+    two_usable_cpus(monkeypatch)
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=3)
+    sim_src, model, _ = write_sim_case(tmp_path, 2)
+    paths = {("curate", "--src"): src, ("curate", "--tgt"): tgt, ("curate", "--align"): align,
+             ("simulate", "--src"): sim_src, ("simulate", "--model"): model}
+    missing, out = tmp_path / "missing.jsonl", tmp_path / "out.jsonl"
+    flags, out_flag = INPUT_FLAGS[stage]
+    argv = [stage, *(a for f in flags for a in (f, str(missing if f == flag else paths[stage, f]))),
+            out_flag, str(out), *(["--workers", workers] if workers else [])]
+    if existing:
+        out.write_bytes(b"keep")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [f"error: [Errno 2] No such file or directory: '{missing}'"]
+    assert out.read_bytes() == b"keep" if existing else not out.exists()

@@ -77,6 +77,8 @@ PROCESS_CASES = {
     "augment-clean": (0, ["augment", "--in", "meta.jsonl", "--out", "aug.jsonl"]),
     "augment-rejected": (1, ["augment", "--in", "bad_meta.jsonl", "--out", "aug.jsonl"]),
     "augment-hard": (2, ["augment", "--in", "meta.jsonl", "--out", "meta.jsonl"]),
+    # The input is opened before the output, which keeps its bytes.
+    "augment-missing-input": (2, ["augment", "--in", "missing.jsonl", "--out", "keep.jsonl"]),
     # A pool, where one is allowed: it flushes stdout and stderr before it forks.
     "augment-workers": (0, ["augment", "--in", "meta.jsonl", "--out", "aug2.jsonl", "--workers", "2"]),
     "format-clean": (0, ["format", "--in", "meta.jsonl", "--out", "sft.jsonl"]),
@@ -114,6 +116,7 @@ def inputs(tmp_path_factory):
     meta = work / "meta.jsonl"
     assert main(["curate", "--src", str(work / "src.txt"), "--tgt", str(work / "tgt.txt"),
                  "--align", str(work / "align.txt"), "--out", str(meta)]) == 0
+    (work / "keep.jsonl").write_bytes(b"keep")
     (work / "bad_meta.jsonl").write_text(meta.read_text(encoding="utf-8") + "[1, 2]\n", encoding="utf-8")
     sim_src, model, scripts = write_sim_case(work, 2)
     (work / "blank_src.txt").write_text("\n" + sim_src.read_text(encoding="utf-8"), encoding="utf-8")
@@ -173,6 +176,13 @@ def test_non_utf8_line_is_one_rejection(process_runs, case, reason):
     code, _, err = process_runs[case]
     assert code == 1
     assert err.splitlines()[1:] == [reason + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]
+
+
+def test_missing_input_leaves_the_output_as_it_was(inputs, process_runs):
+    code, out, err = process_runs["augment-missing-input"]
+    assert (code, out) == (2, "")
+    assert err.splitlines()[1:] == ["error: [Errno 2] No such file or directory: 'missing.jsonl'"]
+    assert (inputs / "keep.jsonl").read_bytes() == b"keep"
 
 
 @pytest.mark.parametrize("sink", STDERR_SINKS)

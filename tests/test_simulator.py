@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptRecorder, committed, oracle_run, ref_select_prefix, replay_prompts
+from simultraj.jsonl import encode_json
 from simultraj.metrics import CostModel, events_report
 from simultraj.simulator import (
     GREEDY,
@@ -14,7 +15,6 @@ from simultraj.simulator import (
     SelectStrategy,
     SimulationError,
     dump_events_jsonl,
-    encode_json,
     event_to_record,
     load_events_jsonl,
     run,
