@@ -3,8 +3,8 @@
 Files are processed line-by-line in input order; optional process parallelism
 (--workers) never changes output bytes because all randomness is derived from
 the CLI seed and the record id. Only `simultraj.jsonl` opens inputs, cuts
-lines and codes JSON; a stage opens its outputs after its inputs, so a missing
-input leaves an existing output as it was.
+lines and codes JSON. Every stage opens its inputs, then its output, then
+reads: see `_open_output`.
 Every subcommand prints its resolved configuration to stderr for provenance; that
 line, the rejection reasons and the error line all go through `_note`, which
 never lets them reach stdout. Exit status: 0 all records clean, 1 some records
@@ -25,6 +25,7 @@ import argparse
 import io
 import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 from itertools import chain, zip_longest
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
@@ -45,7 +46,6 @@ from simultraj.simulator import (
     SELECT_KINDS,
     ScriptedModel,
     SelectStrategy,
-    SimRun,
     SimulationError,
     dump_events_jsonl,
     load_events_jsonl,
@@ -190,21 +190,23 @@ def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def _refuse_input(flag: str, path: str, *inputs: str) -> None:
-    """Raise ValueError if the output path names an existing input file: opening
-    it for writing would empty the input before it is read."""
+def _open_output(flag: str, path: str, *inputs: str) -> BinaryIO:
+    """Open a stage's output for writing, after its inputs and before reading
+    them: a missing input keeps an existing output's bytes, and an unwritable
+    output stops the stage before it reads. ValueError if path names an input,
+    which opening would empty."""
     if os.path.exists(path) and any(os.path.exists(p) and os.path.samefile(path, p) for p in inputs):
         raise ValueError(f"{flag} {path} is also an input")
+    return open(path, "wb")
 
 
 def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inputs: str) -> int:
     """Write worker's results over the items read(*inputs) gives to --out in
     input order; 1 if any record was rejected. A result is ("ok", a jsonl_line)
-    or ("err", a reason). read opens the inputs before --out is opened."""
-    _refuse_input("--out", args.out, *inputs)
+    or ("err", a reason). read opens the inputs, before --out is opened."""
     items = read(*inputs)
     failures = 0
-    with open(args.out, "wb") as out:
+    with _open_output("--out", args.out, *inputs) as out:
         for status, payload in _pmap(worker, items, args.workers):
             if status == "ok":
                 out.write(payload)
@@ -309,15 +311,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     strategy = SelectStrategy(args.select, args.gamma)
-    _refuse_input("--out", args.out, args.src, args.model)
-    rejected = 0
-
-    def runs(lines: Iterator[tuple[int, bytes]], scripts: Iterator) -> Iterator[SimRun]:
+    scripts, lines = read_scripts(args.model), read_lines(args.src)
+    rejected = used = 0
+    # dump_events_jsonl writes str, as to the io.StringIO of in-memory callers.
+    with io.TextIOWrapper(_open_output("--out", args.out, args.src, args.model), encoding="utf-8") as out:
         # Session ids are 0-based source line numbers. Each session is written
         # as soon as it ends, then dropped; one script is held at a time. A line
         # that is not UTF-8 is not blank: it takes its script, then is rejected.
-        nonlocal rejected
-        used = 0
         for idx, line in lines:
             try:
                 source = line.decode().split()
@@ -346,40 +346,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 _note(f"session {idx} rejected: {source}")
                 continue
             try:
-                yield simulate_run(
-                    source,
-                    model,
-                    chunk_size=args.chunk,
-                    strategy=strategy,
-                    prompt_mode=args.prompt,
-                    beam=args.beam,
-                    pair_id=idx,
-                )
+                sim = simulate_run(source, model, chunk_size=args.chunk, strategy=strategy,
+                                   prompt_mode=args.prompt, beam=args.beam, pair_id=idx)
             except SimulationError as exc:
                 raise SimulationError(f"session {idx}: {exc}") from None
+            dump_events_jsonl((sim,), out)
         if extra := sum(1 for _ in scripts):
             raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
-
-    scripts, lines = read_scripts(args.model), read_lines(args.src)  # opened before --out
-    # dump_events_jsonl writes str, as to the io.StringIO of in-memory callers.
-    with io.TextIOWrapper(open(args.out, "wb"), encoding="utf-8") as out:
-        dump_events_jsonl(runs(lines, scripts), out)
     return 1 if rejected else 0
 
 
 # ------------------------------------------------------------------- eval
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _refuse_input("--csv", args.csv, args.events)
     cost = CostModel(args.cost_recompute, args.cost_word)
-    report = events_report(load_events_jsonl(args.events), cost, args.prompt)
-    data = report._asdict()
-    print(encode_json(data))
-    print(report.table())
-    if args.csv:
-        with open(args.csv, "wb") as f:
-            f.write((",".join(data.keys()) + "\n").encode())
-            f.write((",".join("" if v is None else str(v) for v in data.values()) + "\n").encode())
+    runs = load_events_jsonl(args.events)
+    with _open_output("--csv", args.csv, args.events) if args.csv else nullcontext() as csv:
+        report = events_report(runs, cost, args.prompt)
+        data = report._asdict()
+        print(encode_json(data))
+        print(report.table())
+        if csv:
+            csv.write((",".join(data.keys()) + "\n").encode())
+            csv.write((",".join("" if v is None else str(v) for v in data.values()) + "\n").encode())
     return 0
 
 

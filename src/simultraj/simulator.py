@@ -330,16 +330,20 @@ def _checked_event(line: bytes, lineno: int) -> dict:
 
 
 def load_events_jsonl(path: str) -> Iterator[list[dict]]:
-    """Yield the event records of one run at a time, in file order.
+    """The event records of one run at a time, in file order, from a file opened now.
 
     `dump_events_jsonl` writes each run as one block of consecutive records
     with the same id, in ascending id order, so only one run is held at a time.
     A run whose id is not above the previous run's, or a record whose fields
     `eval` reads are missing, of the wrong type or out of range, raises ValueError.
     """
+    return _runs(read_records(path), path)
+
+
+def _runs(records: Iterator[tuple[int, bytes]], path: str) -> Iterator[list[dict]]:
     last = None
-    records = (_checked_event(line, n + 1) for n, line in read_records(path))
-    for rid, events in groupby(records, key=itemgetter("id")):
+    checked = (_checked_event(line, n + 1) for n, line in records)
+    for rid, events in groupby(checked, key=itemgetter("id")):
         if last is not None and rid <= last:
             raise ValueError(f"run id {rid} follows run id {last} in {path}: run ids must ascend")
         last = rid

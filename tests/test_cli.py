@@ -1285,6 +1285,44 @@ def test_eval_memory_does_not_grow_with_runs(tmp_path):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+@pytest.fixture(scope="module")
+def corpus_by_size(tmp_path_factory):
+    """Per record count: the toy corpus's three files and its meta JSONL."""
+    made = {}
+    for pairs in (250, 2500):
+        work = tmp_path_factory.mktemp(f"corpus{pairs}")
+        src, tgt, align = map(str, write_toy_corpus(work, n_pairs=pairs))
+        meta = str(work / "meta.jsonl")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["curate", "--src", src, "--tgt", tgt, "--align", align, "--out", meta]) == 0
+        made[pairs] = {"--src": src, "--tgt": tgt, "--align": align, "--in": meta}
+    return made
+
+
+@pytest.mark.parametrize("stage", ["curate", "augment", "format", "stats"])
+def test_corpus_stage_memory_does_not_grow_with_records(tmp_path, corpus_by_size, stage):
+    """At --workers 1 a corpus stage holds one record at a time: each stage
+    peaks at ~10-70 kB, so a leak of ~100 B per record would more than double
+    the peak at 2,500 records."""
+    flags = ("--src", "--tgt", "--align") if stage == "curate" else ("--in",)
+    peaks = []
+    for pairs, paths in corpus_by_size.items():
+        argv = [stage, *(a for f in flags for a in (f, paths[f]))]
+        if stage != "stats":
+            argv += ["--out", str(tmp_path / f"{pairs}.jsonl")]
+        args = build_parser().parse_args(argv)
+        gc.collect()
+        refill_free_lists()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert args.func(args) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 # ---------------------------------------------------- --out naming an input
 
 def out_is_input_cases(tmp_path):
@@ -1351,3 +1389,25 @@ def test_missing_input_leaves_the_output_as_it_was(tmp_path, capsys, monkeypatch
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines()[1:] == [f"error: [Errno 2] No such file or directory: '{missing}'"]
     assert out.read_bytes() == b"keep" if existing else not out.exists()
+
+
+@pytest.mark.parametrize("stage", INPUT_FLAGS)
+def test_unwritable_output_is_hard_error_with_empty_stdout(tmp_path, capsys, stage):
+    """Every writing stage opens its output before it reads its inputs: an
+    output under a missing directory is exit 2 with nothing on stdout, eval's
+    report included."""
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=3)
+    sim_src, model, _ = write_sim_case(tmp_path, 2)
+    meta, events = tmp_path / "meta.jsonl", tmp_path / "events.jsonl"
+    assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(meta)]) == 0
+    assert simulate(sim_src, model, events) == 0
+    inputs = {"curate": (src, tgt, align), "augment": (meta,), "format": (meta,), "simulate": (sim_src, model),
+              "eval": (events,)}
+    flags, out_flag = INPUT_FLAGS[stage]
+    out = tmp_path / "no-such-dir" / "out"
+    argv = [stage, *(a for f, path in zip(flags, inputs[stage]) for a in (f, str(path))), out_flag, str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [f"error: [Errno 2] No such file or directory: '{out}'"]
