@@ -11,7 +11,8 @@ dropped unread.
 readers take their records from ``read_records``, which skips the lines of
 ASCII whitespace, and decode each through ``decode_line``. ``jsonl_line``
 encodes a record as its UTF-8 line, and ``encode_json`` every other JSON
-output. ``read_scripts`` reads `simulate`'s model file, a JSON list of
+output; both go through one C encoder, built once per process rather than
+once per call. ``read_scripts`` reads `simulate`'s model file, a JSON list of
 scripts, one script at a time. This module imports no other module of the
 package.
 """
@@ -21,12 +22,24 @@ from __future__ import annotations
 import json
 from typing import IO, Iterator
 
-# json.dumps(obj, ensure_ascii=False, allow_nan=False) without building an
-# encoder per call; every JSON output (the JSONL stages, the config line and
-# eval's report) encodes through it, so none can hold a NaN or an infinity.
-# Everything it encodes is a tree the program builds, so the check for
-# reference cycles is skipped.
-encode_json = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False).encode
+_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False, allow_nan=False)
+# The C encoder that _ENCODER.encode builds anew on every call, built once here
+# with the arguments encode passes it: markers, default, the string encoder,
+# indent, the two separators, sort_keys, skipkeys and allow_nan. Everything
+# encoded is a tree the program builds, so the check for reference cycles is
+# skipped (markers None).
+_encode_chunks = json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring, None,
+    _ENCODER.key_separator, _ENCODER.item_separator, False, False, False,
+)
+
+
+def encode_json(obj: object) -> str:
+    """json.dumps(obj, ensure_ascii=False, allow_nan=False): its text or its
+    error. Every JSON output (the JSONL stages, the config line and eval's
+    report) encodes through it, so none can hold a NaN or an infinity."""
+    return "".join(_encode_chunks(obj, 0))  # a list of chunks, a tuple from 3.12 on
+
 
 # json.JSONDecoder().raw_decode, built once: the JSON value that starts at an
 # index of a string, and the index after it. read_scripts and decode_line

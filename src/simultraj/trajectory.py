@@ -80,30 +80,32 @@ def build_meta(plan: MonotonicPlan, pair: SentencePair) -> Trajectory:
 def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
     """Audit trajectory invariants; returns one message per violation (empty = sound).
 
-    The sufficiency check needs the plan and is skipped when plan is None.
+    The messages come in this order: coverage, each chunk's shape, write
+    sufficiency. The sufficiency check needs the plan and is skipped when plan
+    is None. One pass over the chunks: coverage is read from the running totals.
     """
+    shape: list[str] = []
+    insufficient: list[str] = []
+    req = None if plan is None else plan.prefix_req
+    read = written = 0
+    for c, (n_read, n_write, shifted) in enumerate(traj.chunks):
+        if n_read < 1:
+            shape.append(f"empty read @chunk {c}")
+        if n_write < 1:
+            shape.append(f"empty write @chunk {c}")
+        if not 0 <= shifted <= n_write:
+            shape.append(f"shifted prefix violated @chunk {c}")
+        read += n_read
+        # A write of this chunk needs more source than has been read.
+        if req is not None and max(req[written : written + n_write], default=read) > read:
+            insufficient.append(f"write sufficiency violated @chunk {c}")
+        written += n_write
     violations: list[str] = []
-    if sum(c.n_read for c in traj.chunks) != traj.pair.source_len:
+    if read != traj.pair.source_len:
         violations.append("source coverage violated")
-    if sum(c.n_write for c in traj.chunks) != traj.pair.target_len:
+    if written != traj.pair.target_len:
         violations.append("target coverage violated")
-
-    for c, chunk in enumerate(traj.chunks):
-        if chunk.n_read < 1:
-            violations.append(f"empty read @chunk {c}")
-        if chunk.n_write < 1:
-            violations.append(f"empty write @chunk {c}")
-        if not 0 <= chunk.shifted_prefix_len <= chunk.n_write:
-            violations.append(f"shifted prefix violated @chunk {c}")
-
-    if plan is not None:
-        read = written = 0
-        for c, chunk in enumerate(traj.chunks):
-            read += chunk.n_read
-            if any(m > read for m in plan.prefix_req[written : written + chunk.n_write]):
-                violations.append(f"write sufficiency violated @chunk {c}")
-            written += chunk.n_write
-    return violations
+    return violations + shape + insufficient
 
 
 def to_record(traj: Trajectory, debug_indices: bool = False) -> dict:

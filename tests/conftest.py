@@ -469,6 +469,33 @@ def ref_verify(traj: RefTrajectory, plan: MonotonicPlan | None = None) -> list[s
     return violations
 
 
+# trajectory.verify as it was before its one pass: coverage from two sums over
+# the chunks, a pass for each chunk's shape, then a pass for sufficiency.
+# test_trajectory.py checks that both give the same messages in the same order,
+# on unsound counts, lengths and plans too.
+def count_verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
+    violations: list[str] = []
+    if sum(c.n_read for c in traj.chunks) != traj.pair.source_len:
+        violations.append("source coverage violated")
+    if sum(c.n_write for c in traj.chunks) != traj.pair.target_len:
+        violations.append("target coverage violated")
+    for c, chunk in enumerate(traj.chunks):
+        if chunk.n_read < 1:
+            violations.append(f"empty read @chunk {c}")
+        if chunk.n_write < 1:
+            violations.append(f"empty write @chunk {c}")
+        if not 0 <= chunk.shifted_prefix_len <= chunk.n_write:
+            violations.append(f"shifted prefix violated @chunk {c}")
+    if plan is not None:
+        read = written = 0
+        for c, chunk in enumerate(traj.chunks):
+            read += chunk.n_read
+            if any(m > read for m in plan.prefix_req[written : written + chunk.n_write]):
+                violations.append(f"write sufficiency violated @chunk {c}")
+            written += chunk.n_write
+    return violations
+
+
 def ref_to_record(traj: RefTrajectory, debug_indices: bool = False) -> dict:
     record: dict = {
         "id": traj.pair.id,

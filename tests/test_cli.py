@@ -1236,7 +1236,23 @@ def refill_free_lists():
     del junk
 
 
-def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypatch):
+def traced_peak(args) -> int:
+    """The peak of the memory that tracemalloc traces while args.func(args)
+    runs and returns 0, its stdout and stderr discarded."""
+    # Free what earlier tests left in cycles, so that the peak is this run's,
+    # then refill the free lists that the collection emptied.
+    gc.collect()
+    refill_free_lists()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert args.func(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_sessions(tmp_path, monkeypatch):
     # Small reads, so that both model files span many of them.
     monkeypatch.setattr(jsonl, "MODEL_BLOCK", 8192)
     peaks = []
@@ -1248,16 +1264,7 @@ def test_simulate_memory_does_not_grow_with_sessions(tmp_path, capsys, monkeypat
         # ~95 kB a run holds, which would hide a leak of ~50 B per session.
         args = build_parser().parse_args(["simulate", "--src", str(src), "--model", str(model),
                                           "--chunk", "3", "--beam", "5", "--out", str(work / "e.jsonl")])
-        # Free what earlier tests left in cycles, so that the peak is this run's,
-        # then refill the free lists that the collection emptied.
-        gc.collect()
-        refill_free_lists()
-        tracemalloc.start()
-        try:
-            assert args.func(args) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(args))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -1273,23 +1280,14 @@ def test_eval_memory_does_not_grow_with_runs(tmp_path):
                 f.write(json.dumps({**GOOD_EVENT, "id": rid, "committed_words": words,
                                     "cumulative_source_read": 1 + rid % 5}) + "\n")
         args = build_parser().parse_args(["eval", "--events", str(events)])
-        gc.collect()
-        refill_free_lists()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert args.func(args) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(args))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-@pytest.fixture(scope="module")
-def corpus_by_size(tmp_path_factory):
+def corpora(tmp_path_factory, sizes):
     """Per record count: the toy corpus's three files and its meta JSONL."""
     made = {}
-    for pairs in (250, 2500):
+    for pairs in sizes:
         work = tmp_path_factory.mktemp(f"corpus{pairs}")
         src, tgt, align = map(str, write_toy_corpus(work, n_pairs=pairs))
         meta = str(work / "meta.jsonl")
@@ -1297,6 +1295,11 @@ def corpus_by_size(tmp_path_factory):
             assert main(["curate", "--src", src, "--tgt", tgt, "--align", align, "--out", meta]) == 0
         made[pairs] = {"--src": src, "--tgt": tgt, "--align": align, "--in": meta}
     return made
+
+
+@pytest.fixture(scope="module")
+def corpus_by_size(tmp_path_factory):
+    return corpora(tmp_path_factory, (250, 2500))
 
 
 @pytest.mark.parametrize("stage", ["curate", "augment", "format", "stats"])
@@ -1311,15 +1314,35 @@ def test_corpus_stage_memory_does_not_grow_with_records(tmp_path, corpus_by_size
         if stage != "stats":
             argv += ["--out", str(tmp_path / f"{pairs}.jsonl")]
         args = build_parser().parse_args(argv)
-        gc.collect()
-        refill_free_lists()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert args.func(args) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(args))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.fixture(scope="module")
+def corpus_by_batches(tmp_path_factory):
+    return corpora(tmp_path_factory, (4 * cli.PMAP_BATCH, 16 * cli.PMAP_BATCH))
+
+
+@pytest.mark.parametrize("stage", ["curate", "augment", "format"])
+def test_parent_memory_does_not_grow_with_records_at_two_workers(tmp_path, corpus_by_batches, monkeypatch,
+                                                                 no_leftover_children, stage):
+    """At --workers 2 the parent holds one batch of items and one of results
+    at a time, whatever the input's size: it peaks at ~0.25-0.3 MB at 1,024
+    and 4,096 records alike, so a leak of ~100 B per record would take the
+    ratio of the two peaks to ~1.8."""
+    serve = cli._serve
+
+    def untraced_serve(*args):
+        tracemalloc.stop()  # a forked worker inherits the tracing; only the parent is measured
+        serve(*args)
+
+    monkeypatch.setattr(cli, "_serve", untraced_serve)
+    flags = ("--src", "--tgt", "--align") if stage == "curate" else ("--in",)
+    peaks = []
+    for pairs, paths in corpus_by_batches.items():
+        argv = [stage, *(a for f in flags for a in (f, paths[f])), "--out", str(tmp_path / f"{pairs}.jsonl")]
+        args = build_parser().parse_args([*argv, "--workers", "2"])
+        peaks.append(traced_peak(args))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 

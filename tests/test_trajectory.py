@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_min_read_counts,
+    count_verify,
     make_pair,
     meta_of,
     random_case,
@@ -78,6 +79,23 @@ def test_verify_flags_shifted_prefix_overflow():
     assert verify(broken) == ["shifted prefix violated @chunk 0"]
     negative = Trajectory((Chunk(1, 1, shifted_prefix_len=-3),), pair, META)
     assert verify(negative) == ["shifted prefix violated @chunk 0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-3, 6)] * 3), max_size=6),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.none() | st.lists(st.integers(-2, 14), max_size=14),
+)
+def test_verify_matches_multi_pass_reference(counts, source_len, target_len, prefix_req):
+    """The one-pass verify gives the multi-pass reference's messages, in its
+    order, on chunk counts that are zero, negative or out of range, on pair
+    lengths the chunks do not cover, and on plans whose requirements fall or
+    whose length is not the target's."""
+    traj = Trajectory(tuple(Chunk(*c) for c in counts), make_pair(source_len, target_len), META)
+    plan = None if prefix_req is None else MonotonicPlan(tuple(prefix_req), (), source_len)
+    assert verify(traj, plan) == count_verify(traj, plan)
 
 
 def test_meta_achieves_brute_force_minimum_latency():
