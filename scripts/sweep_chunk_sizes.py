@@ -16,7 +16,7 @@ import sys
 
 from simultraj.cli import nonnegative_float
 from simultraj.metrics import CostModel, events_report
-from simultraj.simulator import CONVERSATIONAL, GREEDY, OFFLINE, event_to_record, run, scripted_echo
+from simultraj.simulator import CONVERSATIONAL, GREEDY, OFFLINE, run, scripted_echo
 
 DEFAULT_CHUNK_SIZES = (3, 5, 7, 9, 11, 13)
 
@@ -33,7 +33,7 @@ def sweep(sources, chunk_sizes, cost):
                 beam=1,
                 pair_id=idx,
             )
-            records.append([event_to_record(sim, event) for event in sim.events])
+            records.append([event._asdict() for event in sim.events])
         conv = events_report(records, cost, CONVERSATIONAL)
         off = events_report(records, cost, OFFLINE)
         yield {

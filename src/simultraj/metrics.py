@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from simultraj.simulator import CONVERSATIONAL, SimRun, event_to_record
+from simultraj.simulator import CONVERSATIONAL, SimRun
 from simultraj.trajectory import Trajectory
 
 
@@ -38,6 +38,10 @@ def average_lagging(g: Sequence[int], source_len: int, target_len: int) -> float
     return sum(g[t - 1] - (t - 1) / rate for t in range(1, tau + 1)) / tau
 
 
+_conversational_recompute = itemgetter("recompute_tokens_conversational")
+_offline_recompute = itemgetter("recompute_tokens_offline")
+
+
 class CostModel(NamedTuple):
     per_recomputed_token: float = 1.0
     per_generated_word: float = 1.0
@@ -52,17 +56,13 @@ def run_latency(
     recompute of the given prompt mode at c1 plus generation at c2, per
     committed word. None when the run commits no word.
     """
-    key = (
-        "recompute_tokens_conversational"
-        if prompt_mode == CONVERSATIONAL
-        else "recompute_tokens_offline"
-    )
+    recompute = _conversational_recompute if prompt_mode == CONVERSATIONAL else _offline_recompute
     g: list[int] = []
     total = 0.0
     for event in events:
         words = len(event["committed_words"])
         g.extend([event["cumulative_source_read"]] * words)
-        total += event[key] * cost.per_recomputed_token
+        total += recompute(event) * cost.per_recomputed_token
         total += words * cost.per_generated_word
     if not g:
         return None
@@ -71,8 +71,7 @@ def run_latency(
 
 def run_average_lagging(sim: SimRun) -> float:
     """AL of a simulated run, through the reducer `eval` uses."""
-    records = [event_to_record(sim, event) for event in sim.events]
-    latency = run_latency(records, CostModel(), sim.prompt_mode)
+    latency = run_latency([e._asdict() for e in sim.events], CostModel(), sim.prompt_mode)
     if latency is None:
         raise ValueError("run committed zero target words")
     return latency[0]
@@ -184,10 +183,6 @@ def _exact(x: float) -> int:
     """x in units of 2**-_ULP_BITS; OverflowError on an infinity."""
     n, d = x.as_integer_ratio()
     return n << _ULP_BITS + 1 - d.bit_length()  # d is a power of two
-
-
-_conversational_recompute = itemgetter("recompute_tokens_conversational")
-_offline_recompute = itemgetter("recompute_tokens_offline")
 
 
 def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:

@@ -19,9 +19,10 @@ in the prompt length; only the active mode's prompt is rendered, for the model.
 The tests re-render every round's prompts in full
 (``tests/conftest.py::oracle_run``) and check these counts against them.
 
-The event log is written by ``dump_events_jsonl`` and read back, one run at a
-time and with the fields `eval` reads checked, by ``load_events_jsonl``; both
-go through the codec of ``simultraj.jsonl``, which also reads the model file.
+A ``SimEvent`` is the event record: each line of the event log is one event's
+``_asdict()``, written by ``dump_events_jsonl``. ``load_events_jsonl`` reads the
+log back as dicts, one run at a time and with the fields `eval` reads checked.
+Both go through the codec of ``simultraj.jsonl``, which also reads the model file.
 """
 
 from __future__ import annotations
@@ -150,6 +151,10 @@ def select_prefix(
 
 
 class SimEvent(NamedTuple):
+    """One round of run `id`, and one line of the event log as its ``_asdict()``;
+    JSON writes the tuples as arrays."""
+
+    id: int
     round: int
     read_words: tuple[str, ...]
     candidates: tuple[tuple[str, ...], ...]
@@ -263,7 +268,7 @@ def run(
             # Source exhausted: flush the best full hypothesis.
             selected = beam_words[0]
 
-        events.append(_event((rnd, chunk, beam_words, selected, rc_conv, rc_off, read)))
+        events.append(_event((pair_id, rnd, chunk, beam_words, selected, rc_conv, rc_off, read)))
         if selected:
             tail += _words(selected)
             committed.extend(selected)
@@ -274,20 +279,11 @@ def run(
     )
 
 
-# An event record's keys, in order: the run's id, then SimEvent's fields.
-_EVENT_KEYS = ("id", *SimEvent._fields)
-
-
-def event_to_record(sim: SimRun, event: SimEvent) -> dict:
-    # json writes the tuples as arrays.
-    return dict(zip(_EVENT_KEYS, (sim.pair_id, *event)))
-
-
 def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
     write = out.write
     for sim in runs:
         for event in sim.events:
-            write(encode_json(event_to_record(sim, event)) + "\n")
+            write(encode_json(event._asdict()) + "\n")
 
 
 # The integer fields of an event record that `metrics.events_report` reads,

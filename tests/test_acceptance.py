@@ -34,7 +34,6 @@ from simultraj.simulator import (
     GREEDY,
     ScriptedModel,
     SelectStrategy,
-    event_to_record,
     run,
     select_prefix,
 )
@@ -206,7 +205,7 @@ def random_scripted_runs(n_runs: int, seed: int):
 def test_criterion_07_cache_reuse_inequality_1000_runs():
     strict_checked = 0
     for sim in random_scripted_runs(1_000, seed=777):
-        records = [event_to_record(sim, event) for event in sim.events]
+        records = [event._asdict() for event in sim.events]
         totals = events_report([records], CostModel(), sim.prompt_mode)
         final_prompt_words = len(replay_prompts(sim)[-1].prompt_conversational.split())
         assert totals.recompute_total_conversational == final_prompt_words

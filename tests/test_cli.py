@@ -127,12 +127,16 @@ def test_curate_debug_keeps_indices(tmp_path):
 def test_simulate_rejects_malformed_model_file(tmp_path, capsys):
     (tmp_path / "src.txt").write_text("a b\n", encoding="utf-8")
     for model, message in (('{"beams": []}', "error: model file must hold a JSON list of scripts"),
-                           ('[{"beams": []}]', "rounds")):
+                           ('[{"beams": []}]', "rounds"),
+                           # A whole first script, then the end of the file where ',' or ']' belongs.
+                           ('[{"rounds": [[["A","B"]]]}', "error: model file ends inside its script list")):
         (tmp_path / "model.json").write_text(model, encoding="utf-8")
+        (tmp_path / "e.jsonl").write_text("old\n", encoding="utf-8")
         assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
                      str(tmp_path / "model.json"), "--chunk", "2",
                      "--out", str(tmp_path / "e.jsonl")]) == 2
         assert message in capsys.readouterr().err
+    assert (tmp_path / "e.jsonl").read_bytes() == b""  # no session is written before the list ends
 
 
 def test_simulate_script_too_short_is_hard_error_naming_session(tmp_path, capsys):
@@ -197,10 +201,19 @@ def test_stats_prints_table(tmp_path, capsys):
     assert "#chunk" in out
 
 
-def test_stats_empty_file_errors(tmp_path):
+def test_stats_empty_file_errors(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     assert main(["stats", "--in", str(empty)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == ["error: empty trajectory corpus"]
+
+
+def test_eval_log_of_blank_lines_has_no_runs(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n \n\t\n", encoding="utf-8")
+    assert main(["eval", "--events", str(events)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[1:]) == ("", ["error: no runs in event log"])
 
 
 def write_sim_inputs(tmp_path):
@@ -656,6 +669,23 @@ def assert_format_rejects(tmp_path, capsys, bad, reason):
     assert json.loads(line)["id"] == 7
 
 
+def test_augment_rejects_a_record_that_is_not_meta(tmp_path, capsys, monkeypatch, no_leftover_children):
+    two_usable_cpus(monkeypatch)
+    src = tmp_path / "in.jsonl"
+    bad = {"id": 0, "provenance": "merged+shifted", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
+    src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"aug{workers}.jsonl"
+        assert main(["augment", "--in", str(src), "--out", str(out), "--workers", workers]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert f'"workers": {workers}' in err[0]
+        runs.append((out.read_bytes(), err[1:]))
+    assert runs[0][1] == ["record 0 rejected: provenance 'merged+shifted' is not meta"]
+    assert [json.loads(line)["id"] for line in runs[0][0].splitlines()] == [7]
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("shifted", [-3, 5])
 def test_format_rejects_shifted_outside_write(tmp_path, capsys, shifted):
     bad = {"id": 0, "provenance": "merged+shifted",
@@ -1023,6 +1053,11 @@ def test_eval_names_the_run_whose_reads_go_backwards(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: run id 3: read count 2 outside [1, 1]" in err
     assert "Traceback" not in err
+    # Every count inside [1, I], each round committing a word, and the second read below the first.
+    rounds = [{**GOOD_EVENT, "round": r, "cumulative_source_read": c} for r, c in enumerate([2, 1, 3])]
+    events.write_text("".join(json.dumps(e) + "\n" for e in rounds), encoding="utf-8")
+    assert main(["eval", "--events", str(events)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == ["error: run id 0: read schedule must be nondecreasing"]
 
 
 DEEP = "[" * 100_000  # deeper than any JSON decoder recursion limit

@@ -34,7 +34,6 @@ from simultraj.simulator import (
     ScriptedModel,
     SelectStrategy,
     dump_events_jsonl,
-    event_to_record,
     load_events_jsonl,
     run,
     scripted_echo,
@@ -112,7 +111,7 @@ def test_run_and_trajectory_schedules_agree():
 
 
 def records_of(sim):
-    return [event_to_record(sim, event) for event in sim.events]
+    return [event._asdict() for event in sim.events]
 
 
 def wwt(sim, cost, prompt_mode=None):
@@ -321,7 +320,7 @@ def test_stats_round_trip_through_records():
 def test_events_report_aggregates():
     source = [f"w{i}" for i in range(1, 5)]
     sim = run(source, scripted_echo(source, 2, beam=1), chunk_size=2, strategy=GREEDY, beam=1)
-    events = [[event_to_record(sim, e) for e in sim.events]]
+    events = [[e._asdict() for e in sim.events]]
     report = events_report(events, CostModel(1.0, 0.0), "conversational")
     assert report.runs == 1
     assert report.rounds_total == 2

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_pair
 from simultraj import alignment, augment, metrics, monotonic, sftformat, simulator, trajectory
 from simultraj.alignment import AlignmentError, AlignmentSet, SentencePair
-from simultraj.augment import AugmentConfig
-from simultraj.simulator import SelectStrategy
+from simultraj.augment import AugmentConfig, merge, shift
+from simultraj.monotonic import MonotonicPlan
+from simultraj.simulator import GREEDY, ScriptedModel, SelectStrategy, SimulationError, run, scripted_echo
+from simultraj.trajectory import MERGED, Chunk, Trajectory, build_meta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,6 +96,37 @@ def test_validating_record_rejects_bad_values(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert message in str(exc.value)
+
+
+ONE_CHUNK_META = Trajectory((Chunk(2, 2),), make_pair(2, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: run(["a"], scripted_echo(["a"], 1), 0, GREEDY), ValueError, "chunk_size must be >= 1"),
+        (lambda: run(["a"], scripted_echo(["a"], 1), 1, GREEDY, beam=0), ValueError, "beam must be >= 1"),
+        (lambda: run(["a"], scripted_echo(["a"], 1), 1, GREEDY, prompt_mode="x"), ValueError,
+         "prompt_mode must be one of ('conversational', 'offline')"),
+        (lambda: run([], scripted_echo([], 1), 1, GREEDY), ValueError, "empty source"),
+        (lambda: run(["a", "b"], ScriptedModel(((("A",),), ())), 1, GREEDY), SimulationError,
+         "model returned no candidates at round 1"),
+        (lambda: build_meta(MonotonicPlan((1, 2), (), 2), make_pair(2, 3, 4)), ValueError,
+         "record 4: plan shape does not match sentence pair"),
+        (lambda: build_meta(MonotonicPlan((1, 2), (), 3), make_pair(2, 2, 4)), ValueError,
+         "record 4: plan shape does not match sentence pair"),
+        (lambda: merge(ONE_CHUNK_META._replace(provenance=MERGED), AugmentConfig(), None), ValueError,
+         "merge expects a meta trajectory, got 'merged'"),
+        (lambda: shift(ONE_CHUNK_META, AugmentConfig(), None), ValueError,
+         "shift expects a merged trajectory, got 'meta'"),
+    ],
+    ids=["run-chunk-0", "run-beam-0", "run-prompt-mode", "run-empty-source", "run-no-candidates",
+         "build-meta-target-len", "build-meta-source-len", "merge-not-meta", "shift-not-merged"],
+)
+def test_library_guard_rejects_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,9 +15,9 @@ from simultraj.simulator import (
     GREEDY,
     ScriptedModel,
     SelectStrategy,
+    SimEvent,
     SimulationError,
     dump_events_jsonl,
-    event_to_record,
     load_events_jsonl,
     run,
     scripted_echo,
@@ -177,7 +179,7 @@ def test_greedy_beam_one_concatenates_all_outputs():
 
 def recompute_totals(sim):
     """(conversational, offline) recompute totals of one run, as `eval` sums them."""
-    records = [event_to_record(sim, event) for event in sim.events]
+    records = [event._asdict() for event in sim.events]
     report = events_report([records], CostModel(), sim.prompt_mode)
     return report.recompute_total_conversational, report.recompute_total_offline
 
@@ -329,3 +331,13 @@ def test_long_session_runs_in_under_half_a_second():
         elapsed.append(time.perf_counter() - t0)
     assert committed(sim) == tuple(w.upper() for w in source)
     assert min(elapsed) < 0.5
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_event_fields_are_the_readme_event_log_keys():
+    """A log line is `SimEvent._asdict()`, so SimEvent's fields are the log's keys, in order."""
+    keys = re.search(r"\*\*Event log JSONL\*\*: one event per round with `([^`]*)`",
+                     README.read_text(encoding="utf-8")).group(1)
+    assert SimEvent._fields == tuple(" ".join(keys.split()).split(", "))
