@@ -1,8 +1,8 @@
 """Serialization of trajectories into SFT dialogue text with loss masks.
 
-There is one chat template, ``llama2``, held as plain data: the turn-open,
-turn-sep and turn-close strings plus the offline-prompt scaffolding. It renders
-each chunk as
+There is one chat template, ``llama2``, held as plain data: the turn strings
+and the offline-prompt scaffolding. ``open_turn`` and ``close_turn``, which the
+simulator's prompts use too, render each chunk as
 
     <s>[INST] {read words} [/INST] {write words}</s>
 
@@ -65,6 +65,17 @@ class SftRecord(NamedTuple):
     provenance: str
 
 
+def open_turn(reads: Sequence[str], tpl: ChatTemplate, system_msg: str = "") -> str:
+    """A turn's text up to and with its read words; only a first turn takes a system block."""
+    system = tpl.system_wrap.format(system_msg) if system_msg else ""
+    return tpl.turn_open + system + " ".join(reads)
+
+
+def close_turn(words: Sequence[str], tpl: ChatTemplate) -> str:
+    """The text that ends an open turn with the words written for it."""
+    return tpl.turn_sep + " ".join(words) + tpl.turn_close
+
+
 def render_conversational(
     traj: Trajectory, system_msg: str = "", template_id: str = DEFAULT_TEMPLATE
 ) -> SftRecord:
@@ -73,16 +84,14 @@ def render_conversational(
     text = ""  # grows in place: no other reference to it is kept
     turns: list[tuple[Span, Span]] = []
     loss_spans: list[Span] = []
-    for t, (chunk, reads, words) in enumerate(traj.segments()):
-        text += tpl.turn_open
-        if t == 0 and system_msg:
-            text += tpl.system_wrap.format(system_msg)
-        user_text = " ".join(reads)
-        user_span = (len(text), len(text) + len(user_text))
-        text += user_text + tpl.turn_sep
-        assistant_text = " ".join(words)
-        assistant_span = (len(text), len(text) + len(assistant_text))
-        text += assistant_text + tpl.turn_close
+    for chunk, reads, words in traj.segments():
+        # The reads end open_turn's text; the words end close_turn's before turn_close.
+        user_start = len(text) + len(open_turn((), tpl, system_msg))
+        text += open_turn(reads, tpl, system_msg)
+        user_span = (user_start, len(text))
+        system_msg = ""  # only the first turn holds the system block
+        text += close_turn(words, tpl)
+        assistant_span = (user_span[1] + len(tpl.turn_sep), len(text) - len(tpl.turn_close))
         turns.append((user_span, assistant_span))
 
         shifted = chunk.shifted_prefix_len
@@ -93,14 +102,13 @@ def render_conversational(
             loss_spans.append((assistant_span[0] + skip, assistant_span[1]))
         # shifted == len(words): the whole WRITE was carried over; nothing to train on.
 
-    return SftRecord(
-        id=traj.pair_id,
-        text=text,
-        turns=tuple(turns),
-        loss_mask_spans=tuple(loss_spans),
-        template=tpl.name,
-        provenance=traj.provenance,
-    )
+    # Positional: binding six keywords costs more than the turn functions' calls.
+    return SftRecord(traj.pair_id, text, tuple(turns), tuple(loss_spans), tpl.name, traj.provenance)
+
+
+def offline_frame(tpl: ChatTemplate) -> tuple[str, str]:
+    """The offline prompt's text before its source words, and the trigger after them."""
+    return tpl.turn_open + tpl.offline_instruction + " ", tpl.turn_sep + tpl.offline_response_header
 
 
 def offline_prompt(
@@ -111,14 +119,8 @@ def offline_prompt(
     New source lands before the history, so between rounds the prompt changes
     ahead of the already-generated region; this is what breaks prefix caching.
     """
-    text = (
-        tpl.turn_open
-        + tpl.offline_instruction
-        + " "
-        + " ".join(source_prefix)
-        + tpl.turn_sep
-        + tpl.offline_response_header
-    )
+    instruction, trigger = offline_frame(tpl)
+    text = instruction + " ".join(source_prefix) + trigger
     if target_history:
         text += " " + " ".join(target_history)
     return text

@@ -11,12 +11,13 @@ data). Every round records, for both prompt modes, how many prompt words a
 cache-aware engine would have to ingest anew: the word length of the round's
 prompt minus its longest common word prefix with the previous round's prompt
 (words as ``str.split()`` cuts them). Conversational prompts only ever grow at
-the end, so a round's recompute is the word count of what it appends, and the
-total telescopes to the final prompt length. Offline prompts insert source
-ahead of the translation history and re-pay it each round. Both counts are kept
-from what each round adds, so a round costs time in its chunk and commit, not
-in the prompt length; only the active mode's prompt is rendered, for the model.
-The tests re-render every round's prompts in full
+the end, by the turns that ``sftformat.open_turn`` and ``close_turn`` lay out
+for SFT data too, so a round's recompute is the word count of what it appends,
+and the total telescopes to the final prompt length. Offline prompts insert
+source ahead of the translation history and re-pay it each round. Both counts
+are kept from what each round adds, so a round costs time in its chunk and
+commit, not in the prompt length; only the active mode's prompt is rendered,
+for the model. The tests re-render every round's prompts in full
 (``tests/conftest.py::oracle_run``) and check these counts against them.
 
 A ``SimEvent`` is the event record: each line of the event log is one event's
@@ -36,7 +37,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 # dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
 from simultraj.jsonl import decode_line, encode_json, only_str, read_records
-from simultraj.sftformat import LLAMA2, dialogue_prompt, offline_prompt
+from simultraj.sftformat import LLAMA2, close_turn, dialogue_prompt, offline_frame, offline_prompt, open_turn
 
 DEFAULT_BEAM = 5
 DEFAULT_GAMMA = 0.6
@@ -180,6 +181,7 @@ class SimRun(NamedTuple):
 
 # SimEvent(*fields) without the keyword handling of its generated __new__.
 _event = partial(tuple.__new__, SimEvent)
+_OFFLINE_HEAD, _OFFLINE_TAIL = map(str.split, offline_frame(LLAMA2))
 
 
 def _words(texts: Iterable[str]) -> list[str]:
@@ -206,21 +208,19 @@ def run(
     source = tuple(source)
     if not source:
         raise ValueError("empty source")
-    tpl = LLAMA2
     conversational = prompt_mode == CONVERSATIONAL
     # A chunk's words are its prompt words when no source word is empty or
     # holds whitespace, as with every source that str.split() cut.
     split = tuple(" ".join(source).split()) != source
 
-    # The offline prompt is head (the instruction's words), the source read so
-    # far, then tail: the response trigger's words and the history's. The
+    # The offline prompt is _OFFLINE_HEAD (the instruction's words), the source
+    # read so far, then tail: the trigger's words and the history's. The
     # trigger starts with a space, so the last source word never fuses with it.
-    # Round 0 pays for every word. Later, the prompt keeps head and the old
+    # Round 0 pays for every word. Later, the prompt keeps the head and the old
     # source, so the common word prefix covers them, then runs on only while
     # the new chunk's words (and, past them, the tail's) equal the previous
     # round's tail words; the tail only grows, so those are tail[:before].
-    head = len((tpl.turn_open + tpl.offline_instruction).split())
-    tail = (tpl.turn_sep + tpl.offline_response_header).split()
+    tail = list(_OFFLINE_TAIL)
     before = 0  # len(tail) in the previous round's prompt
     committed: list[str] = []  # the offline prompt's history
     prompt = ""  # the conversational prompt; it only ever grows at the end
@@ -233,12 +233,10 @@ def run(
         read += len(chunk)
 
         if rnd == 0:
-            appended = tpl.turn_open + " ".join(chunk)
+            appended = open_turn(chunk, LLAMA2)
         elif selected:
             # The previous round committed: close its turn, open a new one.
-            appended = (
-                tpl.turn_sep + " ".join(selected) + tpl.turn_close + tpl.turn_open + " ".join(chunk)
-            )
+            appended = close_turn(selected, LLAMA2) + open_turn(chunk, LLAMA2)
         else:
             appended = " " + " ".join(chunk)
         rc_conv = len(appended.split())
@@ -248,7 +246,7 @@ def run(
             if same == before or word != tail[same]:
                 break
             same += 1
-        rc_off = (0 if rnd else head) + len(new) + len(tail) - same
+        rc_off = (0 if rnd else len(_OFFLINE_HEAD)) + len(new) + len(tail) - same
         before = len(tail)
 
         if conversational:
@@ -257,7 +255,7 @@ def run(
             prompt += appended
             candidates = model.generate(prompt, beam)
         else:
-            candidates = model.generate(offline_prompt(source[:read], committed, tpl), beam)
+            candidates = model.generate(offline_prompt(source[:read], committed, LLAMA2), beam)
         if not candidates:
             raise SimulationError(f"model returned no candidates at round {rnd}")
         beam_words = tuple(map(tuple, candidates))

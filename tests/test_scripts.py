@@ -52,10 +52,42 @@ def test_sweep_chunk_sizes_default_sizes():
     assert script["DEFAULT_CHUNK_SIZES"] == (3, 5, 7, 9, 11, 13)
 
 
+# What `scripts/output_digests.py --pairs 40 --seed 3` prints, pinned so that a
+# change to any output byte fails here. Python 3.10 to 3.13 print the same lines.
+DIGESTS_40_3 = """\
+meta.jsonl c12061f735dd32b9a062c0efd489ebc4041b43f7ea4946abda463da90bad6efd
+meta_debug.jsonl 5265adf8ab12950f8237555660dd5aca6c2372206e696fb1031b4d404ce6d38e
+meta_w2.jsonl c12061f735dd32b9a062c0efd489ebc4041b43f7ea4946abda463da90bad6efd
+aug.jsonl 88a28c5ae06d227bbfebe7e89f222b2ade5c1cf7f0fbd45322ac649842bb5165
+sft.jsonl 2c4d2fdaf7444eb93ff1f69086f0c5ca32fb063b9275cd5e076ad72a6b9ef217
+aug_w2.jsonl 88a28c5ae06d227bbfebe7e89f222b2ade5c1cf7f0fbd45322ac649842bb5165
+sft_w2.jsonl 2c4d2fdaf7444eb93ff1f69086f0c5ca32fb063b9275cd5e076ad72a6b9ef217
+sft_sys.jsonl 8921dfb700c40e8006cf9ac866a306560cb8ab7ffbd59fb162510ef7af9b8350
+stats_meta.stdout c6c6afa1218d2006a2cf41c1bab8357358e93e59901b63e74f9db48209af082d
+stats_aug.stdout 6129955a87a23a346fb9781c0cfa430d79be79947fccf5fd47ce92f250237657
+events_ralcp_conversational.jsonl acf2ab4affd891733fa57cc030ada5eace0f1f307a3c01f5ba0e7fc61bd0bb81
+events_ralcp_offline.jsonl acf2ab4affd891733fa57cc030ada5eace0f1f307a3c01f5ba0e7fc61bd0bb81
+events_lcp_conversational.jsonl 852f3a75c11ed404ad1307fb3818d4b493aeefa782e6dead51e84b2712ad8e4c
+events_lcp_offline.jsonl 852f3a75c11ed404ad1307fb3818d4b493aeefa782e6dead51e84b2712ad8e4c
+events_greedy_conversational.jsonl b682d5dc6dda7221851ccd54c2fd4391176dc513a7258297163a17a17ef5abfe
+events_greedy_offline.jsonl b682d5dc6dda7221851ccd54c2fd4391176dc513a7258297163a17a17ef5abfe
+events_indent.jsonl acf2ab4affd891733fa57cc030ada5eace0f1f307a3c01f5ba0e7fc61bd0bb81
+events_one.jsonl d3fd71932d3dc8a622ca0809df7d1e45f4c8234f7f24f3f328063d4c941d3eff
+eval_1.0_1.0_conversational.stdout b9118f8bdbaebba4b5174fc5b50a0a089a2c9028929ec08d10c2dc07dd21db9b
+eval_1.0_1.0_conversational.csv bd6279aa20af16c5aabe8c6fb42d296bbc942028c90ae5f8ae6b4342b1d8df8b
+eval_1.0_1.0_offline.stdout ac533ea84ee70d267170eec7ab0d850883dee265427176b5f8c45fd846729d92
+eval_1.0_1.0_offline.csv 36d8ad42475d9a2bde16177120c30de05d5b51823d7a25d42ae210632d2b89b3
+eval_0.7_1.3_conversational.stdout 6979aaf654ca7758cb8a46aed17e71b467333574084f96f9369140ebff6184fd
+eval_0.7_1.3_conversational.csv b1ab639185cb7701b2b17972a7ced0b75047fca6a5ac40e24b990209efcc02fd
+eval_0.7_1.3_offline.stdout 8931065d81010415bb7e855de1142730781cfc05ee2f3a4c7a0e8be69c5e8169
+eval_0.7_1.3_offline.csv 6d2654ecaef13fd7ed3be631d56a9790b58964b57037e987c637a627b74ea41a
+"""
+
+
 def test_output_digests_repeat_one_line_per_output():
     argv = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), "--pairs", "40", "--seed", "3"]
     first, second = (subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2))
-    assert first == second
+    assert first == second == DIGESTS_40_3
     digests = dict(line.split(" ") for line in first.splitlines())
     assert len(digests) == len(first.splitlines()) == 26
     assert all(len(digest) == 64 for digest in digests.values())

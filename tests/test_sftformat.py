@@ -22,6 +22,17 @@ def test_single_turn_golden():
     assert record.text[start:end] == "Hello"
 
 
+def test_multi_turn_golden():
+    pair = SentencePair(("a", "b", "c"), ("w", "x", "y", "z"), 3)
+    traj = Trajectory((Chunk(1, 2), Chunk(2, 2, 1)), pair, MERGED_SHIFTED)
+    record = render_conversational(traj, system_msg="Be brief.")
+    assert record.text == (
+        "<s>[INST] <<SYS>>\nBe brief.\n<</SYS>>\n\na [/INST] w x</s><s>[INST] b c [/INST] y z</s>"
+    )
+    assert record.turns == (((38, 39), (48, 51)), ((65, 68), (77, 80)))
+    assert record.loss_mask_spans == ((48, 51), (79, 80))
+
+
 def test_unknown_template_rejected():
     with pytest.raises(ValueError, match="unknown template"):
         render_conversational(hallo_traj(), template_id="nope")

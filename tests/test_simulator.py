@@ -221,6 +221,26 @@ def test_model_sees_prompt_of_active_mode():
     assert off_model.contexts == [p.prompt_offline for p in replay_prompts(sim_off)]
 
 
+def test_contexts_and_counts_golden():
+    # Round 0 commits nothing (P|Q), round 1 commits X, the flush commits Y Z.
+    rounds = ((("P",), ("Q",)), (("X",), ("X",)), (("Y", "Z"), ("W",)))
+    offline = "<s>[INST] Translate the following text: "
+    expected = {
+        "conversational": ["<s>[INST] a", "<s>[INST] a b", "<s>[INST] a b [/INST] X</s><s>[INST] c"],
+        "offline": [offline + "a [/INST] Translation:", offline + "a b [/INST] Translation:",
+                    offline + "a b c [/INST] Translation: X"],
+    }
+    for mode, contexts in expected.items():
+        model = ScriptRecorder(rounds)
+        sim = run(["a", "b", "c"], model, chunk_size=1, strategy=SelectStrategy("lcp"),
+                  prompt_mode=mode, beam=2)
+        assert model.contexts == contexts
+        assert [
+            (e.committed_words, e.recompute_tokens_conversational, e.recompute_tokens_offline)
+            for e in sim.events
+        ] == [((), 2, 8), (("X",), 1, 3), (("Y", "Z"), 3, 4)]
+
+
 def test_zero_candidates_mid_stream_raises():
     class EmptyModel:
         def generate(self, context, beam):
