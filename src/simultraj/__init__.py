@@ -2,7 +2,7 @@
 
 The pipeline runs bitext + word alignments through four stages:
 
-1. ``alignment``  -- parse Pharaoh links into an alignment
+1. ``alignment``  -- parse each Pharaoh line into its set of 1-based links
 2. ``monotonic``  -- plan each target word's source prefix from its links
    (``plan_links``), repairing reordering into a nondecreasing plan
 3. ``trajectory`` -- segment the plan into minimum-latency READ/WRITE chunks

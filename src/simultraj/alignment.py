@@ -4,15 +4,16 @@ Positions are 1-based internally (matching the usual alignment-graph notation);
 Pharaoh input is 0-based and converted on parse. All types are immutable and all
 functions are pure, so sentence pairs can be processed in parallel freely.
 
-`curate` plans each pair as `monotonic.plan_links(parse_pharaoh(...))`, in one
-pass over the links. `sufficient_sets` is the set-based reference: it inverts
-the alignment into one source set per target, which `monotonic.monotonicize`
-turns into the same plan.
+`curate` plans each pair as `monotonic.plan_links(pair, parse_pharaoh(...))`,
+one pass over the frozenset of links that `parse_pharaoh` returns.
+`sufficient_sets` is the set-based reference: it inverts the links into one
+source set per target, which `monotonic.monotonicize` turns into the same plan.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from typing import Iterable
 
 
 class AlignmentError(ValueError):
@@ -59,24 +60,10 @@ class SentencePair(namedtuple("SentencePair", "source target id")):
         return len(self.target)
 
 
-class AlignmentSet(namedtuple("AlignmentSet", "links source_len target_len")):
-    """Set of (source position, target position) links, 1-based, duplicates collapsed."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, links: frozenset[tuple[int, int]], source_len: int, target_len: int
-    ) -> AlignmentSet:
-        for i, j in links:
-            if not (1 <= i <= source_len and 1 <= j <= target_len):
-                raise AlignmentError(
-                    f"link ({i},{j}) out of bounds for lengths I={source_len}, J={target_len}"
-                )
-        return tuple.__new__(cls, (links, source_len, target_len))
-
-
-def parse_pharaoh(line: str, source_len: int, target_len: int, record_id: int = 0) -> AlignmentSet:
-    """Parse one Pharaoh line (`i-j` pairs, 0-based) into a 1-based AlignmentSet.
+def parse_pharaoh(
+    line: str, source_len: int, target_len: int, record_id: int = 0
+) -> frozenset[tuple[int, int]]:
+    """Parse one Pharaoh line (`i-j` pairs, 0-based) into a frozenset of 1-based links.
 
     A blank line is a valid empty alignment. Raises AlignmentError on a token
     that is not ASCII digits, `-`, ASCII digits, or on an index outside the
@@ -96,14 +83,13 @@ def parse_pharaoh(line: str, source_len: int, target_len: int, record_id: int = 
                 f"I={source_len}, J={target_len}"
             )
         links.add((i0 + 1, j0 + 1))
-    # Every link was bounds-checked above, so AlignmentSet's own check is skipped.
-    return tuple.__new__(AlignmentSet, (frozenset(links), source_len, target_len))
+    return frozenset(links)
 
 
-def sufficient_sets(pair: SentencePair, alignment: AlignmentSet) -> tuple[frozenset[int], ...]:
-    """Invert the alignment: for each target, 0-based, the 1-based source
+def sufficient_sets(pair: SentencePair, links: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+    """Invert the 1-based links: for each target, 0-based, the 1-based source
     positions it links to. Empty sets are allowed."""
     buckets: list[set[int]] = [set() for _ in range(pair.target_len)]
-    for i, j in alignment.links:
+    for i, j in links:
         buckets[j - 1].add(i)
     return tuple(frozenset(b) for b in buckets)

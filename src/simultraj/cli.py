@@ -222,7 +222,7 @@ def _curate_record(item: tuple[int, bytes, bytes, bytes], debug: bool) -> tuple[
     idx, src, tgt, align = item
     try:  # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
         pair = SentencePair.from_text(src.decode(), tgt.decode(), idx)
-        plan = plan_links(parse_pharaoh(align.decode(), pair.source_len, pair.target_len, idx))
+        plan = plan_links(pair, parse_pharaoh(align.decode(), pair.source_len, pair.target_len, idx))
         traj = build_meta(plan, pair)
         problems = verify(traj, plan)
         if problems:
@@ -255,8 +255,9 @@ def cmd_curate(args: argparse.Namespace) -> int:
 def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig, debug: bool) -> tuple[str, bytes | str]:
     try:
         traj = from_record(decode_line(item[1]))
-        if traj.provenance != META:
-            return ("err", f"record {traj.pair_id} rejected: provenance {traj.provenance!r} is not meta")
+        problems = verify(traj) if traj.provenance == META else [f"provenance {traj.provenance!r} is not meta"]
+        if problems:
+            return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
         augmented = augment_pipeline(traj, cfg)
         problems = verify(augmented)
         if problems:

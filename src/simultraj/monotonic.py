@@ -11,7 +11,7 @@ Whenever a_j's own maximum falls below m_{j-1}, or a_j is empty, an edge
 (m_{j-1}, j) is added so every target has an anchor and the augmented graph
 satisfies the monotonic condition.
 
-Only max(a_j) enters the plan, so `plan_links` builds it from an alignment's
+Only max(a_j) enters the plan, so `plan_links` builds it from a pair's
 links in one pass, keeping each target's highest linked source position.
 `monotonicize` builds the same plan from the sufficient sets a_j themselves
 (`alignment.sufficient_sets`); it is the set-based reference.
@@ -19,9 +19,9 @@ links in one pass, keeping each target's highest linked source position.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from simultraj.alignment import AlignmentSet
+from simultraj.alignment import SentencePair
 
 
 class MonotonicPlan(NamedTuple):
@@ -41,13 +41,13 @@ def _check_shape(target_len: int, source_len: int) -> None:
         raise ValueError("need at least one target token and one source token")
 
 
-def plan_links(alignment: AlignmentSet) -> MonotonicPlan:
-    """The plan `monotonicize(sufficient_sets(pair, alignment), I)` returns, from
-    the links in one pass: the highest source position per target (0 for a
-    target with no link), then the running max."""
-    _check_shape(alignment.target_len, alignment.source_len)
-    top = [0] * alignment.target_len
-    for i, j in alignment.links:
+def plan_links(pair: SentencePair, links: Iterable[tuple[int, int]]) -> MonotonicPlan:
+    """The plan `monotonicize(sufficient_sets(pair, links), I)` returns, from
+    the 1-based links in one pass: the highest source position per target (0
+    for a target with no link), then the running max."""
+    _check_shape(pair.target_len, pair.source_len)
+    top = [0] * pair.target_len
+    for i, j in links:
         if i > top[j - 1]:
             top[j - 1] = i
     prefix_req: list[int] = []
@@ -59,7 +59,7 @@ def plan_links(alignment: AlignmentSet) -> MonotonicPlan:
         else:
             m = t
         prefix_req.append(m)
-    return MonotonicPlan(tuple(prefix_req), tuple(added), alignment.source_len)
+    return MonotonicPlan(tuple(prefix_req), tuple(added), pair.source_len)
 
 
 def monotonicize(s: Sequence[frozenset[int]], source_len: int) -> MonotonicPlan:

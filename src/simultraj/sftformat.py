@@ -84,12 +84,13 @@ def render_conversational(
     text = ""  # grows in place: no other reference to it is kept
     turns: list[tuple[Span, Span]] = []
     loss_spans: list[Span] = []
+    head, later_head = open_turn((), tpl, system_msg), open_turn((), tpl)  # one system block
     for chunk, reads, words in traj.segments():
-        # The reads end open_turn's text; the words end close_turn's before turn_close.
-        user_start = len(text) + len(open_turn((), tpl, system_msg))
-        text += open_turn(reads, tpl, system_msg)
+        # open_turn(reads) is the head, then the reads; close_turn's words end before turn_close.
+        user_start = len(text) + len(head)
+        text += head + " ".join(reads)
         user_span = (user_start, len(text))
-        system_msg = ""  # only the first turn holds the system block
+        head = later_head
         text += close_turn(words, tpl)
         assistant_span = (user_span[1] + len(tpl.turn_sep), len(text) - len(tpl.turn_close))
         turns.append((user_span, assistant_span))

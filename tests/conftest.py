@@ -6,7 +6,7 @@ from typing import NamedTuple, Sequence
 
 import pytest
 
-from simultraj.alignment import AlignmentSet, SentencePair, sufficient_sets
+from simultraj.alignment import SentencePair, sufficient_sets
 from simultraj.augment import RHO_MAX, AugmentConfig
 from simultraj.metrics import CostModel, average_lagging
 from simultraj.monotonic import MonotonicPlan, monotonicize
@@ -47,17 +47,17 @@ def random_links(rng: random.Random, source_len: int, target_len: int) -> frozen
 
 def random_case(
     rng: random.Random, max_len: int = 12, pair_id: int = 0
-) -> tuple[SentencePair, AlignmentSet]:
+) -> tuple[SentencePair, frozenset]:
+    """A random pair and its 1-based links."""
     source_len = rng.randint(1, max_len)
     target_len = rng.randint(1, max_len)
     pair = make_pair(source_len, target_len, pair_id)
-    links = random_links(rng, source_len, target_len)
-    return pair, AlignmentSet(links, source_len, target_len)
+    return pair, random_links(rng, source_len, target_len)
 
 
-def to_pharaoh(alignment: AlignmentSet) -> str:
-    """Render back to 0-based `i-j` text, sorted for determinism."""
-    return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(alignment.links))
+def to_pharaoh(links: frozenset) -> str:
+    """Render 1-based links back to 0-based `i-j` text, sorted for determinism."""
+    return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(links))
 
 
 # Graph references over sufficient sets (one frozenset of 1-based source
@@ -88,8 +88,8 @@ def augmented_sets(sets: Sequence[frozenset[int]], plan: MonotonicPlan) -> tuple
     return tuple(frozenset(a) for a in merged)
 
 
-def meta_of(pair: SentencePair, alignment: AlignmentSet) -> tuple[MonotonicPlan, Trajectory]:
-    plan = monotonicize(sufficient_sets(pair, alignment), pair.source_len)
+def meta_of(pair: SentencePair, links: frozenset) -> tuple[MonotonicPlan, Trajectory]:
+    plan = monotonicize(sufficient_sets(pair, links), pair.source_len)
     return plan, build_meta(plan, pair)
 
 
@@ -98,10 +98,10 @@ def write_toy_corpus(tmp_path, n_pairs: int = 2, seed: int = 0):
     rng = random.Random(seed)
     src_lines, tgt_lines, align_lines = [], [], []
     for idx in range(n_pairs):
-        pair, alignment = random_case(rng, max_len=10, pair_id=idx)
+        pair, links = random_case(rng, max_len=10, pair_id=idx)
         src_lines.append(" ".join(pair.source))
         tgt_lines.append(" ".join(pair.target))
-        align_lines.append(to_pharaoh(alignment))
+        align_lines.append(to_pharaoh(links))
     (tmp_path / "src.txt").write_text("\n".join(src_lines) + "\n", encoding="utf-8")
     (tmp_path / "tgt.txt").write_text("\n".join(tgt_lines) + "\n", encoding="utf-8")
     (tmp_path / "align.txt").write_text("\n".join(align_lines) + "\n", encoding="utf-8")

@@ -24,7 +24,7 @@ from conftest import (
     replay_prompts,
     write_toy_corpus,
 )
-from simultraj.alignment import AlignmentSet, sufficient_sets
+from simultraj.alignment import sufficient_sets
 from simultraj.augment import AugmentConfig, derive_rng, merge, shift
 from simultraj.cli import main
 from simultraj.metrics import CostModel, average_lagging, corpus_stats, events_report
@@ -46,7 +46,7 @@ def report(line: str) -> None:
 
 def test_criterion_01_monotonicization_fixture():
     pair = make_pair(2, 2)
-    s = sufficient_sets(pair, AlignmentSet(frozenset({(1, 1), (2, 1), (1, 2)}), 2, 2))
+    s = sufficient_sets(pair, frozenset({(1, 1), (2, 1), (1, 2)}))
     monotonicize(s, 2)  # warm-up
     t0 = time.perf_counter()
     plan = monotonicize(s, 2)
@@ -107,7 +107,7 @@ def test_criterion_03_minimum_latency_oracle():
             ]
             for bits in range(2 ** len(cells)):
                 links = frozenset(c for k, c in enumerate(cells) if bits >> k & 1)
-                plan, traj = meta_of(pair, AlignmentSet(links, source_len, target_len))
+                plan, traj = meta_of(pair, links)
                 assert read_counts_before_write(traj, plan) == brute_min_read_counts(plan)
                 alignments += 1
     elapsed = time.perf_counter() - t0

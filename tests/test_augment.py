@@ -16,7 +16,6 @@ from conftest import (
     ref_verify,
     write_read_counts,
 )
-from simultraj.alignment import AlignmentSet
 from simultraj.augment import AugmentConfig, augment_pipeline, derive_rng, merge, shift
 from simultraj.trajectory import (
     MERGED,
@@ -205,7 +204,7 @@ def alignment_cases(draw, max_len=10):
 def test_pipeline_sound_for_arbitrary_alignments(case):
     source_len, target_len, links, seed = case
     pair = make_pair(source_len, target_len)
-    plan, meta = meta_of(pair, AlignmentSet(links, source_len, target_len))
+    plan, meta = meta_of(pair, links)
     out = augment_pipeline(meta, AugmentConfig(seed=seed))
     assert verify(out, plan) == []
     indices = to_record(out, debug_indices=True)["indices"]
@@ -247,7 +246,7 @@ def test_counts_match_position_tuple_reference(case, cfg):
     """Counts give the reference's records, verdicts and RNG draws at every stage."""
     source_len, target_len, links, _ = case
     pair = make_pair(source_len, target_len)
-    plan, meta = meta_of(pair, AlignmentSet(links, source_len, target_len))
+    plan, meta = meta_of(pair, links)
     rng, ref_rng = derive_rng(cfg.seed, pair.id), derive_rng(cfg.seed, pair.id)
     merged = merge(meta, cfg, rng)
     shifted = shift(merged, cfg, rng)

@@ -669,10 +669,11 @@ def assert_format_rejects(tmp_path, capsys, bad, reason):
     assert json.loads(line)["id"] == 7
 
 
-def test_augment_rejects_a_record_that_is_not_meta(tmp_path, capsys, monkeypatch, no_leftover_children):
+def assert_augment_rejects(tmp_path, capsys, monkeypatch, bad, reason):
+    """augment rejects bad with reason (exit 1) and writes GOOD_META's record,
+    with the same bytes and lines at --workers 1 and 2."""
     two_usable_cpus(monkeypatch)
     src = tmp_path / "in.jsonl"
-    bad = {"id": 0, "provenance": "merged+shifted", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
     src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
     runs = []
     for workers in ("1", "2"):
@@ -681,9 +682,50 @@ def test_augment_rejects_a_record_that_is_not_meta(tmp_path, capsys, monkeypatch
         err = capsys.readouterr().err.splitlines()
         assert f'"workers": {workers}' in err[0]
         runs.append((out.read_bytes(), err[1:]))
-    assert runs[0][1] == ["record 0 rejected: provenance 'merged+shifted' is not meta"]
+    assert runs[0][1] == [f"record 0 rejected: {reason}"]
     assert [json.loads(line)["id"] for line in runs[0][0].splitlines()] == [7]
     assert runs[1] == runs[0]
+
+
+def test_augment_rejects_a_record_that_is_not_meta(tmp_path, capsys, monkeypatch, no_leftover_children):
+    bad = {"id": 0, "provenance": "merged+shifted", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
+    assert_augment_rejects(tmp_path, capsys, monkeypatch, bad, "provenance 'merged+shifted' is not meta")
+
+
+def test_augment_rejects_a_meta_record_that_fails_verify(tmp_path, capsys, monkeypatch, no_leftover_children):
+    # Merging would hide the empty write: the input is verified before it.
+    bad = _chunks({"read": ["a"], "write": [], "shifted": 0}, {"read": ["b"], "write": ["c"], "shifted": 0})
+    assert_augment_rejects(tmp_path, capsys, monkeypatch, bad, "empty write @chunk 0")
+
+
+def _drops_last_chunk_of_record_1(fn):
+    """fn, except that record 1's trajectory loses its last chunk and so covers
+    neither side: a fault of the code, which no input makes."""
+    def unsound(*args):
+        traj = fn(*args)
+        return traj._replace(chunks=traj.chunks[:-1]) if traj.pair_id == 1 else traj
+    return unsound
+
+
+@pytest.mark.parametrize("stage, name", [("curate", "build_meta"), ("augment", "augment_pipeline")])
+def test_unsound_result_is_rejected_and_other_records_written(tmp_path, capsys, monkeypatch,
+                                                              no_leftover_children, stage, name):
+    two_usable_cpus(monkeypatch)
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=5, seed=4)
+    meta = tmp_path / "meta.jsonl"
+    assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(meta)]) == 0
+    inputs = ["--src", str(src), "--tgt", str(tgt), "--align", str(align)] if stage == "curate" else ["--in", str(meta)]
+    clean = tmp_path / "clean.jsonl"
+    assert main([stage, *inputs, "--out", str(clean)]) == 0
+    lines = clean.read_bytes().splitlines(keepends=True)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, name, _drops_last_chunk_of_record_1(getattr(cli, name)))
+    for workers in ("1", "2"):
+        out = tmp_path / f"{stage}{workers}.jsonl"
+        assert main([stage, *inputs, "--out", str(out), "--workers", workers]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == ["record 1 rejected: source coverage violated; target coverage violated"]
+        assert out.read_bytes() == b"".join(lines[:1] + lines[2:])
 
 
 @pytest.mark.parametrize("shifted", [-3, 5])

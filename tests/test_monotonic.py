@@ -5,13 +5,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import augmented_sets, is_monotonic, make_pair, random_case
-from simultraj.alignment import AlignmentSet, parse_pharaoh, sufficient_sets
+from simultraj.alignment import SentencePair, parse_pharaoh, sufficient_sets
 from simultraj.monotonic import monotonicize, plan_links
 
 
 def reordered_example():
     pair = make_pair(2, 2)
-    a = AlignmentSet(frozenset({(1, 1), (2, 1), (1, 2)}), 2, 2)
+    a = frozenset({(1, 1), (2, 1), (1, 2)})
     return pair, sufficient_sets(pair, a)
 
 
@@ -24,7 +24,7 @@ def test_reordering_repaired_with_one_edge():
 
 def test_already_monotonic_untouched():
     pair = make_pair(3, 3)
-    a = AlignmentSet(frozenset({(1, 1), (2, 2), (3, 3)}), 3, 3)
+    a = frozenset({(1, 1), (2, 2), (3, 3)})
     plan = monotonicize(sufficient_sets(pair, a), 3)
     assert plan.prefix_req == (1, 2, 3)
     assert plan.added_edges == ()
@@ -32,7 +32,7 @@ def test_already_monotonic_untouched():
 
 def test_unaligned_target_inherits_requirement():
     pair = make_pair(2, 2)
-    a = AlignmentSet(frozenset({(2, 2)}), 2, 2)
+    a = frozenset({(2, 2)})
     s = sufficient_sets(pair, a)
     plan = monotonicize(s, 2)
     assert plan.prefix_req == (1, 2)
@@ -42,7 +42,7 @@ def test_unaligned_target_inherits_requirement():
 
 def test_rejects_degenerate_shapes():
     pair = make_pair(1, 1)
-    s = sufficient_sets(pair, AlignmentSet(frozenset(), 1, 1))
+    s = sufficient_sets(pair, frozenset())
     with pytest.raises(ValueError):
         monotonicize(s, 0)
 
@@ -50,13 +50,13 @@ def test_rejects_degenerate_shapes():
 def test_augmented_graph_is_monotonic_and_total():
     rng = random.Random(7)
     for case in range(400):
-        pair, a = random_case(rng, max_len=9, pair_id=case)
-        s = sufficient_sets(pair, a)
+        pair, links = random_case(rng, max_len=9, pair_id=case)
+        s = sufficient_sets(pair, links)
         plan = monotonicize(s, pair.source_len)
         aug = augmented_sets(s, plan)
         assert is_monotonic(aug)
         assert all(aug), "every target must end up with an anchor"
-        assert not set(plan.added_edges) & a.links
+        assert not set(plan.added_edges) & links
 
 
 def test_prefix_requirements_nondecreasing_and_bounded():
@@ -102,11 +102,11 @@ def test_every_added_edge_is_necessary():
     cases = list(exhaustive_small_alignments(2))
     rng = random.Random(10)
     for case in range(300):
-        pair, a = random_case(rng, max_len=6, pair_id=case)
-        cases.append((pair.source_len, pair.target_len, a.links))
+        pair, links = random_case(rng, max_len=6, pair_id=case)
+        cases.append((pair.source_len, pair.target_len, links))
     for source_len, target_len, links in cases:
         pair = make_pair(source_len, target_len)
-        s = sufficient_sets(pair, AlignmentSet(links, source_len, target_len))
+        s = sufficient_sets(pair, links)
         plan = monotonicize(s, source_len)
         aug = augmented_sets(s, plan)
         for dropped in plan.added_edges:
@@ -134,19 +134,19 @@ def pharaoh_cases(draw):
 def test_plan_links_equals_set_based_plan(case):
     source_len, target_len, links0 = case
     pair = make_pair(source_len, target_len)
-    alignment = parse_pharaoh(" ".join(f"{i}-{j}" for i, j in links0), source_len, target_len)
-    reference = monotonicize(sufficient_sets(pair, alignment), source_len)
-    plan = plan_links(alignment)
+    parsed = parse_pharaoh(" ".join(f"{i}-{j}" for i, j in links0), source_len, target_len)
+    reference = monotonicize(sufficient_sets(pair, parsed), source_len)
+    plan = plan_links(pair, parsed)
     assert plan.prefix_req == reference.prefix_req
     assert plan.added_edges == reference.added_edges
     assert plan == reference
     # Links given as a sequence with repeats give the same plan as the set.
     links = [(i + 1, j + 1) for i, j in links0]
-    assert plan_links(AlignmentSet(links, source_len, target_len)) == reference
+    assert plan_links(pair, links) == reference
 
 
 def test_plan_links_rejects_degenerate_shapes():
     with pytest.raises(ValueError, match="need at least one target token and one source token"):
-        plan_links(AlignmentSet(frozenset(), 1, 0))
+        plan_links(SentencePair._make((("a",), (), 0)), frozenset())
     with pytest.raises(ValueError, match="need at least one target token and one source token"):
-        plan_links(AlignmentSet(frozenset(), 0, 1))
+        plan_links(SentencePair._make(((), ("x",), 0)), frozenset())

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_pair
 from simultraj import alignment, augment, metrics, monotonic, sftformat, simulator, trajectory
-from simultraj.alignment import AlignmentError, AlignmentSet, SentencePair
+from simultraj.alignment import AlignmentError, SentencePair
 from simultraj.augment import AugmentConfig, merge, shift
 from simultraj.monotonic import MonotonicPlan
 from simultraj.simulator import GREEDY, ScriptedModel, SelectStrategy, SimulationError, run, scripted_echo
@@ -37,7 +37,6 @@ def test_cli_import_loads_no_heavy_stdlib_module():
 
 VALID = {
     SentencePair: SentencePair(("a",), ("x",), 3),
-    AlignmentSet: AlignmentSet(frozenset({(1, 1)}), 1, 1),
     AugmentConfig: AugmentConfig(),
     SelectStrategy: SelectStrategy("ralcp", 0.6),
 }
@@ -55,9 +54,9 @@ RECORDS = sorted(_record_classes(), key=lambda cls: cls.__name__)
 
 def test_every_record_class_is_found():
     assert {cls.__name__ for cls in RECORDS} == {
-        "AlignmentSet", "AugmentConfig", "ChatTemplate", "Chunk", "CostModel",
-        "LatencyReport", "MeanStd", "MonotonicPlan", "ProvenanceStats", "SelectStrategy",
-        "SentencePair", "SftRecord", "SimEvent", "SimRun", "Trajectory",
+        "AugmentConfig", "ChatTemplate", "Chunk", "CostModel", "LatencyReport",
+        "MeanStd", "MonotonicPlan", "ProvenanceStats", "SelectStrategy", "SentencePair",
+        "SftRecord", "SimEvent", "SimRun", "Trajectory",
     }
     assert set(VALID) <= set(RECORDS)
 
@@ -82,8 +81,6 @@ def test_record_rejects_attribute_assignment(cls):
         (lambda: SentencePair(("a", None), ("x",)), AlignmentError, "record 0: bad source word None"),
         (lambda: SentencePair(("a", 5), ("x",)), AlignmentError, "record 0: bad source word 5"),
         (lambda: SentencePair(("a",), ("x", "y\tz")), AlignmentError, "bad target word 'y\\tz'"),
-        (lambda: AlignmentSet(frozenset({(3, 1)}), 2, 2), AlignmentError, "link (3,1) out of bounds"),
-        (lambda: AlignmentSet(frozenset({(1, 0)}), 2, 2), AlignmentError, "link (1,0) out of bounds"),
         (lambda: AugmentConfig(delta_min=0), ValueError, "delta_min must be >= 1"),
         (lambda: AugmentConfig(3, 2), ValueError, "delta_max must be >= delta_min"),
         (lambda: AugmentConfig(beta=1.5), ValueError, "beta must be in [0, 1]"),

@@ -5,6 +5,7 @@ import pytest
 from conftest import make_pair, meta_of, random_case
 from simultraj.alignment import SentencePair
 from simultraj.augment import AugmentConfig, augment_pipeline
+from simultraj import sftformat
 from simultraj.sftformat import get_template, offline_prompt, render_conversational
 from simultraj.trajectory import META, MERGED_SHIFTED, Chunk, Trajectory
 
@@ -31,6 +32,25 @@ def test_multi_turn_golden():
     )
     assert record.turns == (((38, 39), (48, 51)), ((65, 68), (77, 80)))
     assert record.loss_mask_spans == ((48, 51), (79, 80))
+
+
+def test_system_block_is_formatted_once_per_record(monkeypatch):
+    calls = []
+
+    class CountingWrap(str):
+        def format(self, *args):
+            calls.append(args)
+            return str.format(self, *args)
+
+    wrap = CountingWrap(sftformat.LLAMA2.system_wrap)
+    monkeypatch.setattr(sftformat, "LLAMA2", sftformat.LLAMA2._replace(system_wrap=wrap))
+    pair = SentencePair(("a", "b", "c"), ("w", "x", "y", "z"), 3)
+    traj = Trajectory((Chunk(1, 2), Chunk(1, 1), Chunk(1, 1)), pair, MERGED_SHIFTED)
+    record = render_conversational(traj, system_msg="Be brief.")
+    assert calls == [("Be brief.",)]
+    assert record.text.count("Be brief.") == 1
+    render_conversational(traj)
+    assert calls == [("Be brief.",)]
 
 
 def test_unknown_template_rejected():

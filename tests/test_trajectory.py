@@ -15,7 +15,7 @@ from conftest import (
     ref_from_record,
     write_read_counts,
 )
-from simultraj.alignment import AlignmentSet, sufficient_sets
+from simultraj.alignment import sufficient_sets
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.trajectory import (
     META,
@@ -117,9 +117,8 @@ def test_uniform_counts_match_requirements_within_chunks():
 def test_pipeline_deterministic_end_to_end():
     pair = make_pair(6, 5, pair_id=3)
     links = frozenset({(3, 1), (1, 2), (5, 4)})
-    a = AlignmentSet(links, 6, 5)
-    one = build_meta(monotonicize(sufficient_sets(pair, a), 6), pair)
-    two = build_meta(monotonicize(sufficient_sets(pair, a), 6), pair)
+    one = build_meta(monotonicize(sufficient_sets(pair, links), 6), pair)
+    two = build_meta(monotonicize(sufficient_sets(pair, links), 6), pair)
     assert one == two
 
 
