@@ -12,7 +12,8 @@ eval the first 5,000 of its source lines with a scripted beam model from
 ``bench/inputs.write_sim_inputs`` (chunk 3, beam 5, disagreement 0.25, seed S).
 simulate also reads the same scripts pretty-printed (``indent=1``), which must
 give the bytes of the compact file, and a one-script list for a file of just
-the first source line.
+the first source line. eval runs once per cost pair (1.0/1.0 and 0.7/1.3) on
+the RALCP events; each run reports both prompt modes.
 
 Usage:
   python scripts/output_digests.py --pairs 50000 --seed 42
@@ -61,11 +62,24 @@ def runs(work: Path, corpus: dict, sim: dict, seed: int):
         yield (["simulate", "--src", str(src), "--model", str(model), "--chunk", str(CHUNK),
                 "--beam", str(BEAM), "--out", str(work / out)], (out,))
     for c1, c2 in (("1.0", "1.0"), ("0.7", "1.3")):
-        for prompt in ("conversational", "offline"):
-            name = f"eval_{c1}_{c2}_{prompt}"
-            yield (["eval", "--events", str(work / "events_ralcp_conversational.jsonl"), "--prompt", prompt,
-                    "--cost-recompute", c1, "--cost-word", c2, "--csv", str(work / f"{name}.csv")],
-                   (f"{name}.stdout", f"{name}.csv"))
+        name = f"eval_{c1}_{c2}"
+        yield (["eval", "--events", str(work / "events_ralcp_conversational.jsonl"),
+                "--cost-recompute", c1, "--cost-word", c2, "--csv", str(work / f"{name}.csv")],
+               (f"{name}.stdout", f"{name}.csv"))
+
+
+def write_inputs(work: Path, pairs: int, seed: int) -> tuple[dict, dict]:
+    """The corpus and simulation inputs that ``runs`` reads, written under work."""
+    corpus = inputs.make_corpus(work, pairs, seed)
+    lines = corpus["src"].read_text(encoding="utf-8").splitlines()[:SIM_LINES]
+    sim = inputs.write_sim_inputs(work, [line.split() for line in lines], CHUNK, BEAM, DISAGREE, seed)
+    scripts = json.loads(sim["model"].read_text(encoding="utf-8"))
+    sim["model_indent"], sim["sim_src_one"], sim["model_one"] = (
+        work / name for name in ("model_indent.json", "sim_src_one.txt", "model_one.json"))
+    sim["model_indent"].write_text(json.dumps(scripts, ensure_ascii=False, indent=1), encoding="utf-8")
+    sim["sim_src_one"].write_text(lines[0] + "\n", encoding="utf-8")
+    sim["model_one"].write_text(json.dumps([scripts[0]], ensure_ascii=False), encoding="utf-8")
+    return corpus, sim
 
 
 def main() -> None:
@@ -77,16 +91,7 @@ def main() -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        corpus = inputs.make_corpus(work, args.pairs, args.seed)
-        lines = corpus["src"].read_text(encoding="utf-8").splitlines()[:SIM_LINES]
-        sim = inputs.write_sim_inputs(work, [line.split() for line in lines], CHUNK, BEAM, DISAGREE, args.seed)
-        scripts = json.loads(sim["model"].read_text(encoding="utf-8"))
-        sim["model_indent"], sim["sim_src_one"], sim["model_one"] = (
-            work / name for name in ("model_indent.json", "sim_src_one.txt", "model_one.json"))
-        sim["model_indent"].write_text(json.dumps(scripts, ensure_ascii=False, indent=1), encoding="utf-8")
-        sim["sim_src_one"].write_text(lines[0] + "\n", encoding="utf-8")
-        sim["model_one"].write_text(json.dumps([scripts[0]], ensure_ascii=False), encoding="utf-8")
-        del scripts
+        corpus, sim = write_inputs(work, args.pairs, args.seed)
         for argv, outputs in runs(work, corpus, sim, args.seed):
             stdout = next((work / o for o in outputs if o.endswith(".stdout")), None)
             with open(stdout or os.devnull, "w", encoding="utf-8") as out:

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Latency/recompute sweep over chunk sizes with an echo model.
 
-For each chunk size n, simulate every source sentence under both prompt modes
-with a scripted echo model (each chunk 'translates' to its uppercased self)
-and report mean AL, mean simulated WWT, and total recompute. Shows the
-conversational-vs-offline recompute gap widening as rounds multiply.
+For each chunk size n, simulate every source sentence with a scripted echo
+model (each chunk 'translates' to its uppercased self) and report mean AL, and
+mean simulated WWT and total recompute in both prompt modes, from one pass over
+the event records. Shows the conversational-vs-offline recompute gap widening
+as rounds multiply.
 
 Usage:
   python scripts/sweep_chunk_sizes.py --src toy/src.txt --csv sweep.csv
@@ -16,33 +17,25 @@ import sys
 
 from simultraj.cli import nonnegative_float
 from simultraj.metrics import CostModel, events_report
-from simultraj.simulator import CONVERSATIONAL, GREEDY, OFFLINE, run, scripted_echo
+from simultraj.simulator import GREEDY, run, scripted_echo
 
 DEFAULT_CHUNK_SIZES = (3, 5, 7, 9, 11, 13)
 
 
 def sweep(sources, chunk_sizes, cost):
     for n in chunk_sizes:
-        records = []
-        for idx, source in enumerate(sources):
-            sim = run(
-                source,
-                scripted_echo(source, n, beam=1),
-                chunk_size=n,
-                strategy=GREEDY,
-                beam=1,
-                pair_id=idx,
-            )
-            records.append([event._asdict() for event in sim.events])
-        conv = events_report(records, cost, CONVERSATIONAL)
-        off = events_report(records, cost, OFFLINE)
+        runs = (
+            run(source, scripted_echo(source, n, beam=1), chunk_size=n, strategy=GREEDY, beam=1, pair_id=idx)
+            for idx, source in enumerate(sources)
+        )
+        report = events_report(([event._asdict() for event in sim.events] for sim in runs), cost)
         yield {
             "chunk_size": n,
-            "al_mean": round(conv.al_mean, 4),
-            "wwt_conversational": round(conv.wwt_simulated_mean, 4),
-            "wwt_offline": round(off.wwt_simulated_mean, 4),
-            "recompute_conversational": conv.recompute_total_conversational,
-            "recompute_offline": conv.recompute_total_offline,
+            "al_mean": round(report.al_mean, 4),
+            "wwt_conversational": round(report.wwt_simulated_mean_conversational, 4),
+            "wwt_offline": round(report.wwt_simulated_mean_offline, 4),
+            "recompute_conversational": report.recompute_total_conversational,
+            "recompute_offline": report.recompute_total_offline,
         }
 
 

@@ -11,8 +11,9 @@ The pipeline runs bitext + word alignments through four stages:
 ``sftformat`` serializes trajectories into multi-turn SFT text with loss masks,
 ``simulator`` replays chunked incremental decoding with LCP/RALCP/greedy prefix
 selection and per-round recompute accounting, ``metrics`` computes word-level
-average lagging, simulated word wall time, and corpus statistics, and ``jsonl``
-opens every input and holds the JSON codec.
+average lagging and simulated word wall time in both prompt modes, one pass
+per run, and corpus statistics, and ``jsonl`` opens every input and holds the
+JSON codec.
 """
 
 __version__ = "0.1.0"

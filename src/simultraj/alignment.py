@@ -8,12 +8,13 @@ functions are pure, so sentence pairs can be processed in parallel freely.
 one pass over the frozenset of links that `parse_pharaoh` returns.
 `sufficient_sets` is the set-based reference: it inverts the links into one
 source set per target, which `monotonic.monotonicize` turns into the same plan.
+Both first hold the links to the pair's lengths with `check_links`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable
+from typing import Collection
 
 
 class AlignmentError(ValueError):
@@ -86,9 +87,21 @@ def parse_pharaoh(
     return frozenset(links)
 
 
-def sufficient_sets(pair: SentencePair, links: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+def check_links(pair: SentencePair, links: Collection[tuple[int, int]]) -> None:
+    """Raise AlignmentError naming a 1-based link outside 1 <= i <= I, 1 <= j <= J."""
+    source_len, target_len = len(pair.source), len(pair.target)
+    for i, j in links:
+        if not (0 < i <= source_len and 0 < j <= target_len):
+            raise AlignmentError(
+                f"record {pair.id}: link ({i},{j}) out of bounds for lengths I={source_len}, J={target_len}"
+            )
+
+
+def sufficient_sets(pair: SentencePair, links: Collection[tuple[int, int]]) -> tuple[frozenset[int], ...]:
     """Invert the 1-based links: for each target, 0-based, the 1-based source
-    positions it links to. Empty sets are allowed."""
+    positions it links to. Empty sets are allowed; a link outside the pair
+    raises AlignmentError."""
+    check_links(pair, links)
     buckets: list[set[int]] = [set() for _ in range(pair.target_len)]
     for i, j in links:
         buckets[j - 1].add(i)

@@ -363,7 +363,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cost = CostModel(args.cost_recompute, args.cost_word)
     runs = load_events_jsonl(args.events)
     with _open_output("--csv", args.csv, args.events) if args.csv else nullcontext() as csv:
-        report = events_report(runs, cost, args.prompt)
+        report = events_report(runs, cost)
         data = report._asdict()
         print(encode_json(data))
         print(report.table())
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     cost = CostModel()
     p.add_argument("--cost-recompute", type=nonnegative_float, default=cost.per_recomputed_token)
     p.add_argument("--cost-word", type=nonnegative_float, default=cost.per_generated_word)
-    p.add_argument("--prompt", choices=PROMPT_MODES, default=CONVERSATIONAL)
     p.add_argument("--csv", default="")
     p.set_defaults(func=cmd_eval)
 

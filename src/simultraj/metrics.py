@@ -13,10 +13,9 @@ deviation, matching the mean+-std convention of summary tables.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from simultraj.simulator import CONVERSATIONAL, SimRun
+from simultraj.simulator import SimRun
 from simultraj.trajectory import Trajectory
 
 
@@ -38,43 +37,53 @@ def average_lagging(g: Sequence[int], source_len: int, target_len: int) -> float
     return sum(g[t - 1] - (t - 1) / rate for t in range(1, tau + 1)) / tau
 
 
-_conversational_recompute = itemgetter("recompute_tokens_conversational")
-_offline_recompute = itemgetter("recompute_tokens_offline")
-
-
 class CostModel(NamedTuple):
     per_recomputed_token: float = 1.0
     per_generated_word: float = 1.0
 
 
-def run_latency(
-    events: Sequence[dict], cost: CostModel, prompt_mode: str
-) -> tuple[float, float] | None:
-    """AL and simulated WWT of one run, from its event records in round order.
+class RunLatency(NamedTuple):
+    """One run's latency; AL and the WWTs are None when it commits no word."""
 
-    Words committed in a round share that round's read count; WWT is the
-    recompute of the given prompt mode at c1 plus generation at c2, per
-    committed word. None when the run commits no word.
+    al: float | None
+    wwt_conversational: float | None
+    wwt_offline: float | None
+    recompute_conversational: int
+    recompute_offline: int
+
+
+def run_latency(events: Sequence[dict], cost: CostModel) -> RunLatency:
+    """AL, simulated WWT in both prompt modes and both recompute totals of one
+    run, from its event records in round order, in one pass.
+
+    Words committed in a round share that round's read count; a mode's WWT is
+    its recompute at c1 plus generation at c2, per committed word.
     """
-    recompute = _conversational_recompute if prompt_mode == CONVERSATIONAL else _offline_recompute
+    c1, c2 = cost
     g: list[int] = []
-    total = 0.0
+    conv = off = 0
+    wwt_conv = wwt_off = 0.0
     for event in events:
         words = len(event["committed_words"])
         g.extend([event["cumulative_source_read"]] * words)
-        total += recompute(event) * cost.per_recomputed_token
-        total += words * cost.per_generated_word
+        r_conv, r_off = event["recompute_tokens_conversational"], event["recompute_tokens_offline"]
+        conv += r_conv
+        off += r_off
+        # Each mode adds its recompute, then the generation, left to right.
+        wwt_conv = wwt_conv + r_conv * c1 + words * c2
+        wwt_off = wwt_off + r_off * c1 + words * c2
     if not g:
-        return None
-    return average_lagging(g, events[-1]["cumulative_source_read"], len(g)), total / len(g)
+        return RunLatency(None, None, None, conv, off)
+    al = average_lagging(g, events[-1]["cumulative_source_read"], len(g))
+    return RunLatency(al, wwt_conv / len(g), wwt_off / len(g), conv, off)
 
 
 def run_average_lagging(sim: SimRun) -> float:
     """AL of a simulated run, through the reducer `eval` uses."""
-    latency = run_latency([e._asdict() for e in sim.events], CostModel(), sim.prompt_mode)
-    if latency is None:
+    al = run_latency([e._asdict() for e in sim.events], CostModel()).al
+    if al is None:
         raise ValueError("run committed zero target words")
-    return latency[0]
+    return al
 
 
 class MeanStd(NamedTuple):
@@ -152,7 +161,8 @@ class LatencyReport(NamedTuple):
 
     runs: int
     al_mean: float | None
-    wwt_simulated_mean: float | None
+    wwt_simulated_mean_conversational: float | None
+    wwt_simulated_mean_offline: float | None
     rounds_total: int
     recompute_total_conversational: int
     recompute_total_offline: int
@@ -161,7 +171,8 @@ class LatencyReport(NamedTuple):
         rows = [
             ("runs", str(self.runs)),
             ("AL (words, mean)", _fixed4(self.al_mean)),
-            ("WWT (simulated, mean)", _fixed4(self.wwt_simulated_mean)),
+            ("WWT (simulated, mean) conversational", _fixed4(self.wwt_simulated_mean_conversational)),
+            ("WWT (simulated, mean) offline", _fixed4(self.wwt_simulated_mean_offline)),
             ("rounds total", str(self.rounds_total)),
             ("recompute total conversational", str(self.recompute_total_conversational)),
             ("recompute total offline", str(self.recompute_total_offline)),
@@ -185,39 +196,27 @@ def _exact(x: float) -> int:
     return n << _ULP_BITS + 1 - d.bit_length()  # d is a power of two
 
 
-def events_report(event_runs: Iterable[list[dict]], cost: CostModel, prompt_mode: str) -> LatencyReport:
+def events_report(event_runs: Iterable[list[dict]], cost: CostModel) -> LatencyReport:
     """Aggregate a parsed event log, one list of event records per run, into one
     report. Each run is reduced by `run_latency` as it arrives and added to
     exact sums, so the runs may be streamed in constant memory."""
-    al_sum = wwt_sum = 0  # see _exact
-    runs = 0
-    scored = 0  # runs that commit a word
-    rounds = 0
-    total_conv = 0
-    total_off = 0
+    sums = [0, 0, 0]  # of the AL and both WWTs, see _exact
+    runs = scored = rounds = total_conv = total_off = 0  # scored: runs that commit a word
     for events in event_runs:
         runs += 1
         rounds += len(events)
-        total_conv += sum(map(_conversational_recompute, events))
-        total_off += sum(map(_offline_recompute, events))
         try:
-            latency = run_latency(events, cost, prompt_mode)
-            if latency is not None:
-                al_sum += _exact(latency[0])
-                wwt_sum += _exact(latency[1])
+            al, wwt_conv, wwt_off, conv, off = run_latency(events, cost)
+            total_conv += conv
+            total_off += off
+            if al is not None:
+                sums = [total + _exact(x) for total, x in zip(sums, (al, wwt_conv, wwt_off))]
                 scored += 1
         except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a count too big for a float
             raise ValueError(f"run id {events[0]['id']}: {exc}") from None
     if not runs:
         raise ValueError("no runs in event log")
-    unit = 1 << _ULP_BITS
-    return LatencyReport(
-        runs=runs,
-        # The sum rounded as fsum rounds it, over the count, as statistics.fmean
-        # computes a mean. A sum past the float range raises OverflowError.
-        al_mean=al_sum / unit / scored if scored else None,
-        wwt_simulated_mean=wwt_sum / unit / scored if scored else None,
-        rounds_total=rounds,
-        recompute_total_conversational=total_conv,
-        recompute_total_offline=total_off,
-    )
+    # Each sum rounded as fsum rounds it, over the count, as statistics.fmean
+    # computes a mean. A sum past the float range raises OverflowError.
+    means = [total / (1 << _ULP_BITS) / scored if scored else None for total in sums]
+    return LatencyReport(runs, *means, rounds, total_conv, total_off)

@@ -19,9 +19,9 @@ links in one pass, keeping each target's highest linked source position.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
-from simultraj.alignment import SentencePair
+from simultraj.alignment import SentencePair, check_links
 
 
 class MonotonicPlan(NamedTuple):
@@ -41,11 +41,13 @@ def _check_shape(target_len: int, source_len: int) -> None:
         raise ValueError("need at least one target token and one source token")
 
 
-def plan_links(pair: SentencePair, links: Iterable[tuple[int, int]]) -> MonotonicPlan:
+def plan_links(pair: SentencePair, links: Collection[tuple[int, int]]) -> MonotonicPlan:
     """The plan `monotonicize(sufficient_sets(pair, links), I)` returns, from
     the 1-based links in one pass: the highest source position per target (0
-    for a target with no link), then the running max."""
+    for a target with no link), then the running max. A link outside the pair
+    raises AlignmentError, as in `sufficient_sets`."""
     _check_shape(pair.target_len, pair.source_len)
+    check_links(pair, links)
     top = [0] * pair.target_len
     for i, j in links:
         if i > top[j - 1]:

@@ -325,8 +325,9 @@ def realised_trajectory(sim: SimRun) -> Trajectory:
 
 
 # Per-run latency references over SimRun objects: the library reduces event
-# records in `metrics.run_latency` instead; the differential test in
-# test_metrics.py checks that `events_report` over a dumped log agrees exactly.
+# records in `metrics.run_latency` instead, both prompt modes in one pass; the
+# differential test in test_metrics.py checks that `events_report` over a
+# dumped log agrees exactly.
 
 
 def ref_schedule_from_run(sim: SimRun) -> list[int]:
@@ -337,9 +338,9 @@ def ref_schedule_from_run(sim: SimRun) -> list[int]:
     return g
 
 
-def ref_simulated_wwt(sim: SimRun, cost: CostModel, prompt_mode: str | None = None) -> float:
-    """Simulated cost per committed word: recompute at c1 plus generation at c2."""
-    mode = prompt_mode or sim.prompt_mode
+def ref_simulated_wwt(sim: SimRun, cost: CostModel, mode: str) -> float:
+    """Simulated cost per committed word in a prompt mode: that mode's recompute
+    at c1 plus generation at c2."""
     total = 0.0
     generated = 0
     for event in sim.events:

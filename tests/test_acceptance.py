@@ -206,7 +206,7 @@ def test_criterion_07_cache_reuse_inequality_1000_runs():
     strict_checked = 0
     for sim in random_scripted_runs(1_000, seed=777):
         records = [event._asdict() for event in sim.events]
-        totals = events_report([records], CostModel(), sim.prompt_mode)
+        totals = events_report([records], CostModel())
         final_prompt_words = len(replay_prompts(sim)[-1].prompt_conversational.split())
         assert totals.recompute_total_conversational == final_prompt_words
         assert totals.recompute_total_conversational <= totals.recompute_total_offline

@@ -593,11 +593,12 @@ def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
     out = capsys.readouterr().out
     line = json.loads(out.splitlines()[0], parse_constant=_reject_constant)
     assert line["al_mean"] is None
-    assert line["wwt_simulated_mean"] is None
+    assert line["wwt_simulated_mean_conversational"] is None
+    assert line["wwt_simulated_mean_offline"] is None
     assert line["runs"] == 1
     assert "n/a" in out
     assert "nan" not in out.lower()
-    assert csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")[1:3] == ["", ""]
+    assert csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")[1:4] == ["", "", ""]
 
 
 GOOD_META = {"id": 7, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
@@ -819,6 +820,18 @@ def test_eval_event_integers_are_at_most_2_53(tmp_path, capsys, field, value):
         assert json.loads(out.splitlines()[0])["runs"] == 2
     else:
         assert (code, out, err.splitlines()[1:]) == (2, "", [f"error: event line 2: {field} is above 2**53"])
+
+
+def test_eval_prompt_flag_is_a_usage_error(tmp_path, capsys):
+    """eval reports both prompt modes, so it takes no --prompt."""
+    events = tmp_path / "events.jsonl"
+    events.write_text(json.dumps(GOOD_EVENT) + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--events", str(events), "--prompt", "offline"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: simultraj ")
+    assert err.endswith("simultraj: error: unrecognized arguments: --prompt offline\n")
 
 
 GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "committed_words": ["A"],

@@ -40,7 +40,7 @@ VALUE_FLAGS = {
     "format": ["--template", "--workers"],
     "stats": [],
     "simulate": ["--chunk", "--beam", "--select", "--gamma", "--prompt"],
-    "eval": ["--cost-recompute", "--cost-word", "--prompt"],
+    "eval": ["--cost-recompute", "--cost-word"],
 }
 # None is a valid --workers value, so no run forks a worker; "9" * 5000 is past
 # int()'s digit limit.

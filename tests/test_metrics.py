@@ -114,20 +114,20 @@ def records_of(sim):
     return [event._asdict() for event in sim.events]
 
 
-def wwt(sim, cost, prompt_mode=None):
-    return run_latency(records_of(sim), cost, prompt_mode or sim.prompt_mode)[1]
+def wwt(sim, cost, prompt_mode):
+    return getattr(run_latency(records_of(sim), cost), f"wwt_{prompt_mode}")
 
 
 def test_batched_commits_share_read_count():
     source = ["a", "b", "c", "d"]
     sim = run(source, scripted_echo(source, 4, beam=1), chunk_size=4, strategy=GREEDY, beam=1)
-    al, _ = run_latency(records_of(sim), CostModel(), sim.prompt_mode)
+    al = run_latency(records_of(sim), CostModel()).al
     assert al == average_lagging([4, 4, 4, 4], 4, 4)
 
 
 def test_wwt_pure_generation_cost():
     sim = run(["a", "b"], scripted_echo(["a", "b"], 1, beam=1), chunk_size=1, strategy=GREEDY, beam=1)
-    assert wwt(sim, CostModel(0.0, 2.5)) == 2.5
+    assert wwt(sim, CostModel(0.0, 2.5), "conversational") == wwt(sim, CostModel(0.0, 2.5), "offline") == 2.5
 
 
 def test_wwt_conversational_not_slower_than_offline():
@@ -151,7 +151,7 @@ def test_wwt_needs_committed_words():
             return [()]
 
     sim = run(["a"], Silent(), chunk_size=1, strategy=GREEDY, beam=1)
-    assert run_latency(records_of(sim), CostModel(), sim.prompt_mode) is None
+    assert run_latency(records_of(sim), CostModel())[:3] == (None, None, None)
     with pytest.raises(ValueError):
         run_average_lagging(sim)
 
@@ -182,7 +182,7 @@ def random_runs(rng, n_runs):
 
 def test_events_report_matches_reference_per_run_values(tmp_path):
     # events_report over a dumped and reloaded log equals the SimRun-level
-    # references averaged with fmean, exactly, in both prompt modes.
+    # references averaged with fmean, exactly, in both prompt modes at once.
     rng = random.Random(31)
     path = str(tmp_path / "events.jsonl")
     silent_logs = 0
@@ -193,22 +193,23 @@ def test_events_report_matches_reference_per_run_values(tmp_path):
         cost = CostModel(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
         speaking = [sim for sim in sims if committed(sim)]
         silent_logs += not speaking
+        report = events_report(load_events_jsonl(path), cost)
+        assert report.runs == len(sims)
+        assert report.rounds_total == sum(sim.rounds for sim in sims)
+        totals = [ref_cache_savings(sim) for sim in sims]
+        assert report.recompute_total_conversational == sum(t["total_conversational"] for t in totals)
+        assert report.recompute_total_offline == sum(t["total_offline"] for t in totals)
+        wwt_means = {mode: getattr(report, f"wwt_simulated_mean_{mode}") for mode in PROMPT_MODES}
+        if not speaking:
+            assert report.al_mean is None and wwt_means == dict.fromkeys(PROMPT_MODES)
+            continue
+        al = []
+        for sim in speaking:
+            g = ref_schedule_from_run(sim)
+            al.append(average_lagging(g, len(sim.source), len(g)))
+        assert report.al_mean == fmean(al)
         for mode in PROMPT_MODES:
-            report = events_report(load_events_jsonl(path), cost, mode)
-            assert report.runs == len(sims)
-            assert report.rounds_total == sum(sim.rounds for sim in sims)
-            totals = [ref_cache_savings(sim) for sim in sims]
-            assert report.recompute_total_conversational == sum(t["total_conversational"] for t in totals)
-            assert report.recompute_total_offline == sum(t["total_offline"] for t in totals)
-            if not speaking:
-                assert report.al_mean is None and report.wwt_simulated_mean is None
-                continue
-            al = []
-            for sim in speaking:
-                g = ref_schedule_from_run(sim)
-                al.append(average_lagging(g, len(sim.source), len(g)))
-            assert report.al_mean == fmean(al)
-            assert report.wwt_simulated_mean == fmean(ref_simulated_wwt(sim, cost, mode) for sim in speaking)
+            assert wwt_means[mode] == fmean(ref_simulated_wwt(sim, cost, mode) for sim in speaking)
     assert silent_logs > 0
 
 
@@ -321,7 +322,7 @@ def test_events_report_aggregates():
     source = [f"w{i}" for i in range(1, 5)]
     sim = run(source, scripted_echo(source, 2, beam=1), chunk_size=2, strategy=GREEDY, beam=1)
     events = [[e._asdict() for e in sim.events]]
-    report = events_report(events, CostModel(1.0, 0.0), "conversational")
+    report = events_report(events, CostModel(1.0, 0.0))
     assert report.runs == 1
     assert report.rounds_total == 2
     assert report.al_mean == run_average_lagging(sim)

@@ -145,6 +145,18 @@ def test_plan_links_equals_set_based_plan(case):
     assert plan_links(pair, links) == reference
 
 
+@pytest.mark.parametrize("link", [(1, 0), (0, 1), (5, 1), (1, 3)])
+@pytest.mark.parametrize("reader", [plan_links, sufficient_sets])
+def test_link_outside_the_pair_is_rejected_by_name(reader, link):
+    """The 1-based links of a 2-word pair fall in 1 <= i <= 2, 1 <= j <= 2;
+    each link outside would give a wrong plan or an IndexError."""
+    pair = SentencePair(("a", "b"), ("x", "y"), 7)
+    message = f"record 7: link ({link[0]},{link[1]}) out of bounds for lengths I=2, J=2"
+    with pytest.raises(ValueError) as exc:
+        reader(pair, frozenset({link, (1, 1)}))
+    assert str(exc.value) == message
+
+
 def test_plan_links_rejects_degenerate_shapes():
     with pytest.raises(ValueError, match="need at least one target token and one source token"):
         plan_links(SentencePair._make((("a",), (), 0)), frozenset())

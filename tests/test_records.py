@@ -55,7 +55,7 @@ RECORDS = sorted(_record_classes(), key=lambda cls: cls.__name__)
 def test_every_record_class_is_found():
     assert {cls.__name__ for cls in RECORDS} == {
         "AugmentConfig", "ChatTemplate", "Chunk", "CostModel", "LatencyReport",
-        "MeanStd", "MonotonicPlan", "ProvenanceStats", "SelectStrategy", "SentencePair",
+        "MeanStd", "MonotonicPlan", "ProvenanceStats", "RunLatency", "SelectStrategy", "SentencePair",
         "SftRecord", "SimEvent", "SimRun", "Trajectory",
     }
     assert set(VALID) <= set(RECORDS)

@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 from conftest import write_toy_corpus
+
+from simultraj.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,14 +76,10 @@ events_greedy_conversational.jsonl b682d5dc6dda7221851ccd54c2fd4391176dc513a7258
 events_greedy_offline.jsonl b682d5dc6dda7221851ccd54c2fd4391176dc513a7258297163a17a17ef5abfe
 events_indent.jsonl acf2ab4affd891733fa57cc030ada5eace0f1f307a3c01f5ba0e7fc61bd0bb81
 events_one.jsonl d3fd71932d3dc8a622ca0809df7d1e45f4c8234f7f24f3f328063d4c941d3eff
-eval_1.0_1.0_conversational.stdout b9118f8bdbaebba4b5174fc5b50a0a089a2c9028929ec08d10c2dc07dd21db9b
-eval_1.0_1.0_conversational.csv bd6279aa20af16c5aabe8c6fb42d296bbc942028c90ae5f8ae6b4342b1d8df8b
-eval_1.0_1.0_offline.stdout ac533ea84ee70d267170eec7ab0d850883dee265427176b5f8c45fd846729d92
-eval_1.0_1.0_offline.csv 36d8ad42475d9a2bde16177120c30de05d5b51823d7a25d42ae210632d2b89b3
-eval_0.7_1.3_conversational.stdout 6979aaf654ca7758cb8a46aed17e71b467333574084f96f9369140ebff6184fd
-eval_0.7_1.3_conversational.csv b1ab639185cb7701b2b17972a7ced0b75047fca6a5ac40e24b990209efcc02fd
-eval_0.7_1.3_offline.stdout 8931065d81010415bb7e855de1142730781cfc05ee2f3a4c7a0e8be69c5e8169
-eval_0.7_1.3_offline.csv 6d2654ecaef13fd7ed3be631d56a9790b58964b57037e987c637a627b74ea41a
+eval_1.0_1.0.stdout 8470db849a76c2ff25144adf08187a5df4875846d098c4f9de7566aa1a6d8501
+eval_1.0_1.0.csv ef9fcd316348550b5e9f39bd9ff245dc4f8cfae36092274701dae579468393a3
+eval_0.7_1.3.stdout 2b5f563c99646dd1fddaae74332cc47542934ebd3e82e18584468c25ac560428
+eval_0.7_1.3.csv 797bbeaded732b048a04a5820ffa525e44b4a5da03cf4c9ec913953349b4cd71
 """
 
 
@@ -89,7 +88,7 @@ def test_output_digests_repeat_one_line_per_output():
     first, second = (subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2))
     assert first == second == DIGESTS_40_3
     digests = dict(line.split(" ") for line in first.splitlines())
-    assert len(digests) == len(first.splitlines()) == 26
+    assert len(digests) == len(first.splitlines()) == 22
     assert all(len(digest) == 64 for digest in digests.values())
     for name in ("meta", "aug", "sft"):  # --workers 2 writes the serial bytes
         assert digests[f"{name}_w2.jsonl"] == digests[f"{name}.jsonl"]
@@ -97,6 +96,36 @@ def test_output_digests_repeat_one_line_per_output():
     # A pretty-printed model file gives the compact file's events.
     assert digests["events_indent.jsonl"] == digests["events_ralcp_conversational.jsonl"]
     # Both recompute counts are logged in either mode, and the scripted model
-    # ignores its context, so --prompt leaves the event log as it is.
+    # ignores its context, so simulate --prompt leaves the event log as it is.
     for select in ("ralcp", "lcp", "greedy"):
         assert digests[f"events_{select}_conversational.jsonl"] == digests[f"events_{select}_offline.jsonl"]
+
+
+# eval's JSON line on the `--pairs 40 --seed 3` digest inputs, per cost pair.
+# Recorded when eval reported one prompt mode per run, chosen by its --prompt
+# flag: the AL and the counts were the same in both modes, and each WWT mean
+# here is the wwt_simulated_mean that its mode printed.
+EVAL_40_3 = {
+    f"eval_{c1}_{c2}.stdout": {
+        "runs": 40, "al_mean": 2.5032804695304693, "wwt_simulated_mean_conversational": conversational,
+        "wwt_simulated_mean_offline": offline, "rounds_total": 132,
+        "recompute_total_conversational": 722, "recompute_total_offline": 1300,
+    }
+    for c1, c2, conversational, offline in [
+        ("1.0", "1.0", 3.249280719280719, 5.120350552225552),
+        ("0.7", "1.3", 2.8744965034965033, 4.184245386557886),
+    ]
+}
+
+
+def test_eval_reports_both_prompt_modes_as_each_mode_did_alone(tmp_path, capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "output_digests.py"))
+    corpus, sim = script["write_inputs"](tmp_path, 40, 3)
+    reports = {}
+    for argv, outputs in script["runs"](tmp_path, corpus, sim, 3):
+        if outputs[0] == "events_ralcp_conversational.jsonl":
+            assert main(argv) == 0
+        elif argv[0] == "eval":
+            assert main(argv) == 0
+            reports[outputs[0]] = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert reports == EVAL_40_3

@@ -180,7 +180,7 @@ def test_greedy_beam_one_concatenates_all_outputs():
 def recompute_totals(sim):
     """(conversational, offline) recompute totals of one run, as `eval` sums them."""
     records = [event._asdict() for event in sim.events]
-    report = events_report([records], CostModel(), sim.prompt_mode)
+    report = events_report([records], CostModel())
     return report.recompute_total_conversational, report.recompute_total_offline
 
 
