@@ -8,15 +8,15 @@ reads: see `_open_output`.
 Every subcommand prints its resolved configuration to stderr for provenance; that
 line, the rejection reasons and the error line all go through `_note`, which
 never lets them reach stdout. Exit status: 0 all records clean, 1 some records
-rejected (reasons on stderr), 2 hard error, an unwritable stdout or stderr
-included. `main` alone turns failures into a status, and it flushes stdout and
-stderr before it returns. It never ends the process, so tests, the benchmark
-and library callers run it in-process. `process_main`, behind `python -m
-simultraj.cli` and the `simultraj` script, ends the process with os._exit on
-main's status, skipping the interpreter's teardown; it also flushes argparse's
-own output (-h, a usage error), so that output failing is exit 2 as well.
-Tools that report at interpreter exit (cProfile, coverage) see no end of such
-a process; profile through `main` in-process instead.
+rejected (reasons on stderr) and the rest processed, 2 hard error (an
+unwritable stdout or stderr, or `stats` accepting no record). `main` alone
+turns failures into a status, and flushes stdout and stderr before it returns.
+It never ends the process, so tests, the benchmark and library callers run it
+in-process. `process_main`, behind `python -m simultraj.cli` and the
+`simultraj` script, ends the process with os._exit on main's status, skipping
+the interpreter's teardown; it also flushes argparse's own output (-h, a usage
+error), so that output failing is exit 2 as well. Tools that report at exit
+(cProfile, coverage) see no end of such a process; profile `main` in-process.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from simultraj.simulator import (
     load_events_jsonl,
     run as simulate_run,
 )
-from simultraj.trajectory import META, build_meta, from_record, to_record, verify
+from simultraj.trajectory import META, Trajectory, build_meta, from_record, to_record, verify
 
 
 def positive_int(text: str) -> int:
@@ -200,36 +200,64 @@ def _open_output(flag: str, path: str, *inputs: str) -> BinaryIO:
     return open(path, "wb")
 
 
-def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inputs: str) -> int:
-    """Write worker's results over the items read(*inputs) gives to --out in
-    input order; 1 if any record was rejected. A result is ("ok", a jsonl_line)
-    or ("err", a reason). read opens the inputs, before --out is opened."""
+def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inputs: str,
+               report: Callable | None = None) -> int:
+    """Pass worker's results over the items read(*inputs) gives, in input order,
+    to report, else to --out, and note the reason of each rejected record
+    instead; 1 if any was rejected. read opens the inputs, before --out."""
     items = read(*inputs)
     failures = 0
-    with _open_output("--out", args.out, *inputs) as out:
-        for status, payload in _pmap(worker, items, args.workers):
+
+    def accepted() -> Iterator:
+        nonlocal failures
+        for status, payload in _pmap(partial(_or_rejected, worker), items, getattr(args, "workers", 1)):
             if status == "ok":
-                out.write(payload)
+                yield payload
             else:
                 failures += 1
                 _note(payload)
+
+    with nullcontext() if report else _open_output("--out", args.out, *inputs) as out:
+        (report or out.writelines)(accepted())
     return 1 if failures else 0
+
+
+class _Rejected(Exception):
+    """A record that fails a check; its args are the record's id and its problems."""
+
+
+def _or_rejected(worker: Callable, item: object) -> tuple[str, object]:
+    """("ok", worker(item)), or ("err", the one line that words why the record is
+    rejected); a ValueError or a RecursionError does not name the record's id."""
+    try:
+        return ("ok", worker(item))
+    except _Rejected as exc:
+        return ("err", f"record {exc.args[0]} rejected: " + "; ".join(exc.args[1]))
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        return ("err", f"record rejected: {exc}")
+
+
+def _read_trajectory(item: tuple[int, bytes]) -> Trajectory:
+    """The sound trajectory on a JSONL line: augment, format and stats read here."""
+    traj = from_record(decode_line(item[1]))
+    if problems := verify(traj):
+        raise _Rejected(traj.pair_id, problems)
+    return traj
 
 
 # ----------------------------------------------------------------- curate
 
-def _curate_record(item: tuple[int, bytes, bytes, bytes], debug: bool) -> tuple[str, bytes | str]:
+def _curate_record(item: tuple[int, bytes, bytes, bytes], debug: bool) -> bytes:
     idx, src, tgt, align = item
     try:  # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
         pair = SentencePair.from_text(src.decode(), tgt.decode(), idx)
         plan = plan_links(pair, parse_pharaoh(align.decode(), pair.source_len, pair.target_len, idx))
         traj = build_meta(plan, pair)
-        problems = verify(traj, plan)
-        if problems:
-            return ("err", f"record {idx} rejected: " + "; ".join(problems))
-        return ("ok", jsonl_line(to_record(traj, debug)))
     except ValueError as exc:  # AlignmentError is a ValueError
-        return ("err", f"record {idx} rejected: {exc}")
+        raise _Rejected(idx, [str(exc)]) from None
+    if problems := verify(traj, plan):
+        raise _Rejected(idx, problems)
+    return jsonl_line(to_record(traj, debug))
 
 
 def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]]:
@@ -252,19 +280,14 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- augment
 
-def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig, debug: bool) -> tuple[str, bytes | str]:
-    try:
-        traj = from_record(decode_line(item[1]))
-        problems = verify(traj) if traj.provenance == META else [f"provenance {traj.provenance!r} is not meta"]
-        if problems:
-            return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
-        augmented = augment_pipeline(traj, cfg)
-        problems = verify(augmented)
-        if problems:
-            return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
-        return ("ok", jsonl_line(to_record(augmented, debug)))
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        return ("err", f"record rejected: {exc}")
+def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig, debug: bool) -> bytes:
+    traj = _read_trajectory(item)
+    if traj.provenance != META:
+        raise _Rejected(traj.pair_id, [f"provenance {traj.provenance!r} is not meta"])
+    augmented = augment_pipeline(traj, cfg)
+    if problems := verify(augmented):
+        raise _Rejected(traj.pair_id, problems)
+    return jsonl_line(to_record(augmented, debug))
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -281,16 +304,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- format
 
-def _format_record(item: tuple[int, bytes], system_msg: str, template: str) -> tuple[str, bytes | str]:
-    try:
-        traj = from_record(decode_line(item[1]))
-        problems = verify(traj)
-        if problems:
-            return ("err", f"record {traj.pair_id} rejected: " + "; ".join(problems))
-        record = render_conversational(traj, system_msg, template)
-        return ("ok", jsonl_line(record_to_dict(record)))
-    except (ValueError, RecursionError) as exc:
-        return ("err", f"record rejected: {exc}")
+def _format_record(item: tuple[int, bytes], system_msg: str, template: str) -> bytes:
+    return jsonl_line(record_to_dict(render_conversational(_read_trajectory(item), system_msg, template)))
 
 
 def cmd_format(args: argparse.Namespace) -> int:
@@ -303,9 +318,8 @@ def cmd_format(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ stats
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = corpus_stats(from_record(decode_line(line)) for _, line in read_records(args.in_path))
-    print(corpus_stats_table(stats))
-    return 0
+    return _run_stage(args, _read_trajectory, read_records, args.in_path,
+                      report=lambda trajs: print(corpus_stats_table(corpus_stats(trajs))))
 
 
 # --------------------------------------------------------------- simulate

@@ -28,8 +28,8 @@ class Chunk(NamedTuple):
 
     Every trajectory reads and writes contiguous spans in order, so counts fix
     a chunk's words; `Trajectory.segments` cuts them from running offsets.
-    shifted_prefix_len counts leading write tokens moved in from the previous
-    chunk by the shift augmentation; it is 0 in meta and merged trajectories.
+    shifted_prefix_len counts leading write tokens that the shift augmentation
+    moved in from the previous chunk: 0 in chunk 0 and outside merged+shifted.
     """
 
     n_read: int
@@ -88,12 +88,13 @@ def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
     insufficient: list[str] = []
     req = None if plan is None else plan.prefix_req
     read = written = 0
+    carries = traj.provenance == MERGED_SHIFTED  # only shift moves words into a chunk
     for c, (n_read, n_write, shifted) in enumerate(traj.chunks):
         if n_read < 1:
             shape.append(f"empty read @chunk {c}")
         if n_write < 1:
             shape.append(f"empty write @chunk {c}")
-        if not 0 <= shifted <= n_write:
+        if not 0 <= shifted <= (n_write if carries and c else 0):
             shape.append(f"shifted prefix violated @chunk {c}")
         read += n_read
         # A write of this chunk needs more source than has been read.

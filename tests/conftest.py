@@ -457,7 +457,9 @@ def ref_verify(traj: RefTrajectory, plan: MonotonicPlan | None = None) -> list[s
             violations.append(f"empty read @chunk {c}")
         if not chunk.write:
             violations.append(f"empty write @chunk {c}")
-        if not 0 <= chunk.shifted_prefix_len <= len(chunk.write):
+        # Only shift carries words into a chunk, and never into the first one.
+        carried_max = len(chunk.write) if c > 0 and traj.provenance == MERGED_SHIFTED else 0
+        if not 0 <= chunk.shifted_prefix_len <= carried_max:
             violations.append(f"shifted prefix violated @chunk {c}")
     if plan is not None:
         cum = 0
@@ -485,7 +487,8 @@ def count_verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[st
             violations.append(f"empty read @chunk {c}")
         if chunk.n_write < 1:
             violations.append(f"empty write @chunk {c}")
-        if not 0 <= chunk.shifted_prefix_len <= chunk.n_write:
+        carried_max = chunk.n_write if c > 0 and traj.provenance == MERGED_SHIFTED else 0
+        if not 0 <= chunk.shifted_prefix_len <= carried_max:
             violations.append(f"shifted prefix violated @chunk {c}")
     if plan is not None:
         read = written = 0

@@ -15,6 +15,8 @@ import pytest
 from simultraj import cli, jsonl
 from simultraj.cli import build_parser, main
 from simultraj.jsonl import decode_line
+from simultraj.metrics import corpus_stats, corpus_stats_table
+from simultraj.trajectory import from_record
 from conftest import write_sim_case, write_toy_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -604,6 +606,11 @@ def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
 GOOD_META = {"id": 7, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
 
 
+def stats_table(*records):
+    """What stats prints for records: the table of their trajectories."""
+    return corpus_stats_table(corpus_stats(map(from_record, records))) + "\n"
+
+
 def _chunks(*chunks):
     return {"id": 0, "provenance": "meta", "chunks": list(chunks)}
 
@@ -647,16 +654,18 @@ def _chunks(*chunks):
 def test_malformed_record_rejected_and_run_goes_on(tmp_path, capsys, bad, reason):
     src = tmp_path / "in.jsonl"
     src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
-    for command in ("augment", "format"):
+    for command in ("augment", "format", "stats"):
         out = tmp_path / f"{command}.jsonl"
-        assert main([command, "--in", str(src), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
+        argv = [command, "--in", str(src)] + ([] if command == "stats" else ["--out", str(out)])
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
         assert f"\nrecord rejected: {reason}\n" in err
         assert "Traceback" not in err
+        if command == "stats":
+            assert stdout == stats_table(GOOD_META)
+            continue
         (line,) = out.read_text(encoding="utf-8").splitlines()
         assert json.loads(line)["id"] == 7
-    assert main(["stats", "--in", str(src)]) == 2
-    assert capsys.readouterr().err.endswith(f"\nerror: {reason}\n")
 
 
 def assert_format_rejects(tmp_path, capsys, bad, reason):
@@ -693,6 +702,14 @@ def test_augment_rejects_a_record_that_is_not_meta(tmp_path, capsys, monkeypatch
     assert_augment_rejects(tmp_path, capsys, monkeypatch, bad, "provenance 'merged+shifted' is not meta")
 
 
+def test_augment_names_verify_problems_before_provenance(tmp_path, capsys, monkeypatch, no_leftover_children):
+    # Every stage reads a record through one reader, which verifies it: a record
+    # that is not meta and is unsound is rejected for its verify problems.
+    bad = {"id": 0, "provenance": "merged", "chunks": [{"read": ["a"], "write": [], "shifted": 0},
+                                                       {"read": ["b"], "write": ["c"], "shifted": 0}]}
+    assert_augment_rejects(tmp_path, capsys, monkeypatch, bad, "empty write @chunk 0")
+
+
 def test_augment_rejects_a_meta_record_that_fails_verify(tmp_path, capsys, monkeypatch, no_leftover_children):
     # Merging would hide the empty write: the input is verified before it.
     bad = _chunks({"read": ["a"], "write": [], "shifted": 0}, {"read": ["b"], "write": ["c"], "shifted": 0})
@@ -727,6 +744,64 @@ def test_unsound_result_is_rejected_and_other_records_written(tmp_path, capsys, 
         err = capsys.readouterr().err.splitlines()
         assert err[1:] == ["record 1 rejected: source coverage violated; target coverage violated"]
         assert out.read_bytes() == b"".join(lines[:1] + lines[2:])
+
+
+def assert_every_reader_rejects(tmp_path, capsys, bad, reason):
+    """augment, format and stats each reject bad with the one reason line
+    (exit 1) and go on with GOOD_META, the line after it."""
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
+    for command in ("augment", "format", "stats"):
+        out = tmp_path / f"{command}.jsonl"
+        argv = [command, "--in", str(src)] + ([] if command == "stats" else ["--out", str(out)])
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert err.splitlines()[1:] == [f"record 0 rejected: {reason}"]
+        if command == "stats":
+            assert stdout == stats_table(GOOD_META)
+        else:
+            assert [json.loads(line)["id"] for line in out.read_text(encoding="utf-8").splitlines()] == [7]
+
+
+def test_stats_rejects_a_record_that_fails_verify(tmp_path, capsys):
+    # stats used to count this record, an empty write averaged in, and exit 0.
+    bad = _chunks({"read": ["a"], "write": [], "shifted": 0}, {"read": ["b"], "write": ["c"], "shifted": 0})
+    assert_every_reader_rejects(tmp_path, capsys, bad, "empty write @chunk 0")
+
+
+@pytest.mark.parametrize("bad", [
+    # The loss mask of format's record skipped x, which no chunk before carried in.
+    _chunks({"read": ["a"], "write": ["x", "y"], "shifted": 1}, {"read": ["b"], "write": ["z"], "shifted": 0}),
+    # format wrote this record with "loss_mask_spans": [].
+    {"id": 0, "provenance": "merged", "chunks": [{"read": ["a"], "write": ["x", "y"], "shifted": 2}]},
+    {"id": 0, "provenance": "merged+shifted", "chunks": [{"read": ["a"], "write": ["x", "y"], "shifted": 1},
+                                                         {"read": ["b"], "write": ["z"], "shifted": 1}]},
+], ids=["meta", "merged", "merged+shifted-first-chunk"])
+def test_shifted_prefix_only_where_shift_can_carry_one(tmp_path, capsys, bad):
+    """Only shift carries words into a chunk, and never into the first one."""
+    assert_every_reader_rejects(tmp_path, capsys, bad, "shifted prefix violated @chunk 0")
+
+
+def test_merged_shifted_record_may_carry_a_prefix_after_its_first_chunk(tmp_path, capsys):
+    good = {"id": 7, "provenance": "merged+shifted", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0},
+                                                                {"read": ["b"], "write": ["y", "z"], "shifted": 1}]}
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    assert main(["format", "--in", str(src), "--out", str(tmp_path / "sft.jsonl")]) == 0
+    assert main(["stats", "--in", str(src)]) == 0
+    assert capsys.readouterr().out == stats_table(good)
+
+
+def test_stats_of_only_rejected_records_is_an_empty_corpus(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    bad = _chunks({"read": ["a"], "write": [], "shifted": 0}, {"read": ["b"], "write": ["c"], "shifted": 0})
+    src.write_text(json.dumps(bad) + "\n[1, 2]\n", encoding="utf-8")
+    assert main(["stats", "--in", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[1:] == ["record 0 rejected: empty write @chunk 0",
+                                    "record rejected: record is not a JSON object",
+                                    "error: empty trajectory corpus"]
 
 
 @pytest.mark.parametrize("shifted", [-3, 5])
@@ -949,23 +1024,23 @@ def test_record_readers_read_each_line_as_json_loads_does(tmp_path, capsys, shap
     src.write_bytes(json.dumps(GOOD_META).encode("utf-8") + b"\n" + line)
     exc = _json_loads_error(line)
     error = None if exc is None else str(exc)
-    for command in ("augment", "format"):
+    for command in ("augment", "format", "stats"):
         out = tmp_path / f"{command}.jsonl"
-        code = main([command, "--in", str(src), "--out", str(out)])
-        err = capsys.readouterr().err
-        ids = [json.loads(x)["id"] for x in out.read_text(encoding="utf-8").splitlines()]
+        argv = [command, "--in", str(src)] + ([] if command == "stats" else ["--out", str(out)])
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        if command == "stats":
+            records = [GOOD_META] if error else [GOOD_META, json.loads(RECORD_LINE)]
+            ids = [r["id"] for r in records]
+            assert stdout == stats_table(*records)
+        else:
+            ids = [json.loads(x)["id"] for x in out.read_text(encoding="utf-8").splitlines()]
         if error is None:
             assert (code, ids) == (0, [7, 8])
         else:
             assert (code, ids) == (1, [7])
             assert err.endswith(f"\nrecord rejected: {error}\n")
         assert "Traceback" not in err
-    code = main(["stats", "--in", str(src)])
-    err = capsys.readouterr().err
-    assert code == (0 if error is None else 2)
-    assert "Traceback" not in err
-    if error is not None:
-        assert err.endswith(f"\nerror: {error}\n")
 
 
 @pytest.mark.parametrize("command", ["augment", "format"])
@@ -1171,7 +1246,12 @@ def test_deeply_nested_json_is_hard_error(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "error: maximum recursion depth exceeded" in err
+    if command == "stats":  # its one record is rejected, which leaves no corpus
+        _, reason, error = err.splitlines()
+        assert reason.startswith("record rejected: maximum recursion depth exceeded")
+        assert error == "error: empty trajectory corpus"
+    else:
+        assert "error: maximum recursion depth exceeded" in err
     assert "Traceback" not in err
 
 

@@ -4,8 +4,8 @@ six subcommands.
 Whatever the input, only argparse's SystemExit (a bad flag value) may leave
 `main`, the exit status is one of the documented 0/1/2, and a report that
 `eval` prints with status 0 is strict JSON. The per-record stages (curate,
-augment, format and simulate's sessions) also set a mutated line apart: every
-other record comes out as it did.
+augment, format, stats and simulate's sessions) also set a mutated line apart:
+every other record comes out as it did.
 """
 
 import contextlib
@@ -20,6 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simultraj.cli import main
+from simultraj.metrics import corpus_stats, corpus_stats_table
+from simultraj.trajectory import from_record
 from conftest import write_sim_case, write_toy_corpus
 
 # The clean argv of each subcommand, run in the work directory, and its input files.
@@ -161,12 +163,13 @@ def _sessions(events):
 
 @pytest.mark.parametrize("command, name", [
     ("curate", "src.txt"), ("curate", "tgt.txt"), ("curate", "align.txt"),
-    ("augment", "meta.jsonl"), ("format", "meta.jsonl"), ("simulate", "sim_src.txt"),
-], ids=["curate-src", "curate-tgt", "curate-align", "augment", "format", "simulate"])
+    ("augment", "meta.jsonl"), ("format", "meta.jsonl"), ("stats", "meta.jsonl"), ("simulate", "sim_src.txt"),
+], ids=["curate-src", "curate-tgt", "curate-align", "augment", "format", "stats", "simulate"])
 def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkeypatch, no_leftover_children):
     """One mutated line of an input gives its own record (a session, for
     simulate) or one rejection reason; the other records are the clean run's,
-    in order, at --workers 1 and 2 alike."""
+    in order, at --workers 1 and 2 alike. stats prints the table of the records
+    it accepts: the other lines' table when it rejects the mutated one."""
     work, inputs = clean
     monkeypatch.chdir(work)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool of 2 anywhere
@@ -178,17 +181,18 @@ def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkey
     # Copies, as the other fuzz tests mutate the inputs; argv names them and an output.
     for n, data in files.items():
         (work / f"one_{n}").write_bytes(data)
-    worker_counts = ["1"] if command == "simulate" else ["1", "2"]
+    worker_counts = ["1"] if command in ("simulate", "stats") else ["1", "2"]
 
     def main_on(out, workers="1"):
-        err = io.StringIO()
-        extra = [] if command == "simulate" else ["--workers", workers]
-        with contextlib.redirect_stderr(err):
+        stdout, err = io.StringIO(), io.StringIO()
+        extra = [] if command in ("simulate", "stats") else ["--workers", workers]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             code = main([{"out.jsonl": out}.get(a, f"one_{a}" if a in files else a) for a in argv] + extra)
-        return code, err.getvalue().splitlines()[1:], (work / out).read_bytes()  # reasons: after the config
+        written = stdout.getvalue().encode() if command == "stats" else (work / out).read_bytes()
+        return code, err.getvalue().splitlines()[1:], written  # reasons: after the config
 
-    assert main_on("clean.jsonl")[:2] == (0, [])
-    clean_out = (work / "clean.jsonl").read_bytes()
+    code, reasons, clean_out = main_on("clean.jsonl")
+    assert (code, reasons) == (0, [])
     lines = files[name].splitlines(keepends=True)
     kinds = LINE_KINDS if name.endswith(".jsonl") else TEXT_KINDS
 
@@ -206,6 +210,11 @@ def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkey
         code, reasons, out = runs[0]
         assert all(r == runs[0] for r in runs), runs
         assert (code, len(reasons)) in ((0, 0), (1, 1)), reasons
+        if command == "stats":
+            kept = [*lines[:k], *[line] * (1 - code), *lines[k + 1:]]
+            table = corpus_stats_table(corpus_stats(from_record(json.loads(x)) for x in kept)) + "\n"
+            assert out == table.encode()
+            return
         if command == "simulate":
             got, want = _sessions(out), _sessions(clean_out)
             assert (k in got) == (code == 0)

@@ -85,7 +85,8 @@ PROCESS_CASES = {
     "format-rejected": (1, ["format", "--in", "bad_meta.jsonl", "--out", "sft.jsonl"]),
     "format-hard": (2, ["format", "--in", "meta.jsonl", "--template", "gpt9", "--out", "sft.jsonl"]),
     "stats-clean": (0, ["stats", "--in", "meta.jsonl"]),
-    "stats-hard": (2, ["stats", "--in", "bad_meta.jsonl"]),
+    "stats-rejected": (1, ["stats", "--in", "bad_meta.jsonl"]),
+    "stats-hard": (2, ["stats", "--in", "missing.jsonl"]),
     "simulate-clean": (0, SIMULATE + ["sim_src.txt"]),
     "simulate-rejected": (1, SIMULATE + ["blank_src.txt"]),
     "simulate-hard": (2, SIMULATE + ["sim_src.txt", "--model", "bad_model.json"]),

@@ -1,6 +1,7 @@
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -129,3 +130,28 @@ def test_eval_reports_both_prompt_modes_as_each_mode_did_alone(tmp_path, capsys)
             assert main(argv) == 0
             reports[outputs[0]] = json.loads(capsys.readouterr().out.splitlines()[0])
     assert reports == EVAL_40_3
+
+
+def walkthrough_lines():
+    """The commands of README's CLI walkthrough, one per line, continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):
+    """Each simultraj line runs in-process through main, the toy-corpus script
+    through runpy, and any other line (printf) through bash; each exits 0."""
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for line in walkthrough_lines():
+        argv = shlex.split(line)
+        if argv[0] == "simultraj":
+            assert main(argv[1:]) == 0, line
+            commands.append(argv[1])
+        elif argv[0] == "python":
+            monkeypatch.setattr(sys, "argv", argv[1:])
+            runpy.run_path(str(ROOT / argv[1]), run_name="__main__")
+        else:
+            assert subprocess.run(["bash", "-c", line]).returncode == 0, line
+    assert commands == ["curate", "augment", "format", "stats", "simulate", "eval"]

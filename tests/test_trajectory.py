@@ -98,6 +98,16 @@ def test_verify_matches_multi_pass_reference(counts, source_len, target_len, pre
     assert verify(traj, plan) == count_verify(traj, plan)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PROVENANCES), st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=4))
+def test_verify_matches_reference_on_shifted_prefixes_of_every_provenance(provenance, counts):
+    """A shifted prefix is sound only after the first chunk of a merged+shifted
+    trajectory, and at most its write; verify and the reference agree on it."""
+    pair = make_pair(max(1, sum(c[0] for c in counts)), max(1, sum(c[1] for c in counts)))
+    traj = Trajectory(tuple(Chunk(*c) for c in counts), pair, provenance)
+    assert verify(traj) == count_verify(traj)
+
+
 def test_meta_achieves_brute_force_minimum_latency():
     rng = random.Random(12)
     for case in range(150):
