@@ -460,6 +460,8 @@ def main(argv: list[str] | None = None) -> int:
         # serially where there is no os.fork.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         args.workers = min(args.workers, cpus or 1) if hasattr(os, "fork") else 1
+    if getattr(args, "select", "ralcp") != "ralcp":  # print the gamma 1.0 that LCP and greedy run at
+        args.gamma = SelectStrategy(args.select, args.gamma).gamma
     try:
         _print_config(args)
         code = args.func(args)

@@ -10,15 +10,15 @@ template with no system message (``format --system-msg`` affects only SFT
 data). Every round records, for both prompt modes, how many prompt words a
 cache-aware engine would have to ingest anew: the word length of the round's
 prompt minus its longest common word prefix with the previous round's prompt
-(words as ``str.split()`` cuts them). Conversational prompts only ever grow at
-the end, by the turns that ``sftformat.open_turn`` and ``close_turn`` lay out
-for SFT data too, so a round's recompute is the word count of what it appends,
-and the total telescopes to the final prompt length. Offline prompts insert
-source ahead of the translation history and re-pay it each round. Both counts
-are kept from what each round adds, so a round costs time in its chunk and
-commit, not in the prompt length; only the active mode's prompt is rendered,
-for the model. The tests re-render every round's prompts in full
-(``tests/conftest.py::oracle_run``) and check these counts against them.
+(words as ``str.split()`` cuts them). A conversational prompt only grows at the
+end, by the turns that ``sftformat.open_turn`` and ``close_turn`` lay out for
+SFT data too. A round hands the model only the text it appends, and counts that
+text's words; the total telescopes to the final prompt length. An offline
+prompt inserts source ahead of the translation history, so a round hands over
+the whole prompt and re-pays that history. Both counts come from what each
+round adds, so a round costs time in its chunk and commit, not in the prompt
+length. The tests re-render every round's prompts in full
+(``tests/conftest.py::oracle_run``) and check these counts and texts against them.
 
 A ``SimEvent`` is the event record: each line of the event log is one event's
 ``_asdict()``, written by ``dump_events_jsonl``. ``load_events_jsonl`` reads the
@@ -54,7 +54,10 @@ class SimulationError(RuntimeError):
 
 class ModelPort(Protocol):
     def generate(self, context: str, beam: int) -> Sequence[Sequence[str]]:
-        """Return up to `beam` candidate continuations (word sequences) for the rendered context."""
+        """Return up to `beam` candidate continuations (word sequences). A
+        conversational `context` is only the text the round appends to the prompt,
+        which a cache-aware engine feeds alone; an offline one is the whole prompt.
+        A model may keep what it is handed."""
 
 
 class ScriptedModel:
@@ -223,7 +226,6 @@ def run(
     tail = list(_OFFLINE_TAIL)
     before = 0  # len(tail) in the previous round's prompt
     committed: list[str] = []  # the offline prompt's history
-    prompt = ""  # the conversational prompt; it only ever grows at the end
     selected: tuple[str, ...] = ()
     events: list[SimEvent] = []
     read = 0
@@ -249,13 +251,8 @@ def run(
         rc_off = (0 if rnd else len(_OFFLINE_HEAD)) + len(new) + len(tail) - same
         before = len(tail)
 
-        if conversational:
-            # No other reference to prompt may outlive the round, so that
-            # += extends the string in place instead of copying it.
-            prompt += appended
-            candidates = model.generate(prompt, beam)
-        else:
-            candidates = model.generate(offline_prompt(source[:read], committed, LLAMA2), beam)
+        context = appended if conversational else offline_prompt(source[:read], committed, LLAMA2)
+        candidates = model.generate(context, beam)
         if not candidates:
             raise SimulationError(f"model returned no candidates at round {rnd}")
         beam_words = tuple(map(tuple, candidates))

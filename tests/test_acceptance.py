@@ -303,9 +303,9 @@ def test_criterion_11_directional_stats_on_real_data(tmp_path):
 
 
 def test_criterion_12_train_inference_parity_5000_sessions():
-    # SFT data and conversational decoding share one dialogue format: the last
-    # context a session's model sees, closed with the flush, is the SFT text of
-    # the trajectory the session realised.
+    # SFT data and conversational decoding share one dialogue format: the
+    # contexts a session's model sees, joined and closed with the flush, are the
+    # SFT text of the trajectory the session realised.
     tpl = get_template(DEFAULT_TEMPLATE)
     rng = random.Random(1212)
     vocab = ["ta", "tb", "tc", "td", "te"]
@@ -327,15 +327,17 @@ def test_criterion_12_train_inference_parity_5000_sessions():
                 rounds.append(((),) * beam)
         model = ScriptRecorder(tuple(rounds))
         sim = run(source, model, chunk_size=chunk, strategy=rng.choice(strategies), beam=beam, pair_id=case)
+        # Each round hands the model only what it appends, each prompt word once.
+        assert [len(c.split()) for c in model.contexts] == [e.recompute_tokens_conversational for e in sim.events]
         flush = sim.events[-1].committed_words
         if not flush:
             empty_flush += 1
             continue
         text = render_conversational(realised_trajectory(sim)).text
-        assert model.contexts[-1] + tpl.turn_sep + " ".join(flush) + tpl.turn_close == text
+        assert "".join(model.contexts) + tpl.turn_sep + " ".join(flush) + tpl.turn_close == text
         equal += 1
     assert equal > 3_000 and empty_flush > 0
     report(
-        f"criterion 12 PASS: last context + flush == SFT text of the realised trajectory in "
+        f"criterion 12 PASS: joined contexts + flush == SFT text of the realised trajectory in "
         f"{equal:,}/{equal:,} sessions; {empty_flush:,} sessions flushed nothing and were not compared"
     )

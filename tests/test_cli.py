@@ -241,6 +241,18 @@ def test_simulate_ralcp_gamma_one_matches_lcp(tmp_path):
     assert out_ralcp.read_bytes() == out_lcp.read_bytes() == out_lcp0.read_bytes()
 
 
+@pytest.mark.parametrize("select, gamma, used", [("lcp", [], 1.0), ("greedy", ["--gamma", "0.3"], 1.0),
+                                                 ("ralcp", ["--gamma", "0.3"], 0.3)])
+def test_simulate_config_prints_the_gamma_the_run_uses(tmp_path, capsys, select, gamma, used):
+    # LCP and greedy run at gamma 1.0, as the line shows the --workers N used.
+    src, model = write_sim_inputs(tmp_path)
+    assert main(["simulate", "--src", str(src), "--model", str(model), "--select", select, *gamma,
+                 "--out", str(tmp_path / "events.jsonl")]) == 0
+    config = capsys.readouterr().err.splitlines()[0]
+    assert config.startswith("simulate resolved config: ")
+    assert json.loads(config.split(": ", 1)[1])["gamma"] == used
+
+
 def test_simulate_model_list_matches_source_lines(tmp_path):
     (tmp_path / "src.txt").write_text("a b\nc d e\n", encoding="utf-8")
     scripts = [

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -217,7 +218,8 @@ def test_model_sees_prompt_of_active_mode():
                    prompt_mode="conversational")
     sim_off = run(source, off_model, chunk_size=2, strategy=GREEDY, beam=1,
                   prompt_mode="offline")
-    assert conv_model.contexts == [p.prompt_conversational for p in replay_prompts(sim_conv)]
+    # A conversational round hands over only what it appends to the prompt.
+    assert list(accumulate(conv_model.contexts)) == [p.prompt_conversational for p in replay_prompts(sim_conv)]
     assert off_model.contexts == [p.prompt_offline for p in replay_prompts(sim_off)]
 
 
@@ -226,7 +228,7 @@ def test_contexts_and_counts_golden():
     rounds = ((("P",), ("Q",)), (("X",), ("X",)), (("Y", "Z"), ("W",)))
     offline = "<s>[INST] Translate the following text: "
     expected = {
-        "conversational": ["<s>[INST] a", "<s>[INST] a b", "<s>[INST] a b [/INST] X</s><s>[INST] c"],
+        "conversational": ["<s>[INST] a", " b", " [/INST] X</s><s>[INST] c"],
         "offline": [offline + "a [/INST] Translation:", offline + "a b [/INST] Translation:",
                     offline + "a b c [/INST] Translation: X"],
     }
@@ -336,16 +338,39 @@ def test_counts_and_contexts_match_render_and_diff_oracle(case):
         (e.committed_words, e.recompute_tokens_conversational, e.recompute_tokens_offline)
         for e in sim.events
     ] == [r[:3] for r in expected]
-    assert model.contexts == oracle_model.contexts
+    if kwargs["prompt_mode"] == "conversational":
+        # The model is handed each prompt word once: a round's context is
+        # what the round appends, so the contexts join to the final prompt.
+        assert [len(c.split()) for c in model.contexts] == [
+            e.recompute_tokens_conversational for e in sim.events
+        ]
+        assert list(accumulate(model.contexts)) == oracle_model.contexts
+        assert "".join(model.contexts) == expected[-1].prompt_conversational
+    else:
+        assert model.contexts == oracle_model.contexts
+
+
+class KeepsLastContext:
+    """Serves a scripted model's beams and keeps the last context it was
+    handed, as a model may: the simulator must not need to grow that text."""
+
+    def __init__(self, script: ScriptedModel) -> None:
+        self.script, self.context = script, ""
+
+    def generate(self, context, beam):
+        self.context = context
+        return self.script.generate(context, beam)
 
 
 def test_long_session_runs_in_under_half_a_second():
-    # 6,400 words at chunk 1 is 6,400 rounds; re-rendering each round's prompt
-    # made this take tens of seconds.
-    source = [f"w{i}" for i in range(6_400)]
+    # 25,600 words at chunk 1 is 25,600 rounds. Handing a model that keeps
+    # its context the whole grown prompt copied the prompt every round and
+    # took ~1 s; handing over only what a round appends costs the same per
+    # round at any length.
+    source = [f"w{i}" for i in range(25_600)]
     elapsed = []
     for _ in range(2):
-        model = scripted_echo(source, 1, beam=5)
+        model = KeepsLastContext(scripted_echo(source, 1, beam=5))
         t0 = time.perf_counter()
         sim = run(source, model, chunk_size=1, strategy=SelectStrategy("ralcp", 0.6), beam=5)
         elapsed.append(time.perf_counter() - t0)
