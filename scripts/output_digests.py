@@ -15,6 +15,14 @@ give the bytes of the compact file, and a one-script list for a file of just
 the first source line. eval runs once per cost pair (1.0/1.0 and 0.7/1.3) on
 the RALCP events; each run reports both prompt modes.
 
+Then each per-record stage runs once more on a damaged copy of its input, and
+one ``<stage>_rejected.stderr <sha256>`` line is printed for its rejection
+lines (stderr after the resolved-config line). The copies are seeded by S, and
+each damage is on a different line below 40: curate reads a bad alignment
+token and a source line that is not UTF-8, and augment, format and stats read
+``meta.jsonl`` with one line cut short (not JSON) and one record whose last
+chunk writes nothing (unsound).
+
 Usage:
   python scripts/output_digests.py --pairs 50000 --seed 42
 """
@@ -22,6 +30,7 @@ Usage:
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -82,6 +91,41 @@ def write_inputs(work: Path, pairs: int, seed: int) -> tuple[dict, dict]:
     return corpus, sim
 
 
+def write_damaged(work: Path, corpus: dict, seed: int) -> dict:
+    """Damaged copies of curate's inputs and of meta.jsonl, which must exist."""
+    pairs = len(corpus["src"].read_bytes().splitlines())
+    token, utf8, cut, unsound = random.Random(seed).sample(range(min(40, pairs)), 4)
+
+    def empty_last_write(line: bytes) -> bytes:
+        record = json.loads(line)
+        record["chunks"][-1]["write"] = []
+        return (json.dumps(record, ensure_ascii=False) + "\n").encode()
+
+    damaged = {}
+    for key, path, at, damage in (
+        ("src", corpus["src"], utf8, lambda line: b"\xff" + line),
+        ("align", corpus["align"], token, lambda line: line.rstrip(b"\n") + b" 1x\n"),
+        ("meta", work / "meta.jsonl", cut, lambda line: line[:len(line) // 2] + b"\n"),
+        ("meta", work / "meta.jsonl", unsound, empty_last_write),
+    ):
+        lines = damaged.get(key, path).read_bytes().splitlines(keepends=True)
+        lines[at] = damage(lines[at])
+        damaged[key] = work / f"{key}_damaged{path.suffix}"
+        damaged[key].write_bytes(b"".join(lines))
+    return damaged
+
+
+def rejection_runs(work: Path, corpus: dict, damaged: dict):
+    """(argv, outputs) of each per-record stage on the damaged inputs; each
+    output ends in .stderr and receives its rejection lines."""
+    yield (["curate", "--src", str(damaged["src"]), "--tgt", str(corpus["tgt"]), "--align", str(damaged["align"]),
+            "--out", str(work / "meta_rejected.jsonl")], ("curate_rejected.stderr",))
+    for stage in ("augment", "format"):
+        yield ([stage, "--in", str(damaged["meta"]), "--out", str(work / f"{stage}_rejected.jsonl")],
+               (f"{stage}_rejected.stderr",))
+    yield ["stats", "--in", str(damaged["meta"])], ("stats_rejected.stderr",)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=50_000)
@@ -89,18 +133,29 @@ def main() -> None:
     args = parser.parse_args()
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def run(work: Path, argv: list, outputs: tuple) -> None:
+        """Run one stage, then print the digest of each of its outputs. A run
+        with a .stderr output must reject records (exit 1), any other exit 0."""
+        stdout = next((work / o for o in outputs if o.endswith(".stdout")), None)
+        stderr = next((work / o for o in outputs if o.endswith(".stderr")), None)
+        with open(stdout or os.devnull, "w", encoding="utf-8") as out:
+            proc = subprocess.run([sys.executable, "-m", "simultraj.cli", *argv], stdout=out,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        if proc.returncode != (1 if stderr else 0):
+            sys.exit(f"{argv[0]} exited {proc.returncode}: {proc.stderr}")
+        if stderr:  # the lines after the resolved config, which names the run's paths
+            stderr.write_text(proc.stderr.split("\n", 1)[1], encoding="utf-8")
+        for name in outputs:
+            print(name, inputs.sha256_file(work / name), flush=True)
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         corpus, sim = write_inputs(work, args.pairs, args.seed)
         for argv, outputs in runs(work, corpus, sim, args.seed):
-            stdout = next((work / o for o in outputs if o.endswith(".stdout")), None)
-            with open(stdout or os.devnull, "w", encoding="utf-8") as out:
-                proc = subprocess.run([sys.executable, "-m", "simultraj.cli", *argv], stdout=out,
-                                      stderr=subprocess.PIPE, text=True, env=env)
-            if proc.returncode != 0:
-                sys.exit(f"{argv[0]} exited {proc.returncode}: {proc.stderr}")
-            for name in outputs:
-                print(name, inputs.sha256_file(work / name), flush=True)
+            run(work, argv, outputs)
+        for argv, outputs in rejection_runs(work, corpus, write_damaged(work, corpus, args.seed)):
+            run(work, argv, outputs)
 
 
 if __name__ == "__main__":

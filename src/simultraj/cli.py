@@ -7,8 +7,10 @@ lines and codes JSON. Every stage opens its inputs, then its output, then
 reads: see `_open_output`.
 Every subcommand prints its resolved configuration to stderr for provenance; that
 line, the rejection reasons and the error line all go through `_note`, which
-never lets them reach stdout. Exit status: 0 all records clean, 1 some records
-rejected (reasons on stderr) and the rest processed, 2 hard error (an
+never lets them reach stdout. curate, augment, format and stats word each
+rejected record as `line N rejected: <reason>`, N its 1-based input line, and
+simulate a session as `session N rejected: <reason>`. Exit status: 0 all
+records clean, 1 some records rejected and the rest processed, 2 hard error (an
 unwritable stdout or stderr, or `stats` accepting no record). `main` alone
 turns failures into a status, and flushes stdout and stderr before it returns.
 It never ends the process, so tests, the benchmark and library callers run it
@@ -33,10 +35,10 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
 from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
 from simultraj.augment import AugmentConfig, augment_pipeline
-from simultraj.jsonl import decode_line, encode_json, jsonl_line, read_lines, read_records, read_scripts
+from simultraj.jsonl import decode_line, encode_json, error_text, jsonl_line, read_lines, read_records, read_scripts
 from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report
 # monotonicize is not called here; bench/tracer.py wraps it under this module.
-from simultraj.monotonic import monotonicize, plan_links
+from simultraj.monotonic import MonotonicPlan, monotonicize, plan_links
 from simultraj.sftformat import DEFAULT_TEMPLATE, get_template, record_to_dict, render_conversational
 from simultraj.simulator import (
     CONVERSATIONAL,
@@ -222,42 +224,34 @@ def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inpu
     return 1 if failures else 0
 
 
-class _Rejected(Exception):
-    """A record that fails a check; its args are the record's id and its problems."""
-
-
-def _or_rejected(worker: Callable, item: object) -> tuple[str, object]:
-    """("ok", worker(item)), or ("err", the one line that words why the record is
-    rejected); a ValueError or a RecursionError does not name the record's id."""
+def _or_rejected(worker: Callable, item: tuple) -> tuple[str, object]:
+    """("ok", worker(item)), or ("err", "line N rejected: <reason>"), the one
+    line that words every rejection, N the record's 1-based input line."""
     try:
         return ("ok", worker(item))
-    except _Rejected as exc:
-        return ("err", f"record {exc.args[0]} rejected: " + "; ".join(exc.args[1]))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        return ("err", f"record rejected: {exc}")
+        return ("err", f"line {item[0] + 1} rejected: {error_text(exc)}")
+
+
+def _verified(traj: Trajectory, plan: MonotonicPlan | None = None) -> Trajectory:
+    """traj, or ValueError naming its id and each problem verify(traj, plan) finds."""
+    if problems := verify(traj, plan):
+        raise ValueError(f"record {traj.pair_id}: " + "; ".join(problems))
+    return traj
 
 
 def _read_trajectory(item: tuple[int, bytes]) -> Trajectory:
     """The sound trajectory on a JSONL line: augment, format and stats read here."""
-    traj = from_record(decode_line(item[1]))
-    if problems := verify(traj):
-        raise _Rejected(traj.pair_id, problems)
-    return traj
+    return _verified(from_record(decode_line(item[1])))
 
 
 # ----------------------------------------------------------------- curate
 
 def _curate_record(item: tuple[int, bytes, bytes, bytes], debug: bool) -> bytes:
     idx, src, tgt, align = item
-    try:  # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
-        pair = SentencePair.from_text(src.decode(), tgt.decode(), idx)
-        plan = plan_links(pair, parse_pharaoh(align.decode(), pair.source_len, pair.target_len, idx))
-        traj = build_meta(plan, pair)
-    except ValueError as exc:  # AlignmentError is a ValueError
-        raise _Rejected(idx, [str(exc)]) from None
-    if problems := verify(traj, plan):
-        raise _Rejected(idx, problems)
-    return jsonl_line(to_record(traj, debug))
+    pair = SentencePair.from_text(src.decode(), tgt.decode(), idx)  # not UTF-8: a ValueError
+    plan = plan_links(pair, parse_pharaoh(align.decode(), pair.source_len, pair.target_len, idx))
+    return jsonl_line(to_record(_verified(build_meta(plan, pair), plan), debug))
 
 
 def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]]:
@@ -268,7 +262,7 @@ def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]
 def _curate_items(rows: Iterator, paths: tuple[str, ...]) -> Iterator[tuple[int, bytes, bytes, bytes]]:
     for idx, lines in enumerate(rows):
         if None in lines:  # one file ran out of lines before another
-            raise AlignmentError(f"line count mismatch among {', '.join(paths)} at record {idx}")
+            raise AlignmentError(f"line count mismatch among {', '.join(paths)} at line {idx + 1}")
         (_, src), (_, tgt), (_, align) = lines
         yield idx, src, tgt, align
 
@@ -283,11 +277,8 @@ def cmd_curate(args: argparse.Namespace) -> int:
 def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig, debug: bool) -> bytes:
     traj = _read_trajectory(item)
     if traj.provenance != META:
-        raise _Rejected(traj.pair_id, [f"provenance {traj.provenance!r} is not meta"])
-    augmented = augment_pipeline(traj, cfg)
-    if problems := verify(augmented):
-        raise _Rejected(traj.pair_id, problems)
-    return jsonl_line(to_record(augmented, debug))
+        raise ValueError(f"record {traj.pair_id}: provenance {traj.provenance!r} is not meta")
+    return jsonl_line(to_record(_verified(augment_pipeline(traj, cfg)), debug))
 
 
 def cmd_augment(args: argparse.Namespace) -> int:

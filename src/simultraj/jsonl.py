@@ -9,12 +9,12 @@ dropped unread.
 ``read_lines`` yields each line of a line-oriented input as bytes, cut at
 ``\\n`` only; each line is decoded where its record is parsed. The JSONL
 readers take their records from ``read_records``, which skips the lines of
-ASCII whitespace, and decode each through ``decode_line``. ``jsonl_line``
-encodes a record as its UTF-8 line, and ``encode_json`` every other JSON
-output; both go through one C encoder, built once per process rather than
-once per call. ``read_scripts`` reads `simulate`'s model file, a JSON list of
-scripts, one script at a time. This module imports no other module of the
-package.
+ASCII whitespace, and decode each through ``decode_line``; ``error_text``
+words its error. ``jsonl_line`` encodes a record as its UTF-8 line, and
+``encode_json`` every other JSON output; both go through one C encoder, built
+once per process rather than once per call. ``read_scripts`` reads
+`simulate`'s model file, a JSON list of scripts, one script at a time. This
+module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ def decode_line(line: bytes) -> object:
     except json.JSONDecodeError:
         return json.loads(text)
     return value if text[end:] == "\n" else json.loads(text)
+
+
+def error_text(exc: BaseException) -> str:
+    """str(exc), but a JSON syntax error as its message and 0-based offset."""
+    return f"{exc.msg}: char {exc.pos}" if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
 def jsonl_line(record: dict) -> bytes:

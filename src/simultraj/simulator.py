@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 # dialogue_prompt is not called here; bench/tracer.py wraps it under this module.
-from simultraj.jsonl import decode_line, encode_json, only_str, read_records
+from simultraj.jsonl import decode_line, encode_json, error_text, only_str, read_records
 from simultraj.sftformat import LLAMA2, close_turn, dialogue_prompt, offline_frame, offline_prompt, open_turn
 
 DEFAULT_BEAM = 5
@@ -298,10 +298,8 @@ def _checked_event(line: bytes, lineno: int) -> dict:
     of `_EVENT_INT_FIELDS` in order, then committed_words. Other keys may be anything."""
     try:
         record = decode_line(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"event line {lineno}: {exc.msg}: char {exc.pos}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"event line {lineno}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"event line {lineno}: {error_text(exc)}") from None
     if type(record) is not dict:
         raise ValueError(f"event line {lineno}: not an object")
     for key, least in _EVENT_INT_FIELDS.items():

@@ -61,9 +61,9 @@ def test_curate_mismatched_line_counts_is_hard_error(tmp_path, capsys, name, cha
     argv = ["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(tmp_path / "x.jsonl")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    record = 2 if change.startswith("short") else 3
+    line = 3 if change.startswith("short") else 4  # the 1-based line one file lacks
     assert err.endswith(
-        f"error: line count mismatch among {paths['src']}, {paths['tgt']}, {paths['align']} at record {record}\n")
+        f"error: line count mismatch among {paths['src']}, {paths['tgt']}, {paths['align']} at line {line}\n")
     assert "Traceback" not in err
 
 
@@ -99,7 +99,7 @@ def test_curate_rejects_bad_record_nonzero_exit(tmp_path, capsys):
     assert main(["curate", "--src", str(tmp_path / "s"), "--tgt", str(tmp_path / "t"),
                  "--align", str(tmp_path / "a"), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "record 0 rejected" in err
+    assert "\nline 1 rejected: record 0: " in err
     # the good record still goes through
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1
 
@@ -417,7 +417,7 @@ def test_workers_match_serial_across_batches(tmp_path, capsys, monkeypatch, no_l
     serial = run("1")
     assert serial[0] == [1, 1, 1]
     assert [line.split(":")[0] for line in serial[2][:3]] == [
-        "record 1 rejected", "record 8 rejected", "record 14 rejected"]
+        "line 2 rejected", "line 9 rejected", "line 15 rejected"]
     assert len(serial[2]) == 7
     assert run("2") == serial
 
@@ -671,7 +671,7 @@ def test_malformed_record_rejected_and_run_goes_on(tmp_path, capsys, bad, reason
         argv = [command, "--in", str(src)] + ([] if command == "stats" else ["--out", str(out)])
         assert main(argv) == 1
         stdout, err = capsys.readouterr()
-        assert f"\nrecord rejected: {reason}\n" in err
+        assert f"\nline 1 rejected: {reason}\n" in err
         assert "Traceback" not in err
         if command == "stats":
             assert stdout == stats_table(GOOD_META)
@@ -686,7 +686,7 @@ def assert_format_rejects(tmp_path, capsys, bad, reason):
     src.write_text(json.dumps(bad) + "\n" + json.dumps(GOOD_META) + "\n", encoding="utf-8")
     out = tmp_path / "sft.jsonl"
     assert main(["format", "--in", str(src), "--out", str(out)]) == 1
-    assert f"record 0 rejected: {reason}" in capsys.readouterr().err
+    assert f"\nline 1 rejected: record 0: {reason}\n" in capsys.readouterr().err
     (line,) = out.read_text(encoding="utf-8").splitlines()
     assert json.loads(line)["id"] == 7
 
@@ -704,7 +704,7 @@ def assert_augment_rejects(tmp_path, capsys, monkeypatch, bad, reason):
         err = capsys.readouterr().err.splitlines()
         assert f'"workers": {workers}' in err[0]
         runs.append((out.read_bytes(), err[1:]))
-    assert runs[0][1] == [f"record 0 rejected: {reason}"]
+    assert runs[0][1] == [f"line 1 rejected: record 0: {reason}"]
     assert [json.loads(line)["id"] for line in runs[0][0].splitlines()] == [7]
     assert runs[1] == runs[0]
 
@@ -754,7 +754,7 @@ def test_unsound_result_is_rejected_and_other_records_written(tmp_path, capsys, 
         out = tmp_path / f"{stage}{workers}.jsonl"
         assert main([stage, *inputs, "--out", str(out), "--workers", workers]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err[1:] == ["record 1 rejected: source coverage violated; target coverage violated"]
+        assert err[1:] == ["line 2 rejected: record 1: source coverage violated; target coverage violated"]
         assert out.read_bytes() == b"".join(lines[:1] + lines[2:])
 
 
@@ -768,7 +768,7 @@ def assert_every_reader_rejects(tmp_path, capsys, bad, reason):
         argv = [command, "--in", str(src)] + ([] if command == "stats" else ["--out", str(out)])
         assert main(argv) == 1
         stdout, err = capsys.readouterr()
-        assert err.splitlines()[1:] == [f"record 0 rejected: {reason}"]
+        assert err.splitlines()[1:] == [f"line 1 rejected: record 0: {reason}"]
         if command == "stats":
             assert stdout == stats_table(GOOD_META)
         else:
@@ -811,9 +811,31 @@ def test_stats_of_only_rejected_records_is_an_empty_corpus(tmp_path, capsys):
     assert main(["stats", "--in", str(src)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[1:] == ["record 0 rejected: empty write @chunk 0",
-                                    "record rejected: record is not a JSON object",
+    assert err.splitlines()[1:] == ["line 1 rejected: record 0: empty write @chunk 0",
+                                    "line 2 rejected: record is not a JSON object",
                                     "error: empty trajectory corpus"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_each_rejection_names_the_input_line_of_its_record(tmp_path, capsys, monkeypatch,
+                                                           no_leftover_children, workers):
+    """curate, augment, format and stats word a rejection as `line N rejected:
+    <reason>`, N the record's 1-based input line (blank lines count)."""
+    two_usable_cpus(monkeypatch)
+    for name, text in (("s", "a b\nc d\n"), ("t", "x\ny\n"), ("a", "1x\n0-0\n")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(["curate", "--src", str(tmp_path / "s"), "--tgt", str(tmp_path / "t"), "--align", str(tmp_path / "a"),
+                 "--out", str(tmp_path / "meta.jsonl"), "--workers", workers]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == ["line 1 rejected: record 0: malformed alignment token '1x'"]
+    src = tmp_path / "in.jsonl"
+    bad = {"id": 5, "provenance": "meta", "chunks": 3}
+    src.write_text(f"{json.dumps(GOOD_META)}\n{{'id': 1}}\n\n{json.dumps(bad)}\n", encoding="utf-8")
+    for command in ("augment", "format", "stats"):
+        out = [] if command == "stats" else ["--out", str(tmp_path / "out.jsonl"), "--workers", workers]
+        assert main([command, "--in", str(src), *out]) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "line 2 rejected: Expecting property name enclosed in double quotes: char 1",
+            "line 4 rejected: record 5: chunks is not a list"]
 
 
 @pytest.mark.parametrize("shifted", [-3, 5])
@@ -1035,6 +1057,8 @@ def test_record_readers_read_each_line_as_json_loads_does(tmp_path, capsys, shap
     src = tmp_path / "in.jsonl"
     src.write_bytes(json.dumps(GOOD_META).encode("utf-8") + b"\n" + line)
     exc = _json_loads_error(line)
+    if isinstance(exc, json.JSONDecodeError):  # worded as eval words it
+        exc = f"{exc.msg}: char {exc.pos}"
     error = None if exc is None else str(exc)
     for command in ("augment", "format", "stats"):
         out = tmp_path / f"{command}.jsonl"
@@ -1051,7 +1075,7 @@ def test_record_readers_read_each_line_as_json_loads_does(tmp_path, capsys, shap
             assert (code, ids) == (0, [7, 8])
         else:
             assert (code, ids) == (1, [7])
-            assert err.endswith(f"\nrecord rejected: {error}\n")
+            assert err.endswith(f"\nline 2 rejected: {error}\n")
         assert "Traceback" not in err
 
 
@@ -1071,7 +1095,7 @@ def test_non_utf8_record_is_rejected_and_run_goes_on(tmp_path, capsys, monkeypat
         out = tmp_path / f"out{workers}.jsonl"
         assert main([command, "--in", str(bad), "--out", str(out), "--workers", workers]) == 1
         err = capsys.readouterr().err
-        assert err.endswith("\nrecord rejected: 'utf-8' codec can't decode byte 0xff in position 18: "
+        assert err.endswith("\nline 21 rejected: 'utf-8' codec can't decode byte 0xff in position 18: "
                             "invalid start byte\n")
         assert out.read_bytes() == clean.read_bytes()
     assert len(clean.read_bytes().splitlines()) == 40
@@ -1095,7 +1119,7 @@ def test_record_with_lone_surrogate_is_rejected_naming_its_id(tmp_path, capsys, 
         out = tmp_path / f"out{workers}.jsonl"
         assert main([command, "--in", str(bad), "--out", str(out), "--workers", workers]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines()[1].startswith("record rejected: record 3: 'utf-8' codec can't encode "
+        assert err.splitlines()[1].startswith("line 4 rejected: record 3: 'utf-8' codec can't encode "
                                               "character '\\ud800' in position ")
         assert len(err.splitlines()) == 2
         assert out.read_bytes() == b"".join(expected[:3] + expected[4:])
@@ -1134,7 +1158,7 @@ def test_curate_non_utf8_line_is_rejected_and_run_goes_on(tmp_path, capsys, monk
         argv = ["curate", *(f"--{k}={v}" for k, v in paths.items()), "--out", str(out), "--workers", workers]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.endswith("\nrecord 20 rejected: 'utf-8' codec can't decode byte 0xff in position 0: "
+        assert err.endswith("\nline 21 rejected: 'utf-8' codec can't decode byte 0xff in position 0: "
                             "invalid start byte\n")
         assert out.read_bytes() == b"".join(expected[:20] + expected[21:])
 
@@ -1240,7 +1264,7 @@ def test_deeply_nested_record_rejected_and_run_goes_on(tmp_path, capsys, command
     capsys.readouterr()
     assert main([command, "--in", str(bad), "--out", str(bad_out)]) == 1
     err = capsys.readouterr().err
-    assert "record rejected: maximum recursion depth exceeded" in err
+    assert "\nline 2 rejected: maximum recursion depth exceeded" in err
     assert "Traceback" not in err
     assert bad_out.read_bytes() == good_out.read_bytes()
 
@@ -1260,7 +1284,7 @@ def test_deeply_nested_json_is_hard_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     if command == "stats":  # its one record is rejected, which leaves no corpus
         _, reason, error = err.splitlines()
-        assert reason.startswith("record rejected: maximum recursion depth exceeded")
+        assert reason.startswith("line 1 rejected: maximum recursion depth exceeded")
         assert error == "error: empty trajectory corpus"
     else:
         assert "error: maximum recursion depth exceeded" in err

@@ -167,9 +167,10 @@ def _sessions(events):
 ], ids=["curate-src", "curate-tgt", "curate-align", "augment", "format", "stats", "simulate"])
 def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkeypatch, no_leftover_children):
     """One mutated line of an input gives its own record (a session, for
-    simulate) or one rejection reason; the other records are the clean run's,
-    in order, at --workers 1 and 2 alike. stats prints the table of the records
-    it accepts: the other lines' table when it rejects the mutated one."""
+    simulate) or one rejection reason, which names that line; the other records
+    are the clean run's, in order, at --workers 1 and 2 alike. stats prints the
+    table of the records it accepts: the other lines' table when it rejects the
+    mutated one."""
     work, inputs = clean
     monkeypatch.chdir(work)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool of 2 anywhere
@@ -210,6 +211,9 @@ def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkey
         code, reasons, out = runs[0]
         assert all(r == runs[0] for r in runs), runs
         assert (code, len(reasons)) in ((0, 0), (1, 1)), reasons
+        if code == 1:  # a session by its id, a record by its 1-based line
+            assert reasons[0].startswith(f"session {k} rejected: " if command == "simulate"
+                                         else f"line {k + 1} rejected: "), reasons
         if command == "stats":
             kept = [*lines[:k], *[line] * (1 - code), *lines[k + 1:]]
             table = corpus_stats_table(corpus_stats(from_record(json.loads(x)) for x in kept)) + "\n"

@@ -170,7 +170,7 @@ def test_process_exit_code_and_output_match_main(inputs, process_runs, case, cap
 
 
 @pytest.mark.parametrize("case, reason", [
-    ("curate-non-utf8", "record 1 rejected: "),
+    ("curate-non-utf8", "line 2 rejected: "),
     ("simulate-non-utf8", "session 0 rejected: "),
 ])
 def test_non_utf8_line_is_one_rejection(process_runs, case, reason):

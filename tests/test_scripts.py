@@ -57,7 +57,8 @@ def test_sweep_chunk_sizes_default_sizes():
 
 
 # What `scripts/output_digests.py --pairs 40 --seed 3` prints, pinned so that a
-# change to any output byte fails here. Python 3.10 to 3.13 print the same lines.
+# change to any output byte or rejection line fails here. Python 3.10 to 3.13
+# print the same lines.
 DIGESTS_40_3 = """\
 meta.jsonl c12061f735dd32b9a062c0efd489ebc4041b43f7ea4946abda463da90bad6efd
 meta_debug.jsonl 5265adf8ab12950f8237555660dd5aca6c2372206e696fb1031b4d404ce6d38e
@@ -81,15 +82,27 @@ eval_1.0_1.0.stdout 8470db849a76c2ff25144adf08187a5df4875846d098c4f9de7566aa1a6d
 eval_1.0_1.0.csv ef9fcd316348550b5e9f39bd9ff245dc4f8cfae36092274701dae579468393a3
 eval_0.7_1.3.stdout 2b5f563c99646dd1fddaae74332cc47542934ebd3e82e18584468c25ac560428
 eval_0.7_1.3.csv 797bbeaded732b048a04a5820ffa525e44b4a5da03cf4c9ec913953349b4cd71
+curate_rejected.stderr 26ce130dc97ef8165a5d01f6cdb890e2d10a3be315d6bf226853950651cdd9c8
+augment_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
+format_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
+stats_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
 """
 
 
 def test_output_digests_repeat_one_line_per_output():
     argv = [sys.executable, str(ROOT / "scripts" / "output_digests.py"), "--pairs", "40", "--seed", "3"]
-    first, second = (subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2))
+    # Both runs at once: each writes under its own temporary directory.
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    try:
+        (first, first_err), (second, second_err) = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op for a run that has exited
+            proc.wait()
+    assert [proc.returncode for proc in procs] == [0, 0], first_err + second_err
     assert first == second == DIGESTS_40_3
     digests = dict(line.split(" ") for line in first.splitlines())
-    assert len(digests) == len(first.splitlines()) == 22
+    assert len(digests) == len(first.splitlines()) == 26
     assert all(len(digest) == 64 for digest in digests.values())
     for name in ("meta", "aug", "sft"):  # --workers 2 writes the serial bytes
         assert digests[f"{name}_w2.jsonl"] == digests[f"{name}.jsonl"]
@@ -100,6 +113,9 @@ def test_output_digests_repeat_one_line_per_output():
     # ignores its context, so simulate --prompt leaves the event log as it is.
     for select in ("ralcp", "lcp", "greedy"):
         assert digests[f"events_{select}_conversational.jsonl"] == digests[f"events_{select}_offline.jsonl"]
+    # augment, format and stats read each record through one reader, so they
+    # reject the same lines of the damaged meta.jsonl with the same reasons.
+    assert digests["augment_rejected.stderr"] == digests["format_rejected.stderr"] == digests["stats_rejected.stderr"]
 
 
 # eval's JSON line on the `--pairs 40 --seed 3` digest inputs, per cost pair.
