@@ -21,7 +21,9 @@ lines (stderr after the resolved-config line). The copies are seeded by S, and
 each damage is on a different line below 40: curate reads a bad alignment
 token and a source line that is not UTF-8, and augment, format and stats read
 ``meta.jsonl`` with one line cut short (not JSON) and one record whose last
-chunk writes nothing (unsound).
+chunk writes nothing (unsound). simulate reads the sim source with one line
+made blank and another made not UTF-8, and the model file without the blank
+line's script.
 
 Usage:
   python scripts/output_digests.py --pairs 50000 --seed 42
@@ -91,10 +93,14 @@ def write_inputs(work: Path, pairs: int, seed: int) -> tuple[dict, dict]:
     return corpus, sim
 
 
-def write_damaged(work: Path, corpus: dict, seed: int) -> dict:
-    """Damaged copies of curate's inputs and of meta.jsonl, which must exist."""
+def write_damaged(work: Path, corpus: dict, sim: dict, seed: int) -> dict:
+    """Damaged copies of curate's inputs, of meta.jsonl, which must exist, and
+    of simulate's inputs."""
     pairs = len(corpus["src"].read_bytes().splitlines())
-    token, utf8, cut, unsound = random.Random(seed).sample(range(min(40, pairs)), 4)
+    sessions = len(sim["sim_src"].read_bytes().splitlines())
+    rng = random.Random(seed)
+    token, utf8, cut, unsound = rng.sample(range(min(40, pairs)), 4)
+    blank, garbled = rng.sample(range(min(40, sessions)), 2)
 
     def empty_last_write(line: bytes) -> bytes:
         record = json.loads(line)
@@ -107,11 +113,17 @@ def write_damaged(work: Path, corpus: dict, seed: int) -> dict:
         ("align", corpus["align"], token, lambda line: line.rstrip(b"\n") + b" 1x\n"),
         ("meta", work / "meta.jsonl", cut, lambda line: line[:len(line) // 2] + b"\n"),
         ("meta", work / "meta.jsonl", unsound, empty_last_write),
+        ("sim_src", sim["sim_src"], blank, lambda line: b"\n"),
+        ("sim_src", sim["sim_src"], garbled, lambda line: b"\xff" + line),
     ):
         lines = damaged.get(key, path).read_bytes().splitlines(keepends=True)
         lines[at] = damage(lines[at])
         damaged[key] = work / f"{key}_damaged{path.suffix}"
         damaged[key].write_bytes(b"".join(lines))
+    scripts = json.loads(sim["model"].read_text(encoding="utf-8"))
+    del scripts[blank]  # a blank line takes no script; the garbled one keeps its own
+    damaged["model"] = work / "model_damaged.json"
+    damaged["model"].write_text(json.dumps(scripts, ensure_ascii=False), encoding="utf-8")
     return damaged
 
 
@@ -124,6 +136,8 @@ def rejection_runs(work: Path, corpus: dict, damaged: dict):
         yield ([stage, "--in", str(damaged["meta"]), "--out", str(work / f"{stage}_rejected.jsonl")],
                (f"{stage}_rejected.stderr",))
     yield ["stats", "--in", str(damaged["meta"])], ("stats_rejected.stderr",)
+    yield (["simulate", "--src", str(damaged["sim_src"]), "--model", str(damaged["model"]), "--chunk", str(CHUNK),
+            "--beam", str(BEAM), "--out", str(work / "events_rejected.jsonl")], ("simulate_rejected.stderr",))
 
 
 def main() -> None:
@@ -154,7 +168,7 @@ def main() -> None:
         corpus, sim = write_inputs(work, args.pairs, args.seed)
         for argv, outputs in runs(work, corpus, sim, args.seed):
             run(work, argv, outputs)
-        for argv, outputs in rejection_runs(work, corpus, write_damaged(work, corpus, args.seed)):
+        for argv, outputs in rejection_runs(work, corpus, write_damaged(work, corpus, sim, args.seed)):
             run(work, argv, outputs)
 
 

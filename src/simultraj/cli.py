@@ -7,9 +7,9 @@ lines and codes JSON. Every stage opens its inputs, then its output, then
 reads: see `_open_output`.
 Every subcommand prints its resolved configuration to stderr for provenance; that
 line, the rejection reasons and the error line all go through `_note`, which
-never lets them reach stdout. curate, augment, format and stats word each
-rejected record as `line N rejected: <reason>`, N its 1-based input line, and
-simulate a session as `session N rejected: <reason>`. Exit status: 0 all
+never lets them reach stdout. Every stage but eval runs its records through
+`_run_stage`, and words each rejected one as `line N rejected: <reason>`, N
+its 1-based input line; a simulate record is one session. Exit status: 0 all
 records clean, 1 some records rejected and the rest processed, 2 hard error (an
 unwritable stdout or stderr, or `stats` accepting no record). `main` alone
 turns failures into a status, and flushes stdout and stderr before it returns.
@@ -226,7 +226,8 @@ def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inpu
 
 def _or_rejected(worker: Callable, item: tuple) -> tuple[str, object]:
     """("ok", worker(item)), or ("err", "line N rejected: <reason>"), the one
-    line that words every rejection, N the record's 1-based input line."""
+    line that words every rejection of every stage, N the 1-based input line of
+    the record or session."""
     try:
         return ("ok", worker(item))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
@@ -315,51 +316,51 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- simulate
 
+def _simulate_session(item: tuple, args: argparse.Namespace, strategy: SelectStrategy) -> bytes:
+    """The event lines of one session, whose id is its 0-based source line."""
+    idx, source, script = item
+    if not source:
+        raise ValueError("blank source line")
+    try:
+        model = ScriptedModel.from_obj(script)
+    except (TypeError, ValueError) as exc:
+        # No rounds list; a round, beam or word of the wrong JSON type; a lone surrogate.
+        raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
+    if isinstance(source, UnicodeDecodeError):
+        raise source
+    try:
+        sim = simulate_run(source, model, chunk_size=args.chunk, strategy=strategy,
+                           prompt_mode=args.prompt, beam=args.beam, pair_id=idx)
+    except SimulationError as exc:
+        raise SimulationError(f"session {idx}: {exc}") from None
+    dump_events_jsonl((sim,), out := io.StringIO())  # it writes str, as to in-memory callers
+    return out.getvalue().encode()
+
+
+def _sessions(scripts: Iterator, lines: Iterator[tuple[int, bytes]]) -> Iterator[tuple]:
+    """simulate's items, one per source line: its number, its words or its decoding
+    error, and the script it takes (a blank line none), holding one script at a time."""
+    used = 0
+    for idx, line in lines:
+        try:
+            source = line.decode().split()
+        except UnicodeDecodeError as exc:
+            source = exc
+        script = next(scripts, StopIteration) if source else None
+        if script is StopIteration:
+            rest = sum(1 for _, line in lines if line.decode(errors="replace").split())
+            raise ValueError(f"model file has {used} scripts for {used + 1 + rest} non-blank source lines")
+        used += bool(source)
+        yield idx, source, script
+    if extra := sum(1 for _ in scripts):
+        raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    strategy = SelectStrategy(args.select, args.gamma)
-    scripts, lines = read_scripts(args.model), read_lines(args.src)
-    rejected = used = 0
-    # dump_events_jsonl writes str, as to the io.StringIO of in-memory callers.
-    with io.TextIOWrapper(_open_output("--out", args.out, args.src, args.model), encoding="utf-8") as out:
-        # Session ids are 0-based source line numbers. Each session is written
-        # as soon as it ends, then dropped; one script is held at a time. A line
-        # that is not UTF-8 is not blank: it takes its script, then is rejected.
-        for idx, line in lines:
-            try:
-                source = line.decode().split()
-            except UnicodeDecodeError as exc:
-                source = exc
-            if not source:
-                rejected += 1
-                _note(f"session {idx} rejected: blank source line")
-                continue
-            try:
-                script = next(scripts)
-            except StopIteration:
-                rest = sum(1 for _, line in lines if line.decode(errors="replace").split())
-                raise ValueError(
-                    f"model file has {used} scripts for {used + 1 + rest} non-blank source lines"
-                ) from None
-            used += 1
-            try:
-                model = ScriptedModel.from_obj(script)
-            except (TypeError, ValueError) as exc:
-                # No rounds list, or rounds, beams or words of the wrong JSON
-                # type, or a word with a lone surrogate.
-                raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
-            if isinstance(source, UnicodeDecodeError):
-                rejected += 1
-                _note(f"session {idx} rejected: {source}")
-                continue
-            try:
-                sim = simulate_run(source, model, chunk_size=args.chunk, strategy=strategy,
-                                   prompt_mode=args.prompt, beam=args.beam, pair_id=idx)
-            except SimulationError as exc:
-                raise SimulationError(f"session {idx}: {exc}") from None
-            dump_events_jsonl((sim,), out)
-        if extra := sum(1 for _ in scripts):
-            raise ValueError(f"model file has {used + extra} scripts for {used} non-blank source lines")
-    return 1 if rejected else 0
+    worker = partial(_simulate_session, args=args, strategy=SelectStrategy(args.select, args.gamma))
+    # Opens the model file, then the source, then --out.
+    read = lambda src, model: _sessions(read_scripts(model), read_lines(src))
+    return _run_stage(args, worker, read, args.src, args.model)
 
 
 # ------------------------------------------------------------------- eval

@@ -28,7 +28,6 @@ Both go through the codec of ``simultraj.jsonl``, which also reads the model fil
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 from functools import partial
 from itertools import chain, groupby
@@ -298,7 +297,7 @@ def _checked_event(line: bytes, lineno: int) -> dict:
     of `_EVENT_INT_FIELDS` in order, then committed_words. Other keys may be anything."""
     try:
         record = decode_line(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ValueError(f"event line {lineno}: {error_text(exc)}") from None
     if type(record) is not dict:
         raise ValueError(f"event line {lineno}: not an object")

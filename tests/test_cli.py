@@ -279,7 +279,7 @@ def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys
                  "--select", "greedy", "--out", str(out)]) == 1
     records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     assert [(r["id"], r["committed_words"]) for r in records] == [(0, ["A", "B"]), (2, ["C", "D"])]
-    assert "session 1 rejected: blank source line" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[1:] == ["line 2 rejected: blank source line"]
 
 
 @pytest.mark.parametrize("script, reason", [
@@ -819,8 +819,8 @@ def test_stats_of_only_rejected_records_is_an_empty_corpus(tmp_path, capsys):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_each_rejection_names_the_input_line_of_its_record(tmp_path, capsys, monkeypatch,
                                                            no_leftover_children, workers):
-    """curate, augment, format and stats word a rejection as `line N rejected:
-    <reason>`, N the record's 1-based input line (blank lines count)."""
+    """curate, augment, format, stats and simulate word a rejection as `line N
+    rejected: <reason>`, N the record's 1-based input line (blank lines count)."""
     two_usable_cpus(monkeypatch)
     for name, text in (("s", "a b\nc d\n"), ("t", "x\ny\n"), ("a", "1x\n0-0\n")):
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -836,6 +836,13 @@ def test_each_rejection_names_the_input_line_of_its_record(tmp_path, capsys, mon
         assert capsys.readouterr().err.splitlines()[1:] == [
             "line 2 rejected: Expecting property name enclosed in double quotes: char 1",
             "line 4 rejected: record 5: chunks is not a list"]
+    (tmp_path / "src.txt").write_bytes(b"a b\n\nc \xff\n")  # simulate has no --workers
+    (tmp_path / "m.json").write_text(json.dumps([{"rounds": [[["A", "B"]]]}] * 2), encoding="utf-8")
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "e.jsonl")]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "line 2 rejected: blank source line",
+        "line 3 rejected: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"]
 
 
 @pytest.mark.parametrize("shifted", [-3, 5])
@@ -1006,6 +1013,7 @@ LINE_SHAPES = {
     "non-utf-8": lambda good: good[:5] + b"\xff" + good[5:] + b"\n",
     "lone-carriage-return": lambda good: good + b"\r" + good + b"\n",  # one line, not two
     "ideographic-space": lambda good: "\u3000\n".encode("utf-8"),  # not a blank line
+    "huge-integer": lambda good: good[:-1] + b', "x": ' + b"9" * 5000 + b"}\n",  # past int's digit limit
 }
 # eval's error for the second line of an event file, per shape (None: no error).
 EVENT_LINE_ERRORS = {
@@ -1018,6 +1026,8 @@ EVENT_LINE_ERRORS = {
     "non-utf-8": "event line 2: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte",
     "lone-carriage-return": "event line 2: Extra data: char 190",
     "ideographic-space": "event line 2: Expecting value: char 0",
+    "huge-integer": "event line 2: Exceeds the limit (4300 digits) for integer string conversion: "
+                    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
 }
 
 
@@ -1170,7 +1180,7 @@ def test_simulate_non_utf8_source_line_takes_its_script(tmp_path, capsys):
     out = tmp_path / "events.jsonl"
     assert simulate(tmp_path / "src.txt", tmp_path / "model.json", out) == 1
     err = capsys.readouterr().err
-    assert err.endswith("\nsession 1 rejected: 'utf-8' codec can't decode byte 0xff in position 2: "
+    assert err.endswith("\nline 2 rejected: 'utf-8' codec can't decode byte 0xff in position 2: "
                         "invalid start byte\n")
     records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     assert [(r["id"], r["committed_words"]) for r in records] == [(0, ["A", "B", "C"]), (2, ["F", "G"])]
@@ -1286,6 +1296,8 @@ def test_deeply_nested_json_is_hard_error(tmp_path, capsys, command):
         _, reason, error = err.splitlines()
         assert reason.startswith("line 1 rejected: maximum recursion depth exceeded")
         assert error == "error: empty trajectory corpus"
+    elif command == "eval":
+        assert "\nerror: event line 1: maximum recursion depth exceeded" in err
     else:
         assert "error: maximum recursion depth exceeded" in err
     assert "Traceback" not in err
@@ -1358,7 +1370,7 @@ def test_simulate_data_after_script_list_is_hard_error(tmp_path, sim_case, capsy
 
 @pytest.mark.parametrize("src_text, code, err", [
     ("", 0, ""),
-    ("\n", 1, "session 0 rejected: blank source line"),
+    ("\n", 1, "line 1 rejected: blank source line"),
     ("a b\n", 2, "error: model file has 0 scripts for 1 non-blank source lines"),
 ])
 def test_simulate_empty_script_list(tmp_path, capsys, src_text, code, err):

@@ -211,9 +211,8 @@ def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkey
         code, reasons, out = runs[0]
         assert all(r == runs[0] for r in runs), runs
         assert (code, len(reasons)) in ((0, 0), (1, 1)), reasons
-        if code == 1:  # a session by its id, a record by its 1-based line
-            assert reasons[0].startswith(f"session {k} rejected: " if command == "simulate"
-                                         else f"line {k + 1} rejected: "), reasons
+        if code == 1:  # a record, or a session, by its 1-based line
+            assert reasons[0].startswith(f"line {k + 1} rejected: "), reasons
         if command == "stats":
             kept = [*lines[:k], *[line] * (1 - code), *lines[k + 1:]]
             table = corpus_stats_table(corpus_stats(from_record(json.loads(x)) for x in kept)) + "\n"

@@ -171,7 +171,7 @@ def test_process_exit_code_and_output_match_main(inputs, process_runs, case, cap
 
 @pytest.mark.parametrize("case, reason", [
     ("curate-non-utf8", "line 2 rejected: "),
-    ("simulate-non-utf8", "session 0 rejected: "),
+    ("simulate-non-utf8", "line 1 rejected: "),
 ])
 def test_non_utf8_line_is_one_rejection(process_runs, case, reason):
     code, _, err = process_runs[case]
