@@ -23,7 +23,8 @@ token and a source line that is not UTF-8, and augment, format and stats read
 ``meta.jsonl`` with one line cut short (not JSON) and one record whose last
 chunk writes nothing (unsound). simulate reads the sim source with one line
 made blank and another made not UTF-8, and the model file without the blank
-line's script.
+line's script. eval reads the RALCP conversational event log with one line cut
+short and another line's round changed.
 
 Usage:
   python scripts/output_digests.py --pairs 50000 --seed 42
@@ -94,17 +95,24 @@ def write_inputs(work: Path, pairs: int, seed: int) -> tuple[dict, dict]:
 
 
 def write_damaged(work: Path, corpus: dict, sim: dict, seed: int) -> dict:
-    """Damaged copies of curate's inputs, of meta.jsonl, which must exist, and
-    of simulate's inputs."""
+    """Damaged copies of curate's inputs, of simulate's inputs, and of
+    meta.jsonl and the RALCP conversational event log, which must exist."""
     pairs = len(corpus["src"].read_bytes().splitlines())
     sessions = len(sim["sim_src"].read_bytes().splitlines())
     rng = random.Random(seed)
     token, utf8, cut, unsound = rng.sample(range(min(40, pairs)), 4)
     blank, garbled = rng.sample(range(min(40, sessions)), 2)
+    events = work / "events_ralcp_conversational.jsonl"
+    halved, renumbered = rng.sample(range(min(40, len(events.read_bytes().splitlines()))), 2)
 
     def empty_last_write(line: bytes) -> bytes:
         record = json.loads(line)
         record["chunks"][-1]["write"] = []
+        return (json.dumps(record, ensure_ascii=False) + "\n").encode()
+
+    def next_round(line: bytes) -> bytes:
+        record = json.loads(line)
+        record["round"] += 1
         return (json.dumps(record, ensure_ascii=False) + "\n").encode()
 
     damaged = {}
@@ -115,6 +123,8 @@ def write_damaged(work: Path, corpus: dict, sim: dict, seed: int) -> dict:
         ("meta", work / "meta.jsonl", unsound, empty_last_write),
         ("sim_src", sim["sim_src"], blank, lambda line: b"\n"),
         ("sim_src", sim["sim_src"], garbled, lambda line: b"\xff" + line),
+        ("events", events, halved, lambda line: line[:len(line) // 2] + b"\n"),
+        ("events", events, renumbered, next_round),
     ):
         lines = damaged.get(key, path).read_bytes().splitlines(keepends=True)
         lines[at] = damage(lines[at])
@@ -138,6 +148,7 @@ def rejection_runs(work: Path, corpus: dict, damaged: dict):
     yield ["stats", "--in", str(damaged["meta"])], ("stats_rejected.stderr",)
     yield (["simulate", "--src", str(damaged["sim_src"]), "--model", str(damaged["model"]), "--chunk", str(CHUNK),
             "--beam", str(BEAM), "--out", str(work / "events_rejected.jsonl")], ("simulate_rejected.stderr",))
+    yield ["eval", "--events", str(damaged["events"])], ("eval_rejected.stderr",)
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ import csv
 import sys
 
 from simultraj.cli import nonnegative_float
-from simultraj.metrics import CostModel, events_report
+from simultraj.metrics import CostModel, events_report, run_latency
 from simultraj.simulator import GREEDY, run, scripted_echo
 
 DEFAULT_CHUNK_SIZES = (3, 5, 7, 9, 11, 13)
@@ -28,7 +28,7 @@ def sweep(sources, chunk_sizes, cost):
             run(source, scripted_echo(source, n, beam=1), chunk_size=n, strategy=GREEDY, beam=1, pair_id=idx)
             for idx, source in enumerate(sources)
         )
-        report = events_report(([event._asdict() for event in sim.events] for sim in runs), cost)
+        report = events_report(run_latency([event._asdict() for event in sim.events], cost) for sim in runs)
         yield {
             "chunk_size": n,
             "al_mean": round(report.al_mean, 4),

@@ -6,19 +6,19 @@ the CLI seed and the record id. Only `simultraj.jsonl` opens inputs, cuts
 lines and codes JSON. Every stage opens its inputs, then its output, then
 reads: see `_open_output`.
 Every subcommand prints its resolved configuration to stderr for provenance; that
-line, the rejection reasons and the error line all go through `_note`, which
-never lets them reach stdout. Every stage but eval runs its records through
-`_run_stage`, and words each rejected one as `line N rejected: <reason>`, N
-its 1-based input line; a simulate record is one session. Exit status: 0 all
+line, the rejection reasons and the error line all go through `_note`, which never
+lets them reach stdout. Every stage runs its records through `_run_stage`, and
+words each rejected one as `line N rejected: <reason>`, N its 1-based input line;
+a simulate record is one session, an eval record one run. Exit status: 0 all
 records clean, 1 some records rejected and the rest processed, 2 hard error (an
-unwritable stdout or stderr, or `stats` accepting no record). `main` alone
-turns failures into a status, and flushes stdout and stderr before it returns.
-It never ends the process, so tests, the benchmark and library callers run it
-in-process. `process_main`, behind `python -m simultraj.cli` and the
-`simultraj` script, ends the process with os._exit on main's status, skipping
-the interpreter's teardown; it also flushes argparse's own output (-h, a usage
-error), so that output failing is exit 2 as well. Tools that report at exit
-(cProfile, coverage) see no end of such a process; profile `main` in-process.
+unwritable stdout or stderr, or `stats` or `eval` accepting no record). `main`
+alone turns failures into a status, and flushes stdout and stderr before it
+returns. It never ends the process, so tests, the benchmark and library callers
+run it in-process. `process_main`, behind `python -m simultraj.cli` and the
+`simultraj` script, ends the process with os._exit on main's status, skipping the
+interpreter's teardown; it also flushes argparse's own output (-h, a usage error),
+so that output failing is exit 2 as well. Tools that report at exit (cProfile,
+coverage) see no end of such a process; profile `main` in-process.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
 from simultraj.augment import AugmentConfig, augment_pipeline
 from simultraj.jsonl import decode_line, encode_json, error_text, jsonl_line, read_lines, read_records, read_scripts
-from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report
+from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report, run_latency
 # monotonicize is not called here; bench/tracer.py wraps it under this module.
 from simultraj.monotonic import MonotonicPlan, monotonicize, plan_links
 from simultraj.sftformat import DEFAULT_TEMPLATE, get_template, record_to_dict, render_conversational
@@ -227,7 +227,7 @@ def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inpu
 def _or_rejected(worker: Callable, item: tuple) -> tuple[str, object]:
     """("ok", worker(item)), or ("err", "line N rejected: <reason>"), the one
     line that words every rejection of every stage, N the 1-based input line of
-    the record or session."""
+    the record or session, or of a run's first record."""
     try:
         return ("ok", worker(item))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
@@ -367,16 +367,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cost = CostModel(args.cost_recompute, args.cost_word)
-    runs = load_events_jsonl(args.events)
-    with _open_output("--csv", args.csv, args.events) if args.csv else nullcontext() as csv:
-        report = events_report(runs, cost)
-        data = report._asdict()
-        print(encode_json(data))
-        print(report.table())
-        if csv:
-            csv.write((",".join(data.keys()) + "\n").encode())
-            csv.write((",".join("" if v is None else str(v) for v in data.values()) + "\n").encode())
-    return 0
+
+    def report(latencies: Iterator) -> None:
+        with _open_output("--csv", args.csv, args.events) if args.csv else nullcontext() as csv:
+            totals = events_report(latencies)
+            data = totals._asdict()
+            print(encode_json(data))
+            print(totals.table())
+            if csv:
+                csv.write((",".join(data.keys()) + "\n").encode())
+                csv.write((",".join("" if v is None else str(v) for v in data.values()) + "\n").encode())
+
+    return _run_stage(args, lambda run: run_latency(run[1], cost), load_events_jsonl, args.events, report=report)
 
 
 # ------------------------------------------------------------------- main

@@ -13,6 +13,7 @@ deviation, matching the mean+-std convention of summary tables.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, NamedTuple, Sequence
 
 from simultraj.simulator import SimRun
@@ -50,22 +51,25 @@ class RunLatency(NamedTuple):
     wwt_offline: float | None
     recompute_conversational: int
     recompute_offline: int
+    rounds: int
 
 
-def run_latency(events: Sequence[dict], cost: CostModel) -> RunLatency:
-    """AL, simulated WWT in both prompt modes and both recompute totals of one
-    run, from its event records in round order, in one pass.
+def run_latency(events: Iterable[dict], cost: CostModel) -> RunLatency:
+    """AL, simulated WWT in both prompt modes, both recompute totals and the rounds
+    of one run, from its event records in round order, in one pass that holds only
+    the AL's read schedule, 8 bytes per committed word.
 
     Words committed in a round share that round's read count; a mode's WWT is
     its recompute at c1 plus generation at c2, per committed word.
     """
     c1, c2 = cost
-    g: list[int] = []
-    conv = off = 0
+    g = array("q")
+    conv = off = rounds = read = 0
     wwt_conv = wwt_off = 0.0
-    for event in events:
+    for rounds, event in enumerate(events, 1):
         words = len(event["committed_words"])
-        g.extend([event["cumulative_source_read"]] * words)
+        read = event["cumulative_source_read"]
+        g.fromlist([read] * words)
         r_conv, r_off = event["recompute_tokens_conversational"], event["recompute_tokens_offline"]
         conv += r_conv
         off += r_off
@@ -73,9 +77,9 @@ def run_latency(events: Sequence[dict], cost: CostModel) -> RunLatency:
         wwt_conv = wwt_conv + r_conv * c1 + words * c2
         wwt_off = wwt_off + r_off * c1 + words * c2
     if not g:
-        return RunLatency(None, None, None, conv, off)
-    al = average_lagging(g, events[-1]["cumulative_source_read"], len(g))
-    return RunLatency(al, wwt_conv / len(g), wwt_off / len(g), conv, off)
+        return RunLatency(None, None, None, conv, off, rounds)
+    al = average_lagging(g, read, len(g))
+    return RunLatency(al, wwt_conv / len(g), wwt_off / len(g), conv, off, rounds)
 
 
 def run_average_lagging(sim: SimRun) -> float:
@@ -196,24 +200,19 @@ def _exact(x: float) -> int:
     return n << _ULP_BITS + 1 - d.bit_length()  # d is a power of two
 
 
-def events_report(event_runs: Iterable[list[dict]], cost: CostModel) -> LatencyReport:
-    """Aggregate a parsed event log, one list of event records per run, into one
-    report. Each run is reduced by `run_latency` as it arrives and added to
-    exact sums, so the runs may be streamed in constant memory."""
+def events_report(latencies: Iterable[RunLatency]) -> LatencyReport:
+    """Aggregate the runs' latencies into one report. Each is added to exact
+    sums as it arrives, so the runs may be streamed in constant memory."""
     sums = [0, 0, 0]  # of the AL and both WWTs, see _exact
     runs = scored = rounds = total_conv = total_off = 0  # scored: runs that commit a word
-    for events in event_runs:
+    for al, wwt_conv, wwt_off, conv, off, n in latencies:
         runs += 1
-        rounds += len(events)
-        try:
-            al, wwt_conv, wwt_off, conv, off = run_latency(events, cost)
-            total_conv += conv
-            total_off += off
-            if al is not None:
-                sums = [total + _exact(x) for total, x in zip(sums, (al, wwt_conv, wwt_off))]
-                scored += 1
-        except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a count too big for a float
-            raise ValueError(f"run id {events[0]['id']}: {exc}") from None
+        rounds += n
+        total_conv += conv
+        total_off += off
+        if al is not None:
+            sums = [total + _exact(x) for total, x in zip(sums, (al, wwt_conv, wwt_off))]
+            scored += 1
     if not runs:
         raise ValueError("no runs in event log")
     # Each sum rounded as fsum rounds it, over the count, as statistics.fmean

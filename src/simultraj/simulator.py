@@ -22,7 +22,7 @@ length. The tests re-render every round's prompts in full
 
 A ``SimEvent`` is the event record: each line of the event log is one event's
 ``_asdict()``, written by ``dump_events_jsonl``. ``load_events_jsonl`` reads the
-log back as dicts, one run at a time and with the fields `eval` reads checked.
+log back one run at a time, and each run one checked record at a time.
 Both go through the codec of ``simultraj.jsonl``, which also reads the model file.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, count, groupby
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -280,7 +280,7 @@ def dump_events_jsonl(runs: Iterable[SimRun], out: IO[str]) -> None:
             write(encode_json(event._asdict()) + "\n")
 
 
-# The integer fields of an event record that `metrics.events_report` reads,
+# The integer fields of an event record that `metrics.run_latency` reads,
 # each with its least value (None: any integer). A field with a least value is
 # at most 2**53 too, so that it converts to a float exactly; id is only compared.
 _EVENT_INT_FIELDS = {
@@ -291,48 +291,61 @@ _EVENT_INT_FIELDS = {
 }
 
 
-def _checked_event(line: bytes, lineno: int) -> dict:
-    """Parse one event line; raise ValueError naming the line and the first field
-    that `eval` reads and finds missing, of the wrong type or out of range: those
-    of `_EVENT_INT_FIELDS` in order, then committed_words. Other keys may be anything."""
-    try:
-        record = decode_line(line)
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        raise ValueError(f"event line {lineno}: {error_text(exc)}") from None
+def _checked_event(line: tuple[int | None, int, object], rnd: int) -> dict:
+    """The record of a decoded event line, round rnd of its run; ValueError naming
+    the line and its decoding error, or the first field that `eval` reads and finds
+    missing, of the wrong type or out of range: those of `_EVENT_INT_FIELDS` in
+    order, committed_words, then round. Other keys may be anything."""
+    _, n, record = line
     if type(record) is not dict:
-        raise ValueError(f"event line {lineno}: not an object")
+        reason = error_text(record) if isinstance(record, Exception) else "not an object"
+        raise ValueError(f"event line {n + 1}: {reason}")
     for key, least in _EVENT_INT_FIELDS.items():
         value = record.get(key)
         if type(value) is not int:
-            raise ValueError(f"event line {lineno}: {key} is not an integer")
+            raise ValueError(f"event line {n + 1}: {key} is not an integer")
         if least is None:
             continue
         if value < least:
-            raise ValueError(f"event line {lineno}: {key} is below {least}")
+            raise ValueError(f"event line {n + 1}: {key} is below {least}")
         if value > 2**53:
-            raise ValueError(f"event line {lineno}: {key} is above 2**53")
+            raise ValueError(f"event line {n + 1}: {key} is above 2**53")
     words = record.get("committed_words")
     if type(words) is not list or not only_str(map(type, words)):
-        raise ValueError(f"event line {lineno}: committed_words is not a list of strings")
+        raise ValueError(f"event line {n + 1}: committed_words is not a list of strings")
+    if record.get("round") != rnd or type(record["round"]) is not int:
+        raise ValueError(f"event line {n + 1}: round is not {rnd}")
     return record
 
 
-def load_events_jsonl(path: str) -> Iterator[list[dict]]:
-    """The event records of one run at a time, in file order, from a file opened now.
-
-    `dump_events_jsonl` writes each run as one block of consecutive records
-    with the same id, in ascending id order, so only one run is held at a time.
-    A run whose id is not above the previous run's, or a record whose fields
-    `eval` reads are missing, of the wrong type or out of range, raises ValueError.
-    """
+def load_events_jsonl(path: str) -> Iterator[tuple[int, Iterator[dict]]]:
+    """Each run of an event log, in file order, from a file opened now: the
+    0-based line of its first record, and its records, each checked by
+    `_checked_event` as it is read, so one is held at a time. `dump_events_jsonl`
+    writes a run as consecutive records of one id, ids ascending, rounds 0, 1, 2,
+    …; a line that does not decode, or has no integer id, joins the run in
+    progress. A run whose id is not above the previous run's raises ValueError."""
     return _runs(read_records(path), path)
 
 
-def _runs(records: Iterator[tuple[int, bytes]], path: str) -> Iterator[list[dict]]:
+def _decoded(records: Iterator[tuple[int, bytes]]) -> Iterator[tuple[int | None, int, object]]:
+    """Each event line as its run's id, its number and its value or decoding error."""
+    rid = None
+    for n, line in records:
+        try:
+            record = decode_line(line)
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            record = exc
+        if type(record) is dict and type(record.get("id")) is int:
+            rid = record["id"]
+        yield rid, n, record
+
+
+def _runs(records: Iterator[tuple[int, bytes]], path: str) -> Iterator[tuple[int, Iterator[dict]]]:
     last = None
-    checked = (_checked_event(line, n + 1) for n, line in records)
-    for rid, events in groupby(checked, key=itemgetter("id")):
+    for rid, lines in groupby(_decoded(records), key=itemgetter(0)):
         if last is not None and rid <= last:
             raise ValueError(f"run id {rid} follows run id {last} in {path}: run ids must ascend")
         last = rid
-        yield list(events)
+        first = next(lines)
+        yield first[1], map(_checked_event, chain((first,), lines), count())

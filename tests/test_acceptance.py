@@ -27,7 +27,7 @@ from conftest import (
 from simultraj.alignment import sufficient_sets
 from simultraj.augment import AugmentConfig, derive_rng, merge, shift
 from simultraj.cli import main
-from simultraj.metrics import CostModel, average_lagging, corpus_stats, events_report
+from simultraj.metrics import CostModel, average_lagging, corpus_stats, events_report, run_latency
 from simultraj.monotonic import MonotonicPlan, monotonicize
 from simultraj.sftformat import DEFAULT_TEMPLATE, get_template, render_conversational
 from simultraj.simulator import (
@@ -206,7 +206,7 @@ def test_criterion_07_cache_reuse_inequality_1000_runs():
     strict_checked = 0
     for sim in random_scripted_runs(1_000, seed=777):
         records = [event._asdict() for event in sim.events]
-        totals = events_report([records], CostModel())
+        totals = events_report([run_latency(records, CostModel())])
         final_prompt_words = len(replay_prompts(sim)[-1].prompt_conversational.split())
         assert totals.recompute_total_conversational == final_prompt_words
         assert totals.recompute_total_conversational <= totals.recompute_total_offline

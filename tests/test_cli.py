@@ -908,7 +908,7 @@ def test_eval_run_ids_must_ascend(tmp_path, capsys, ids, error):
     # Two finite WWTs whose sum is past the float range.
     ({}, ["--cost-word", "1.5e308"], "integer division result too large for a float"),
     # One infinite WWT.
-    ({}, ["--cost-word", "1e308", "--cost-recompute", "1e308"], "run id 0: cannot convert Infinity to integer ratio"),
+    ({}, ["--cost-word", "1e308", "--cost-recompute", "1e308"], "cannot convert Infinity to integer ratio"),
 ], ids=["sum-overflow", "infinite-wwt"])
 def test_eval_float_overflow_is_hard_error_naming_the_run(tmp_path, capsys, event, flags, error):
     events = tmp_path / "events.jsonl"
@@ -925,7 +925,7 @@ def test_eval_float_overflow_is_hard_error_naming_the_run(tmp_path, capsys, even
 def test_eval_event_integers_are_at_most_2_53(tmp_path, capsys, field, value):
     """eval turns these counts into floats: up to 2**53 every integer converts
     exactly. Above it, the field is named, as by the other field checks, and
-    not the float error it would cause."""
+    not the float error it would cause; its run is rejected, and the other reported."""
     events = tmp_path / "events.jsonl"
     records = [GOOD_EVENT, {**GOOD_EVENT, field: value, "id": 1}]
     events.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -935,7 +935,8 @@ def test_eval_event_integers_are_at_most_2_53(tmp_path, capsys, field, value):
         assert code == 0, err
         assert json.loads(out.splitlines()[0])["runs"] == 2
     else:
-        assert (code, out, err.splitlines()[1:]) == (2, "", [f"error: event line 2: {field} is above 2**53"])
+        assert (code, err.splitlines()[1:]) == (1, [f"line 2 rejected: event line 2: {field} is above 2**53"])
+        assert json.loads(out.splitlines()[0])["runs"] == 1
 
 
 def test_eval_prompt_flag_is_a_usage_error(tmp_path, capsys):
@@ -975,6 +976,13 @@ GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "
         # A bool is not an integer here, as for id.
         ({**GOOD_EVENT, "recompute_tokens_offline": False}, "recompute_tokens_offline is not an integer"),
         ({**GOOD_EVENT, "recompute_tokens_conversational": True}, "recompute_tokens_conversational is not an integer"),
+        # Each line above is round 0 of run 0 where round 1 is due: its bad field is named first.
+        # A run's rounds are 0, 1, 2, ... with none missing or repeated.
+        (GOOD_EVENT, "round is not 1"),
+        ({**GOOD_EVENT, "round": 2}, "round is not 1"),
+        ({**GOOD_EVENT, "round": 1.0}, "round is not 1"),
+        ({**GOOD_EVENT, "round": True}, "round is not 1"),
+        ({k: v for k, v in GOOD_EVENT.items() if k != "round"}, "round is not 1"),
         # A valid line that commits nothing is accepted.
         ({**GOOD_EVENT, "round": 1, "committed_words": []}, None),
         # So is each field at its least value, any greater integer id, and a key eval does not read.
@@ -984,9 +992,12 @@ GOOD_EVENT = {"id": 0, "round": 0, "read_words": ["a"], "candidates": [["A"]], "
     ids=["list", "string", "words-string", "words-int", "id-string", "id-bool", "no-cumulative",
          "offline-float", "conversational-null", "conversational-negative", "offline-negative",
          "cumulative-zero", "id-bool-and-cumulative-zero", "offline-bool", "conversational-bool",
+         "round-repeated", "round-skipped", "round-float", "round-bool", "no-round",
          "no-words-accepted", "least-values-accepted"],
 )
 def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
+    """A bad line rejects the run it is in, here the only one: a line with no
+    integer id belongs to the run before it."""
     events = tmp_path / "events.jsonl"
     events.write_text(json.dumps(GOOD_EVENT) + "\n\n" + json.dumps(bad) + "\n", encoding="utf-8")
     code = main(["eval", "--events", str(events)])
@@ -995,12 +1006,16 @@ def test_eval_rejects_malformed_event(tmp_path, capsys, bad, field):
         assert code == 0
         assert json.loads(out.splitlines()[0])["rounds_total"] == 2
     else:
-        assert code == 2
-        assert f"error: event line 3: {field}" in err
+        assert (code, out) == (2, "")
+        reason, error = err.splitlines()[1:]
+        assert reason.startswith(f"line 1 rejected: event line 3: {field}")
+        assert error == "error: no runs in event log"
     assert "Traceback" not in err
 
 
 GOOD_LINE = json.dumps(GOOD_EVENT).encode("utf-8")
+# GOOD_EVENT's next round: the same length, so the same character offsets.
+NEXT_LINE = json.dumps({**GOOD_EVENT, "round": 1}).encode("utf-8")
 # Lines built around one good JSON line. The readers read bytes, cut lines at
 # b"\n" only, and decode each line before json reads it.
 LINE_SHAPES = {
@@ -1015,7 +1030,7 @@ LINE_SHAPES = {
     "ideographic-space": lambda good: "\u3000\n".encode("utf-8"),  # not a blank line
     "huge-integer": lambda good: good[:-1] + b', "x": ' + b"9" * 5000 + b"}\n",  # past int's digit limit
 }
-# eval's error for the second line of an event file, per shape (None: no error).
+# eval's reason for rejecting the one run of an event file for its second line, per shape (None: no error).
 EVENT_LINE_ERRORS = {
     "cut-short": "event line 2: Expecting value: char 187",
     "extra-data": "event line 2: Extra data: char 190",
@@ -1042,7 +1057,7 @@ def _json_loads_error(line):
 
 @pytest.mark.parametrize("shape", LINE_SHAPES)
 def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, shape):
-    line, error = LINE_SHAPES[shape](GOOD_LINE), EVENT_LINE_ERRORS[shape]
+    line, error = LINE_SHAPES[shape](NEXT_LINE), EVENT_LINE_ERRORS[shape]
     events = tmp_path / "events.jsonl"
     events.write_bytes(GOOD_LINE + b"\n" + line)
     code = main(["eval", "--events", str(events)])
@@ -1054,7 +1069,7 @@ def test_eval_reads_each_event_line_as_json_loads_does(tmp_path, capsys, shape):
         reason = f"{exc.msg}: char {exc.pos}" if isinstance(exc, json.JSONDecodeError) else str(exc)
         assert error == f"event line 2: {reason}"
         assert code == 2
-        assert err.endswith(f"\nerror: {error}\n")
+        assert err.endswith(f"\nline 1 rejected: {error}\nerror: no runs in event log\n")
     assert "Traceback" not in err
 
 
@@ -1225,15 +1240,16 @@ def test_eval_names_the_run_whose_reads_go_backwards(tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     events.write_text(json.dumps(GOOD_EVENT) + "\n" + json.dumps(first) + "\n" + json.dumps(second) + "\n",
                       encoding="utf-8")
-    assert main(["eval", "--events", str(events)]) == 2
-    err = capsys.readouterr().err
-    assert "error: run id 3: read count 2 outside [1, 1]" in err
-    assert "Traceback" not in err
+    assert main(["eval", "--events", str(events)]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines()[1:] == ["line 2 rejected: read count 2 outside [1, 1]"]
+    assert json.loads(out.splitlines()[0])["runs"] == 1
     # Every count inside [1, I], each round committing a word, and the second read below the first.
     rounds = [{**GOOD_EVENT, "round": r, "cumulative_source_read": c} for r, c in enumerate([2, 1, 3])]
     events.write_text("".join(json.dumps(e) + "\n" for e in rounds), encoding="utf-8")
     assert main(["eval", "--events", str(events)]) == 2
-    assert capsys.readouterr().err.splitlines()[1:] == ["error: run id 0: read schedule must be nondecreasing"]
+    assert capsys.readouterr().err.splitlines()[1:] == ["line 1 rejected: read schedule must be nondecreasing",
+                                                        "error: no runs in event log"]
 
 
 DEEP = "[" * 100_000  # deeper than any JSON decoder recursion limit
@@ -1296,8 +1312,10 @@ def test_deeply_nested_json_is_hard_error(tmp_path, capsys, command):
         _, reason, error = err.splitlines()
         assert reason.startswith("line 1 rejected: maximum recursion depth exceeded")
         assert error == "error: empty trajectory corpus"
-    elif command == "eval":
-        assert "\nerror: event line 1: maximum recursion depth exceeded" in err
+    elif command == "eval":  # its one run is rejected, which leaves no runs
+        _, reason, error = err.splitlines()
+        assert reason.startswith("line 1 rejected: event line 1: maximum recursion depth exceeded")
+        assert error == "error: no runs in event log"
     else:
         assert "error: maximum recursion depth exceeded" in err
     assert "Traceback" not in err
@@ -1487,8 +1505,8 @@ def test_simulate_memory_does_not_grow_with_sessions(tmp_path, monkeypatch):
 
 
 def test_eval_memory_does_not_grow_with_runs(tmp_path):
-    """eval holds one run's records and running sums: no list of per-run values
-    and no set of the ids seen."""
+    """eval holds one record, one run's read schedule and running sums: no list
+    of per-run values and no set of the ids seen."""
     peaks = []
     for runs in (250, 2500):
         events = tmp_path / f"{runs}.jsonl"
@@ -1500,6 +1518,20 @@ def test_eval_memory_does_not_grow_with_runs(tmp_path):
         args = build_parser().parse_args(["eval", "--events", str(events)])
         peaks.append(traced_peak(args))
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_eval_memory_does_not_grow_with_session_length(tmp_path):
+    """Of a run, eval holds one record at a time and the read schedule of its
+    committed words, 8 bytes each: the peak grows by under 32 bytes a round."""
+    peaks = {}
+    for rounds in (1600, 12800):
+        events = tmp_path / f"{rounds}.jsonl"
+        with events.open("w", encoding="utf-8") as f:
+            for r in range(rounds):
+                f.write(json.dumps({**GOOD_EVENT, "round": r, "cumulative_source_read": 1 + r}) + "\n")
+        args = build_parser().parse_args(["eval", "--events", str(events)])
+        peaks[rounds] = traced_peak(args)
+    assert peaks[12800] - peaks[1600] < 32 * (12800 - 1600), peaks
 
 
 def corpora(tmp_path_factory, sizes):

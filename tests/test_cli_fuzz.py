@@ -4,8 +4,8 @@ six subcommands.
 Whatever the input, only argparse's SystemExit (a bad flag value) may leave
 `main`, the exit status is one of the documented 0/1/2, and a report that
 `eval` prints with status 0 is strict JSON. The per-record stages (curate,
-augment, format, stats and simulate's sessions) also set a mutated line apart:
-every other record comes out as it did.
+augment, format, stats, simulate's sessions and eval's runs) also set a mutated
+line apart: every other record comes out as it did.
 """
 
 import contextlib
@@ -14,13 +14,14 @@ import json
 import os
 import re
 from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simultraj.cli import main
-from simultraj.metrics import corpus_stats, corpus_stats_table
+from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report, run_latency
 from simultraj.trajectory import from_record
 from conftest import write_sim_case, write_toy_corpus
 
@@ -161,16 +162,61 @@ def _sessions(events):
     return {rid: b"".join(group) for rid, group in groupby(lines, key=lambda line: json.loads(line)["id"])}
 
 
+def _event_runs(lines):
+    """(id, 0-based first line, decoded records) per run of an event log's
+    lines, grouped as README says eval groups them: by id, with a line that
+    does not decode, or has no integer id, in the run before it."""
+    keyed, rid = [], None
+    for line in lines:
+        try:
+            record = json.loads(line.decode("utf-8"))  # json.loads would let bytes hold surrogates
+        except (ValueError, RecursionError):
+            record = None
+        if type(record) is dict and type(record.get("id")) is int:
+            rid = record["id"]
+        keyed.append((rid, record))
+    runs, first = [], 0
+    for rid, group in groupby(keyed, key=itemgetter(0)):
+        records = [record for _, record in group]
+        runs.append((rid, first, records))
+        first += len(records)
+    return runs
+
+
+def _check_eval(lines, k, code, reasons, out):
+    """eval on an event log whose line k is mutated rejects at most the run that
+    holds line k and the run after it, whose first round is then not 0, and
+    reports the other runs; or it stops at run ids that the mutated id leaves
+    out of order."""
+    runs = _event_runs(lines)
+    ids = [rid for rid, _, _ in runs if rid is not None]
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        assert (code, out) == (2, b""), reasons
+        assert reasons[-1].endswith("run ids must ascend"), reasons
+        return
+    at = next(i for i, (_, first, records) in enumerate(runs) if first <= k < first + len(records))
+    named = [int(reason.split(" ", 2)[1]) - 1 for reason in reasons]  # line N rejected: ...
+    firsts = [first for _, first, _ in runs[at:at + 2]]
+    assert (code, named) in ((0, []), (1, firsts[:1]), (1, firsts)), reasons
+    if len(named) == 2:
+        assert reasons[1].endswith(": round is not 0"), reasons
+    kept = [records for _, first, records in runs if first not in named]
+    report = events_report(run_latency(records, CostModel()) for records in kept)
+    assert json.loads(out.splitlines()[0], parse_constant=reject_constant) == report._asdict()
+
+
 @pytest.mark.parametrize("command, name", [
     ("curate", "src.txt"), ("curate", "tgt.txt"), ("curate", "align.txt"),
     ("augment", "meta.jsonl"), ("format", "meta.jsonl"), ("stats", "meta.jsonl"), ("simulate", "sim_src.txt"),
-], ids=["curate-src", "curate-tgt", "curate-align", "augment", "format", "stats", "simulate"])
+    ("eval", "events.jsonl"),
+], ids=["curate-src", "curate-tgt", "curate-align", "augment", "format", "stats", "simulate", "eval"])
 def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkeypatch, no_leftover_children):
     """One mutated line of an input gives its own record (a session, for
     simulate) or one rejection reason, which names that line; the other records
     are the clean run's, in order, at --workers 1 and 2 alike. stats prints the
     table of the records it accepts: the other lines' table when it rejects the
-    mutated one."""
+    mutated one. eval's record is a run, named by its first line: see
+    `_check_eval`."""
     work, inputs = clean
     monkeypatch.chdir(work)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool of 2 anywhere
@@ -182,14 +228,15 @@ def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkey
     # Copies, as the other fuzz tests mutate the inputs; argv names them and an output.
     for n, data in files.items():
         (work / f"one_{n}").write_bytes(data)
-    worker_counts = ["1"] if command in ("simulate", "stats") else ["1", "2"]
+    serial = command in ("simulate", "stats", "eval")
+    worker_counts = ["1"] if serial else ["1", "2"]
 
     def main_on(out, workers="1"):
         stdout, err = io.StringIO(), io.StringIO()
-        extra = [] if command in ("simulate", "stats") else ["--workers", workers]
+        extra = [] if serial else ["--workers", workers]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             code = main([{"out.jsonl": out}.get(a, f"one_{a}" if a in files else a) for a in argv] + extra)
-        written = stdout.getvalue().encode() if command == "stats" else (work / out).read_bytes()
+        written = stdout.getvalue().encode() if command in ("stats", "eval") else (work / out).read_bytes()
         return code, err.getvalue().splitlines()[1:], written  # reasons: after the config
 
     code, reasons, clean_out = main_on("clean.jsonl")
@@ -206,10 +253,14 @@ def test_per_record_stage_sets_a_mutated_line_apart(clean, command, name, monkey
             assume(line and not line.isspace())  # a blank line is skipped, not a record
         if command == "simulate":
             assume(line.decode(errors="replace").split())  # a blank line takes no script
-        (work / f"one_{name}").write_bytes(b"".join([*lines[:k], line + b"\n", *lines[k + 1:]]))
+        mutated = [*lines[:k], line + b"\n", *lines[k + 1:]]
+        (work / f"one_{name}").write_bytes(b"".join(mutated))
         runs = [main_on(f"w{workers}.jsonl", workers) for workers in worker_counts]
         code, reasons, out = runs[0]
         assert all(r == runs[0] for r in runs), runs
+        if command == "eval":
+            _check_eval(mutated, k, code, reasons, out)
+            return
         assert (code, len(reasons)) in ((0, 0), (1, 1)), reasons
         if code == 1:  # a record, or a session, by its 1-based line
             assert reasons[0].startswith(f"line {k + 1} rejected: "), reasons

@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Lines, records and a JSON list of scripts, all at once.
 TEXT = "[1,\n2]\n"
 # Two runs of one event each.
-EVENTS = "".join(f'{{"id": {i}, "recompute_tokens_conversational": 1, "recompute_tokens_offline": 1, '
+EVENTS = "".join(f'{{"id": {i}, "round": 0, "recompute_tokens_conversational": 1, "recompute_tokens_offline": 1, '
                  f'"cumulative_source_read": 1, "committed_words": ["a"]}}\n' for i in range(2))
 # Each reader, and a file in which it finds two items.
 READERS = {"read_lines": (read_lines, TEXT), "read_records": (read_records, TEXT),

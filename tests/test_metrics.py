@@ -193,7 +193,7 @@ def test_events_report_matches_reference_per_run_values(tmp_path):
         cost = CostModel(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
         speaking = [sim for sim in sims if committed(sim)]
         silent_logs += not speaking
-        report = events_report(load_events_jsonl(path), cost)
+        report = events_report(run_latency(r, cost) for _, r in load_events_jsonl(path))
         assert report.runs == len(sims)
         assert report.rounds_total == sum(sim.rounds for sim in sims)
         totals = [ref_cache_savings(sim) for sim in sims]
@@ -322,7 +322,7 @@ def test_events_report_aggregates():
     source = [f"w{i}" for i in range(1, 5)]
     sim = run(source, scripted_echo(source, 2, beam=1), chunk_size=2, strategy=GREEDY, beam=1)
     events = [[e._asdict() for e in sim.events]]
-    report = events_report(events, CostModel(1.0, 0.0))
+    report = events_report(run_latency(r, CostModel(1.0, 0.0)) for r in events)
     assert report.runs == 1
     assert report.rounds_total == 2
     assert report.al_mean == run_average_lagging(sim)

@@ -92,6 +92,8 @@ PROCESS_CASES = {
     "simulate-hard": (2, SIMULATE + ["sim_src.txt", "--model", "bad_model.json"]),
     "simulate-non-utf8": (1, SIMULATE + ["non_utf8_sim_src.txt"]),
     "eval-clean": (0, ["eval", "--events", "events.jsonl"]),
+    # A line with no id rejects the run before it; the other run is reported.
+    "eval-rejected": (1, ["eval", "--events", "bad_events.jsonl"]),
     "eval-hard": (2, ["eval", "--events", "missing.jsonl"]),
 }
 COMMANDS = ("curate", "augment", "format", "stats", "simulate", "eval")
@@ -125,6 +127,8 @@ def inputs(tmp_path_factory):
     (work / "bad_model.json").write_text(json.dumps([scripts[0], {"beams": []}]), encoding="utf-8")
     assert main(["simulate", "--src", str(sim_src), "--model", str(model), "--chunk", "3",
                  "--out", str(work / "events.jsonl")]) == 0
+    (work / "bad_events.jsonl").write_text((work / "events.jsonl").read_text(encoding="utf-8") + "[1, 2]\n",
+                                           encoding="utf-8")
     return work
 
 
@@ -177,6 +181,14 @@ def test_non_utf8_line_is_one_rejection(process_runs, case, reason):
     code, _, err = process_runs[case]
     assert code == 1
     assert err.splitlines()[1:] == [reason + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]
+
+
+def test_eval_rejects_the_run_that_a_line_without_id_ends(inputs, process_runs):
+    lines = (inputs / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    first = [json.loads(line)["id"] for line in lines].index(1) + 1  # run 1's first line
+    code, out, err = process_runs["eval-rejected"]
+    assert err.splitlines()[1:] == [f"line {first} rejected: event line {len(lines) + 1}: not an object"]
+    assert json.loads(out.splitlines()[0])["runs"] == 1
 
 
 def test_missing_input_leaves_the_output_as_it_was(inputs, process_runs):

@@ -87,6 +87,7 @@ augment_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091
 format_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
 stats_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
 simulate_rejected.stderr f0973fa911fe7fd851ab5ca18eed9e4676f7d66fe33104459a0d5041b8cf8749
+eval_rejected.stderr 05f9bc92023b32599ed72c0ff702452060990adb6bfc50ab7402dc24731add10
 """
 
 
@@ -103,7 +104,7 @@ def test_output_digests_repeat_one_line_per_output():
     assert [proc.returncode for proc in procs] == [0, 0], first_err + second_err
     assert first == second == DIGESTS_40_3
     digests = dict(line.split(" ") for line in first.splitlines())
-    assert len(digests) == len(first.splitlines()) == 27
+    assert len(digests) == len(first.splitlines()) == 28
     assert all(len(digest) == 64 for digest in digests.values())
     for name in ("meta", "aug", "sft"):  # --workers 2 writes the serial bytes
         assert digests[f"{name}_w2.jsonl"] == digests[f"{name}.jsonl"]

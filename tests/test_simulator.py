@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ScriptRecorder, committed, oracle_run, ref_select_prefix, replay_prompts
 from simultraj.jsonl import encode_json
-from simultraj.metrics import CostModel, events_report
+from simultraj.metrics import CostModel, events_report, run_latency
 from simultraj.simulator import (
     GREEDY,
     ScriptedModel,
@@ -181,7 +181,7 @@ def test_greedy_beam_one_concatenates_all_outputs():
 def recompute_totals(sim):
     """(conversational, offline) recompute totals of one run, as `eval` sums them."""
     records = [event._asdict() for event in sim.events]
-    report = events_report([records], CostModel())
+    report = events_report([run_latency(records, CostModel())])
     return report.recompute_total_conversational, report.recompute_total_offline
 
 
@@ -277,7 +277,7 @@ def test_event_log_round_trip(tmp_path):
     path = tmp_path / "events.jsonl"
     with open(path, "w", encoding="utf-8") as out:
         dump_events_jsonl(sims, out)
-    grouped = list(load_events_jsonl(str(path)))
+    grouped = [list(r) for _, r in load_events_jsonl(str(path))]
     assert len(grouped) == 2
     assert [len(g) for g in grouped] == [sims[0].rounds, sims[1].rounds]
     assert grouped[0][0]["read_words"] == ["w1", "w2"]
