@@ -23,8 +23,9 @@ token and a source line that is not UTF-8, and augment, format and stats read
 ``meta.jsonl`` with one line cut short (not JSON) and one record whose last
 chunk writes nothing (unsound). simulate reads the sim source with one line
 made blank and another made not UTF-8, and the model file without the blank
-line's script. eval reads the RALCP conversational event log with one line cut
-short and another line's round changed.
+line's script, with another line's script malformed (``{"rounds": [5]}``) and
+a third line's script one round short. eval reads the RALCP conversational
+event log with one line cut short and another line's round changed.
 
 Usage:
   python scripts/output_digests.py --pairs 50000 --seed 42
@@ -104,6 +105,7 @@ def write_damaged(work: Path, corpus: dict, sim: dict, seed: int) -> dict:
     blank, garbled = rng.sample(range(min(40, sessions)), 2)
     events = work / "events_ralcp_conversational.jsonl"
     halved, renumbered = rng.sample(range(min(40, len(events.read_bytes().splitlines()))), 2)
+    malformed, short = rng.sample([i for i in range(min(40, sessions)) if i not in (blank, garbled)], 2)
 
     def empty_last_write(line: bytes) -> bytes:
         record = json.loads(line)
@@ -131,6 +133,8 @@ def write_damaged(work: Path, corpus: dict, sim: dict, seed: int) -> dict:
         damaged[key] = work / f"{key}_damaged{path.suffix}"
         damaged[key].write_bytes(b"".join(lines))
     scripts = json.loads(sim["model"].read_text(encoding="utf-8"))
+    scripts[malformed] = {"rounds": [5]}
+    scripts[short]["rounds"].pop()
     del scripts[blank]  # a blank line takes no script; the garbled one keeps its own
     damaged["model"] = work / "model_damaged.json"
     damaged["model"].write_text(json.dumps(scripts, ensure_ascii=False), encoding="utf-8")

@@ -9,16 +9,17 @@ Every subcommand prints its resolved configuration to stderr for provenance; tha
 line, the rejection reasons and the error line all go through `_note`, which never
 lets them reach stdout. Every stage runs its records through `_run_stage`, and
 words each rejected one as `line N rejected: <reason>`, N its 1-based input line;
-a simulate record is one session, an eval record one run. Exit status: 0 all
-records clean, 1 some records rejected and the rest processed, 2 hard error (an
-unwritable stdout or stderr, or `stats` or `eval` accepting no record). `main`
-alone turns failures into a status, and flushes stdout and stderr before it
-returns. It never ends the process, so tests, the benchmark and library callers
-run it in-process. `process_main`, behind `python -m simultraj.cli` and the
-`simultraj` script, ends the process with os._exit on main's status, skipping the
-interpreter's teardown; it also flushes argparse's own output (-h, a usage error),
-so that output failing is exit 2 as well. Tools that report at exit (cProfile,
-coverage) see no end of such a process; profile `main` in-process.
+a simulate record is one session with its script, an eval record one run. Exit
+status: 0 all records clean, 1 some records rejected and the rest processed, 2
+hard error (a file or flag at fault, such as an unwritable stdout or stderr, or
+`stats` or `eval` accepting no record). `main` alone turns failures into a status,
+and flushes stdout and stderr before it returns. It never ends the process, so
+tests, the benchmark and library callers run it in-process. `process_main`, behind
+`python -m simultraj.cli` and the `simultraj` script, ends the process with
+os._exit on main's status, skipping the interpreter's teardown; it also flushes
+argparse's own output (-h, a usage error), so that output failing is exit 2 as
+well. Tools that report at exit (cProfile, coverage) see no end of such a process;
+profile `main` in-process.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from simultraj.simulator import (
     SELECT_KINDS,
     ScriptedModel,
     SelectStrategy,
-    SimulationError,
     dump_events_jsonl,
     load_events_jsonl,
     run as simulate_run,
@@ -319,20 +319,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _simulate_session(item: tuple, args: argparse.Namespace, strategy: SelectStrategy) -> bytes:
     """The event lines of one session, whose id is its 0-based source line."""
     idx, source, script = item
-    if not source:
-        raise ValueError("blank source line")
-    try:
-        model = ScriptedModel.from_obj(script)
-    except (TypeError, ValueError) as exc:
-        # No rounds list; a round, beam or word of the wrong JSON type; a lone surrogate.
-        raise SimulationError(f"session {idx}: malformed model script: {exc}") from None
     if isinstance(source, UnicodeDecodeError):
         raise source
-    try:
-        sim = simulate_run(source, model, chunk_size=args.chunk, strategy=strategy,
-                           prompt_mode=args.prompt, beam=args.beam, pair_id=idx)
-    except SimulationError as exc:
-        raise SimulationError(f"session {idx}: {exc}") from None
+    if not source:
+        raise ValueError("blank source line")
+    sim = simulate_run(source, ScriptedModel.from_obj(script), chunk_size=args.chunk, strategy=strategy,
+                       prompt_mode=args.prompt, beam=args.beam, pair_id=idx)
     dump_events_jsonl((sim,), out := io.StringIO())  # it writes str, as to in-memory callers
     return out.getvalue().encode()
 
@@ -461,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         _flush_outputs()
         return code
-    except (SimulationError, ValueError, OSError, RecursionError, ArithmeticError) as exc:
+    except (ValueError, OSError, RecursionError, ArithmeticError) as exc:
         return _failed(exc)
 
 

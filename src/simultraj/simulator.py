@@ -3,7 +3,8 @@
 Each round READs up to n source words, prompts a pluggable model for beam
 candidates, prunes them to a stable prefix (LCP / RALCP voting / greedy), and
 commits the prefix. Committed text is never modified. When the source is
-exhausted the round flushes: the top candidate is accepted in full.
+exhausted the round flushes: the top candidate is accepted in full. A script or
+model that cannot finish a session raises ValueError, which rejects the session.
 
 The simulation is word-level and model-agnostic. Prompts use the ``llama2``
 template with no system message (``format --system-msg`` affects only SFT
@@ -47,16 +48,12 @@ PROMPT_MODES = (CONVERSATIONAL, OFFLINE)
 SELECT_KINDS = ("lcp", "ralcp", "greedy")
 
 
-class SimulationError(RuntimeError):
-    pass
-
-
 class ModelPort(Protocol):
     def generate(self, context: str, beam: int) -> Sequence[Sequence[str]]:
         """Return up to `beam` candidate continuations (word sequences). A
         conversational `context` is only the text the round appends to the prompt,
         which a cache-aware engine feeds alone; an offline one is the whole prompt.
-        A model may keep what it is handed."""
+        A model may keep what it is handed. A ValueError rejects the session."""
 
 
 class ScriptedModel:
@@ -70,25 +67,28 @@ class ScriptedModel:
         self._cursor = 0
 
     @classmethod
-    def from_obj(cls, obj: dict) -> ScriptedModel:
-        if not isinstance(obj, dict) or not isinstance(obj.get("rounds"), list):
-            raise ValueError("scripted model needs a 'rounds' list of beam candidate lists")
-        # Each candidate must be a list of strings that the UTF-8 event log can
-        # hold; the first one that is not raises TypeError or UnicodeEncodeError.
-        rounds = []
-        for beam in obj["rounds"]:
-            candidates = []
-            for words in beam:
-                if type(words) is not list:
-                    raise TypeError(f"a candidate is a {type(words).__name__}, not a list of words")
-                " ".join(words).encode()
-                candidates.append(tuple(words))
-            rounds.append(tuple(candidates))
+    def from_obj(cls, obj: object) -> ScriptedModel:
+        """The model of a decoded script; ValueError("malformed model script: <reason>")
+        unless it holds a 'rounds' list of beams of word lists the UTF-8 log can hold."""
+        try:
+            if not isinstance(obj, dict) or not isinstance(obj.get("rounds"), list):
+                raise ValueError("scripted model needs a 'rounds' list of beam candidate lists")
+            rounds = []
+            for beam in obj["rounds"]:
+                candidates = []
+                for words in beam:
+                    if type(words) is not list:
+                        raise TypeError(f"a candidate is a {type(words).__name__}, not a list of words")
+                    " ".join(words).encode()
+                    candidates.append(tuple(words))
+                rounds.append(tuple(candidates))
+        except (TypeError, ValueError) as exc:  # ValueError: also UnicodeEncodeError
+            raise ValueError(f"malformed model script: {exc}") from None
         return cls(tuple(rounds))
 
     def generate(self, context: str, beam: int) -> list[tuple[str, ...]]:
         if self._cursor >= len(self.rounds):
-            raise SimulationError(f"script exhausted at round {self._cursor}")
+            raise ValueError(f"script exhausted at round {self._cursor}")
         out = list(self.rounds[self._cursor][:beam])
         self._cursor += 1
         return out
@@ -253,7 +253,7 @@ def run(
         context = appended if conversational else offline_prompt(source[:read], committed, LLAMA2)
         candidates = model.generate(context, beam)
         if not candidates:
-            raise SimulationError(f"model returned no candidates at round {rnd}")
+            raise ValueError(f"model returned no candidates at round {rnd}")
         beam_words = tuple(map(tuple, candidates))
 
         if read < len(source):

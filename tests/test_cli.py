@@ -128,29 +128,41 @@ def test_curate_debug_keeps_indices(tmp_path):
 
 def test_simulate_rejects_malformed_model_file(tmp_path, capsys):
     (tmp_path / "src.txt").write_text("a b\n", encoding="utf-8")
-    for model, message in (('{"beams": []}', "error: model file must hold a JSON list of scripts"),
-                           ('[{"beams": []}]', "rounds"),
-                           # A whole first script, then the end of the file where ',' or ']' belongs.
-                           ('[{"rounds": [[["A","B"]]]}', "error: model file ends inside its script list")):
+    for model, code, message in (
+            ('{"beams": []}', 2, "error: model file must hold a JSON list of scripts"),
+            # A file of one script with no rounds list: that script's session is rejected.
+            ('[{"beams": []}]', 1, "line 1 rejected: malformed model script: scripted model needs a 'rounds' list"),
+            # A whole first script, then the end of the file where ',' or ']' belongs.
+            ('[{"rounds": [[["A","B"]]]}', 2, "error: model file ends inside its script list")):
         (tmp_path / "model.json").write_text(model, encoding="utf-8")
         (tmp_path / "e.jsonl").write_text("old\n", encoding="utf-8")
         assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
                      str(tmp_path / "model.json"), "--chunk", "2",
-                     "--out", str(tmp_path / "e.jsonl")]) == 2
+                     "--out", str(tmp_path / "e.jsonl")]) == code
         assert message in capsys.readouterr().err
     assert (tmp_path / "e.jsonl").read_bytes() == b""  # no session is written before the list ends
 
 
-def test_simulate_script_too_short_is_hard_error_naming_session(tmp_path, capsys):
-    (tmp_path / "src.txt").write_text("a b\nc d e\n", encoding="utf-8")
-    scripts = [{"rounds": [[["A", "B"]]]}, {"rounds": [[["C"]]]}]  # session 1 needs 2 rounds
+def simulate_greedy(tmp_path, capsys, src, scripts):
+    """simulate --chunk 2 --beam 1 --select greedy on a source text and a list of
+    scripts: its exit code, its stderr lines after the config and its event log."""
+    (tmp_path / "src.txt").write_text(src, encoding="utf-8")
     (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
-    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
-                 str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
-                 "--select", "greedy", "--out", str(tmp_path / "e.jsonl")]) == 2
-    err = capsys.readouterr().err
-    assert "error: session 1: script exhausted at round 1" in err
-    assert "Traceback" not in err
+    code = main(["simulate", "--src", str(tmp_path / "src.txt"), "--model", str(tmp_path / "model.json"),
+                 "--chunk", "2", "--beam", "1", "--select", "greedy", "--out", str(tmp_path / "e.jsonl")])
+    return code, capsys.readouterr().err.splitlines()[1:], (tmp_path / "e.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("script, reason", [
+    ({"rounds": [[["C"]]]}, "script exhausted at round 1"),
+    ({"rounds": [[["C"]], []]}, "model returned no candidates at round 1"),
+], ids=["too-short", "empty-beam"])
+def test_simulate_script_out_of_candidates_rejects_its_session(tmp_path, capsys, script, reason):
+    scripts = [{"rounds": [[["A", "B"]]]}, script]  # session 1 needs 2 rounds
+    code, reasons, events = simulate_greedy(tmp_path, capsys, "a b\nc d e\n", scripts)
+    assert (code, reasons) == (1, [f"line 2 rejected: {reason}"])
+    # Session 0's events are those of a clean run.
+    assert simulate_greedy(tmp_path, capsys, "a b\n", scripts[:1]) == (0, [], events)
 
 
 def test_augment_seed_repeatable(tmp_path):
@@ -296,15 +308,11 @@ def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys
                                        "surrogates not allowed"),
 ], ids=[f"script{i}" for i in range(7)])
 def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys, script, reason):
-    (tmp_path / "src.txt").write_text("a b\nc d\n", encoding="utf-8")
+    """A malformed script rejects its session; the other session runs as in a clean run."""
     scripts = [{"rounds": [[["A", "B"]]]}, script]
-    (tmp_path / "model.json").write_text(json.dumps(scripts), encoding="utf-8")
-    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
-                 str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
-                 "--select", "greedy", "--out", str(tmp_path / "e.jsonl")]) == 2
-    err = capsys.readouterr().err
-    assert f"\nerror: session 1: malformed model script: {reason}\n" in err
-    assert "Traceback" not in err
+    code, reasons, events = simulate_greedy(tmp_path, capsys, "a b\nc d\n", scripts)
+    assert (code, reasons) == (1, [f"line 2 rejected: malformed model script: {reason}"])
+    assert simulate_greedy(tmp_path, capsys, "a b\n", scripts[:1]) == (0, [], events)
 
 
 def test_simulate_model_list_length_mismatch_errors(tmp_path):
@@ -1438,10 +1446,14 @@ def test_simulate_number_cut_by_a_read_is_reported_as_with_whole_reads(tmp_path,
         if block:
             monkeypatch.setattr(jsonl, "MODEL_BLOCK", block)
         code = simulate(tmp_path / "src.txt", tmp_path / "m.json", tmp_path / "e.jsonl")
-        results.append((code, capsys.readouterr().err.splitlines()[-1]))
+        results.append((code, capsys.readouterr().err.splitlines()[1:]))
     assert results[0] == results[1]
-    assert results[0][0] == 2
-    assert results[0][1].startswith("error: session 0: malformed model script: ")
+    # A number is a script with no rounds list, which rejects the one session.
+    reason = "line 1 rejected: malformed model script: scripted model needs a 'rounds' list of beam candidate lists"
+    if model == "[1.5e-3, {}]":  # then the second script has no source line
+        assert results[0] == (2, [reason, "error: model file has 2 scripts for 1 non-blank source lines"])
+    else:
+        assert results[0] == (1, [reason])
 
 
 def test_model_syntax_error_is_raised_without_reading_on(tmp_path, monkeypatch):

@@ -89,7 +89,10 @@ PROCESS_CASES = {
     "stats-hard": (2, ["stats", "--in", "missing.jsonl"]),
     "simulate-clean": (0, SIMULATE + ["sim_src.txt"]),
     "simulate-rejected": (1, SIMULATE + ["blank_src.txt"]),
-    "simulate-hard": (2, SIMULATE + ["sim_src.txt", "--model", "bad_model.json"]),
+    # A script with no rounds list rejects its session; the other session runs.
+    "simulate-rejected-script": (1, SIMULATE + ["sim_src.txt", "--model", "bad_model.json"]),
+    # A model file one script short of the source lines.
+    "simulate-hard": (2, SIMULATE + ["sim_src.txt", "--model", "short_model.json"]),
     "simulate-non-utf8": (1, SIMULATE + ["non_utf8_sim_src.txt"]),
     "eval-clean": (0, ["eval", "--events", "events.jsonl"]),
     # A line with no id rejects the run before it; the other run is reported.
@@ -125,6 +128,7 @@ def inputs(tmp_path_factory):
     (work / "blank_src.txt").write_text("\n" + sim_src.read_text(encoding="utf-8"), encoding="utf-8")
     (work / "non_utf8_sim_src.txt").write_bytes(b"\xff" + sim_src.read_bytes())
     (work / "bad_model.json").write_text(json.dumps([scripts[0], {"beams": []}]), encoding="utf-8")
+    (work / "short_model.json").write_text(json.dumps(scripts[:1]), encoding="utf-8")
     assert main(["simulate", "--src", str(sim_src), "--model", str(model), "--chunk", "3",
                  "--out", str(work / "events.jsonl")]) == 0
     (work / "bad_events.jsonl").write_text((work / "events.jsonl").read_text(encoding="utf-8") + "[1, 2]\n",

@@ -12,7 +12,7 @@ from simultraj import alignment, augment, metrics, monotonic, sftformat, simulat
 from simultraj.alignment import AlignmentError, SentencePair
 from simultraj.augment import AugmentConfig, merge, shift
 from simultraj.monotonic import MonotonicPlan
-from simultraj.simulator import GREEDY, ScriptedModel, SelectStrategy, SimulationError, run, scripted_echo
+from simultraj.simulator import GREEDY, ScriptedModel, SelectStrategy, run, scripted_echo
 from simultraj.trajectory import MERGED, Chunk, Trajectory, build_meta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,7 +106,7 @@ ONE_CHUNK_META = Trajectory((Chunk(2, 2),), make_pair(2, 2))
         (lambda: run(["a"], scripted_echo(["a"], 1), 1, GREEDY, prompt_mode="x"), ValueError,
          "prompt_mode must be one of ('conversational', 'offline')"),
         (lambda: run([], scripted_echo([], 1), 1, GREEDY), ValueError, "empty source"),
-        (lambda: run(["a", "b"], ScriptedModel(((("A",),), ())), 1, GREEDY), SimulationError,
+        (lambda: run(["a", "b"], ScriptedModel(((("A",),), ())), 1, GREEDY), ValueError,
          "model returned no candidates at round 1"),
         (lambda: build_meta(MonotonicPlan((1, 2), (), 2), make_pair(2, 3, 4)), ValueError,
          "record 4: plan shape does not match sentence pair"),

@@ -17,7 +17,6 @@ from simultraj.simulator import (
     ScriptedModel,
     SelectStrategy,
     SimEvent,
-    SimulationError,
     dump_events_jsonl,
     load_events_jsonl,
     run,
@@ -248,7 +247,7 @@ def test_zero_candidates_mid_stream_raises():
         def generate(self, context, beam):
             return []
 
-    with pytest.raises(SimulationError):
+    with pytest.raises(ValueError, match="^model returned no candidates at round 0$"):
         run(["a", "b"], EmptyModel(), chunk_size=1, strategy=GREEDY, beam=1)
 
 
@@ -257,7 +256,7 @@ def test_scripted_model_file_round_trip(tmp_path):
     path.write_text(json.dumps({"rounds": [[["w1", "w2"], ["w1", "w3"]]]}), encoding="utf-8")
     model = ScriptedModel.from_obj(json.loads(path.read_text(encoding="utf-8")))
     assert model.generate("ctx", 2) == [("w1", "w2"), ("w1", "w3")]
-    with pytest.raises(SimulationError):
+    with pytest.raises(ValueError, match="^script exhausted at round 1$"):
         model.generate("ctx", 2)
 
 
