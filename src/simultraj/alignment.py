@@ -17,10 +17,6 @@ from collections import namedtuple
 from typing import Collection
 
 
-class AlignmentError(ValueError):
-    """Malformed or out-of-bounds alignment input."""
-
-
 # typing.NamedTuple refuses __new__, so a record that validates subclasses a namedtuple.
 class SentencePair(namedtuple("SentencePair", "source target id")):
     """One bitext record: whitespace-tokenized source and target words."""
@@ -30,7 +26,7 @@ class SentencePair(namedtuple("SentencePair", "source target id")):
     def __new__(cls, source: tuple[str, ...], target: tuple[str, ...], id: int = 0) -> SentencePair:
         for side, words in (("source", source), ("target", target)):
             if not words:
-                raise AlignmentError(f"record {id}: empty {side} sentence")
+                raise ValueError(f"record {id}: empty {side} sentence")
             try:
                 # Words that are non-empty and hold no whitespace come back
                 # unchanged from a join and a split, in C.
@@ -40,7 +36,7 @@ class SentencePair(namedtuple("SentencePair", "source target id")):
                 pass
             for w in words:  # name the first bad word
                 if not isinstance(w, str) or not w or w.split() != [w]:
-                    raise AlignmentError(
+                    raise ValueError(
                         f"record {id}: bad {side} word {w!r} (empty or contains whitespace)"
                     )
         return tuple.__new__(cls, (source, target, id))
@@ -66,7 +62,7 @@ def parse_pharaoh(
 ) -> frozenset[tuple[int, int]]:
     """Parse one Pharaoh line (`i-j` pairs, 0-based) into a frozenset of 1-based links.
 
-    A blank line is a valid empty alignment. Raises AlignmentError on a token
+    A blank line is a valid empty alignment. Raises ValueError on a token
     that is not ASCII digits, `-`, ASCII digits, or on an index outside the
     sentence lengths.
     """
@@ -76,10 +72,10 @@ def parse_pharaoh(
         left, _, right = token.partition("-")
         # isdigit alone also passes non-ASCII digits, which int() would read.
         if not (left.isdigit() and right.isdigit() and (ascii_line or token.isascii())):
-            raise AlignmentError(f"record {record_id}: malformed alignment token {token!r}")
+            raise ValueError(f"record {record_id}: malformed alignment token {token!r}")
         i0, j0 = int(left), int(right)
         if not (i0 < source_len and j0 < target_len):
-            raise AlignmentError(
+            raise ValueError(
                 f"record {record_id}: link ({i0},{j0}) out of range for "
                 f"I={source_len}, J={target_len}"
             )
@@ -88,11 +84,11 @@ def parse_pharaoh(
 
 
 def check_links(pair: SentencePair, links: Collection[tuple[int, int]]) -> None:
-    """Raise AlignmentError naming a 1-based link outside 1 <= i <= I, 1 <= j <= J."""
+    """Raise ValueError naming a 1-based link outside 1 <= i <= I, 1 <= j <= J."""
     source_len, target_len = len(pair.source), len(pair.target)
     for i, j in links:
         if not (0 < i <= source_len and 0 < j <= target_len):
-            raise AlignmentError(
+            raise ValueError(
                 f"record {pair.id}: link ({i},{j}) out of bounds for lengths I={source_len}, J={target_len}"
             )
 
@@ -100,7 +96,7 @@ def check_links(pair: SentencePair, links: Collection[tuple[int, int]]) -> None:
 def sufficient_sets(pair: SentencePair, links: Collection[tuple[int, int]]) -> tuple[frozenset[int], ...]:
     """Invert the 1-based links: for each target, 0-based, the 1-based source
     positions it links to. Empty sets are allowed; a link outside the pair
-    raises AlignmentError."""
+    raises ValueError."""
     check_links(pair, links)
     buckets: list[set[int]] = [set() for _ in range(pair.target_len)]
     for i, j in links:

@@ -34,7 +34,7 @@ from itertools import chain, zip_longest
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 # sufficient_sets is not called here; bench/tracer.py wraps it under this module.
-from simultraj.alignment import AlignmentError, SentencePair, parse_pharaoh, sufficient_sets
+from simultraj.alignment import SentencePair, parse_pharaoh, sufficient_sets
 from simultraj.augment import AugmentConfig, augment_pipeline
 from simultraj.jsonl import decode_line, encode_json, error_text, jsonl_line, read_lines, read_records, read_scripts
 from simultraj.metrics import CostModel, corpus_stats, corpus_stats_table, events_report, run_latency
@@ -263,7 +263,7 @@ def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]
 def _curate_items(rows: Iterator, paths: tuple[str, ...]) -> Iterator[tuple[int, bytes, bytes, bytes]]:
     for idx, lines in enumerate(rows):
         if None in lines:  # one file ran out of lines before another
-            raise AlignmentError(f"line count mismatch among {', '.join(paths)} at line {idx + 1}")
+            raise ValueError(f"line count mismatch among {', '.join(paths)} at line {idx + 1}")
         (_, src), (_, tgt), (_, align) = lines
         yield idx, src, tgt, align
 

@@ -45,7 +45,7 @@ def plan_links(pair: SentencePair, links: Collection[tuple[int, int]]) -> Monoto
     """The plan `monotonicize(sufficient_sets(pair, links), I)` returns, from
     the 1-based links in one pass: the highest source position per target (0
     for a target with no link), then the running max. A link outside the pair
-    raises AlignmentError, as in `sufficient_sets`."""
+    raises ValueError, as in `sufficient_sets`."""
     _check_shape(pair.target_len, pair.source_len)
     check_links(pair, links)
     top = [0] * pair.target_len

@@ -75,6 +75,8 @@ class ScriptedModel:
                 raise ValueError("scripted model needs a 'rounds' list of beam candidate lists")
             rounds = []
             for beam in obj["rounds"]:
+                if type(beam) is not list:
+                    raise TypeError(f"a beam is a {type(beam).__name__}, not a list of candidates")
                 candidates = []
                 for words in beam:
                     if type(words) is not list:

@@ -91,17 +91,25 @@ def test_curate_empty_alignment_single_chunk(tmp_path):
     assert record["chunks"][0]["write"] == ["x", "y"]
 
 
-def test_curate_rejects_bad_record_nonzero_exit(tmp_path, capsys):
-    (tmp_path / "s").write_text("a b\nc\n", encoding="utf-8")
-    (tmp_path / "t").write_text("x\ny\n", encoding="utf-8")
-    (tmp_path / "a").write_text("9-9\n0-0\n", encoding="utf-8")
-    out = tmp_path / "meta.jsonl"
-    assert main(["curate", "--src", str(tmp_path / "s"), "--tgt", str(tmp_path / "t"),
-                 "--align", str(tmp_path / "a"), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "\nline 1 rejected: record 0: " in err
-    # the good record still goes through
-    assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+def test_curate_rejects_bad_record_nonzero_exit(tmp_path, capsys, monkeypatch, no_leftover_children):
+    """A link past the sentence is named once, by its 0-based Pharaoh indices,
+    and the other pair's record is written as in a clean run."""
+    two_usable_cpus(monkeypatch)
+    for name, text in (("s", "a b\nc d\n"), ("t", "x y\nz w\n"), ("a", "0-0 5-1\n0-0 1-1\n"),
+                       ("clean", "0-0 1-1\n0-0 1-1\n")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    pair = ["curate", "--src", str(tmp_path / "s"), "--tgt", str(tmp_path / "t")]
+    assert main([*pair, "--align", str(tmp_path / "clean"), "--out", str(tmp_path / "clean.jsonl")]) == 0
+    capsys.readouterr()
+    expected = (tmp_path / "clean.jsonl").read_bytes().splitlines(keepends=True)[1]
+    assert json.loads(expected)["id"] == 1
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.jsonl"
+        argv = [*pair, "--align", str(tmp_path / "a"), "--out", str(out), "--workers", workers]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "line 1 rejected: record 0: link (5,1) out of range for I=2, J=2"]
+        assert out.read_bytes() == expected
 
 
 def test_curate_debug_keeps_indices(tmp_path):
@@ -295,7 +303,7 @@ def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys
 
 
 @pytest.mark.parametrize("script, reason", [
-    ({"rounds": [5]}, "'int' object is not iterable"),
+    ({"rounds": [5]}, "a beam is a int, not a list of candidates"),
     ({"rounds": [[5]]}, "a candidate is a int, not a list of words"),
     ({"rounds": [[["A", 1]]]}, "sequence item 1: expected str instance, int found"),
     ({"beams": []}, "scripted model needs a 'rounds' list of beam candidate lists"),
@@ -306,7 +314,11 @@ def test_simulate_blank_line_rejected_and_ids_stay_line_numbers(tmp_path, capsys
     # a word that the UTF-8 event log cannot hold
     ({"rounds": [[["C", "\ud800"]]]}, "'utf-8' codec can't encode character '\\ud800' in position 2: "
                                        "surrogates not allowed"),
-], ids=[f"script{i}" for i in range(7)])
+    # a beam given as an object or a string, not a list of candidates
+    ({"rounds": [{}]}, "a beam is a dict, not a list of candidates"),
+    ({"rounds": [{"x": 1}]}, "a beam is a dict, not a list of candidates"),
+    ({"rounds": ["AB"]}, "a beam is a str, not a list of candidates"),
+], ids=[f"script{i}" for i in range(10)])
 def test_simulate_malformed_script_is_hard_error_naming_session(tmp_path, capsys, script, reason):
     """A malformed script rejects its session; the other session runs as in a clean run."""
     scripts = [{"rounds": [[["A", "B"]]]}, script]

@@ -154,6 +154,7 @@ def test_link_outside_the_pair_is_rejected_by_name(reader, link):
     message = f"record 7: link ({link[0]},{link[1]}) out of bounds for lengths I=2, J=2"
     with pytest.raises(ValueError) as exc:
         reader(pair, frozenset({link, (1, 1)}))
+    assert type(exc.value) is ValueError
     assert str(exc.value) == message
 
 

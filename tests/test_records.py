@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_pair
 from simultraj import alignment, augment, metrics, monotonic, sftformat, simulator, trajectory
-from simultraj.alignment import AlignmentError, SentencePair
+from simultraj.alignment import SentencePair
 from simultraj.augment import AugmentConfig, merge, shift
 from simultraj.monotonic import MonotonicPlan
 from simultraj.simulator import GREEDY, ScriptedModel, SelectStrategy, run, scripted_echo
@@ -74,13 +74,25 @@ def test_record_rejects_attribute_assignment(cls):
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: SentencePair((), ("x",), 4), AlignmentError, "record 4: empty source sentence"),
-        (lambda: SentencePair(("a",), ()), AlignmentError, "record 0: empty target sentence"),
-        (lambda: SentencePair(("a b",), ("x",)), AlignmentError, "bad source word 'a b'"),
-        (lambda: SentencePair(source=("a",), target=("",)), AlignmentError, "bad target word ''"),
-        (lambda: SentencePair(("a", None), ("x",)), AlignmentError, "record 0: bad source word None"),
-        (lambda: SentencePair(("a", 5), ("x",)), AlignmentError, "record 0: bad source word 5"),
-        (lambda: SentencePair(("a",), ("x", "y\tz")), AlignmentError, "bad target word 'y\\tz'"),
+        pytest.param(lambda: SentencePair((), ("x",), 4), ValueError,
+                     "record 4: empty source sentence", id="pair-empty-source"),
+        pytest.param(lambda: SentencePair(("a",), ()), ValueError,
+                     "record 0: empty target sentence", id="pair-empty-target"),
+        pytest.param(lambda: SentencePair(("a b",), ("x",)), ValueError,
+                     "record 0: bad source word 'a b' (empty or contains whitespace)",
+                     id="pair-source-word-space"),
+        pytest.param(lambda: SentencePair(source=("a",), target=("",)), ValueError,
+                     "record 0: bad target word '' (empty or contains whitespace)",
+                     id="pair-target-word-empty"),
+        pytest.param(lambda: SentencePair(("a", None), ("x",)), ValueError,
+                     "record 0: bad source word None (empty or contains whitespace)",
+                     id="pair-source-word-none"),
+        pytest.param(lambda: SentencePair(("a", 5), ("x",)), ValueError,
+                     "record 0: bad source word 5 (empty or contains whitespace)",
+                     id="pair-source-word-int"),
+        pytest.param(lambda: SentencePair(("a",), ("x", "y\tz")), ValueError,
+                     "record 0: bad target word 'y\\tz' (empty or contains whitespace)",
+                     id="pair-target-word-tab"),
         (lambda: AugmentConfig(delta_min=0), ValueError, "delta_min must be >= 1"),
         (lambda: AugmentConfig(3, 2), ValueError, "delta_max must be >= delta_min"),
         (lambda: AugmentConfig(beta=1.5), ValueError, "beta must be in [0, 1]"),
@@ -92,7 +104,8 @@ def test_record_rejects_attribute_assignment(cls):
 def test_validating_record_rejects_bad_values(build, error, message):
     with pytest.raises(error) as exc:
         build()
-    assert message in str(exc.value)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 ONE_CHUNK_META = Trajectory((Chunk(2, 2),), make_pair(2, 2))
@@ -138,8 +151,9 @@ def test_library_guard_rejects_bad_arguments(call, error, message):
     ids=["source-empty", "target-empty", "source-whitespace", "target-whitespace", "both-empty"],
 )
 def test_from_text_rejects_an_empty_side(source, target, message):
-    with pytest.raises(AlignmentError) as exc:
+    with pytest.raises(ValueError) as exc:
         SentencePair.from_text(source, target, 5)
+    assert type(exc.value) is ValueError
     assert str(exc.value) == message
 
 

@@ -86,7 +86,7 @@ curate_rejected.stderr 26ce130dc97ef8165a5d01f6cdb890e2d10a3be315d6bf22685395065
 augment_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
 format_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
 stats_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
-simulate_rejected.stderr de8884c93b3c02e3dec2a9ed72974b45cfd34217df07134308caa37755cf1e88
+simulate_rejected.stderr 558bc454f370c04226b4775cd23ad611954e5fe339d9bbeb2dd5a8e711ce05c4
 eval_rejected.stderr 05f9bc92023b32599ed72c0ff702452060990adb6bfc50ab7402dc24731add10
 """
 
