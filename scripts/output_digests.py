@@ -13,7 +13,8 @@ eval the first 5,000 of its source lines with a scripted beam model from
 simulate also reads the same scripts pretty-printed (``indent=1``), which must
 give the bytes of the compact file, and a one-script list for a file of just
 the first source line. eval runs once per cost pair (1.0/1.0 and 0.7/1.3) on
-the RALCP events; each run reports both prompt modes.
+the RALCP events; its stdout, one report of both prompt modes, is its only
+output.
 
 Then each per-record stage runs once more on a damaged copy of its input, and
 one ``<stage>_rejected.stderr <sha256>`` line is printed for its rejection
@@ -53,7 +54,6 @@ def runs(work: Path, corpus: dict, sim: dict, seed: int):
     work; the one ending in .stdout receives the run's standard output."""
     curate = ["curate", "--src", str(corpus["src"]), "--tgt", str(corpus["tgt"]), "--align", str(corpus["align"])]
     yield [*curate, "--out", str(work / "meta.jsonl")], ("meta.jsonl",)
-    yield [*curate, "--debug", "--out", str(work / "meta_debug.jsonl")], ("meta_debug.jsonl",)
     yield [*curate, "--workers", "2", "--out", str(work / "meta_w2.jsonl")], ("meta_w2.jsonl",)
     for suffix, workers in (("", "1"), ("_w2", "2")):
         yield (["augment", "--in", str(work / "meta.jsonl"), "--seed", str(seed), "--workers", workers,
@@ -77,8 +77,7 @@ def runs(work: Path, corpus: dict, sim: dict, seed: int):
     for c1, c2 in (("1.0", "1.0"), ("0.7", "1.3")):
         name = f"eval_{c1}_{c2}"
         yield (["eval", "--events", str(work / "events_ralcp_conversational.jsonl"),
-                "--cost-recompute", c1, "--cost-word", c2, "--csv", str(work / f"{name}.csv")],
-               (f"{name}.stdout", f"{name}.csv"))
+                "--cost-recompute", c1, "--cost-word", c2], (f"{name}.stdout",))
 
 
 def write_inputs(work: Path, pairs: int, seed: int) -> tuple[dict, dict]:

@@ -3,8 +3,8 @@
 Files are processed line-by-line in input order; optional process parallelism
 (--workers) never changes output bytes because all randomness is derived from
 the CLI seed and the record id. Only `simultraj.jsonl` opens inputs, cuts
-lines and codes JSON. Every stage opens its inputs, then its output, then
-reads: see `_open_output`.
+lines and codes JSON. `--out` is the one output file: a stage opens its inputs,
+then `--out`, then reads (see `_open_output`); `stats` and `eval` print instead.
 Every subcommand prints its resolved configuration to stderr for provenance; that
 line, the rejection reasons and the error line all go through `_note`, which never
 lets them reach stdout. Every stage runs its records through `_run_stage`, and
@@ -192,13 +192,13 @@ def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def _open_output(flag: str, path: str, *inputs: str) -> BinaryIO:
+def _open_output(path: str, *inputs: str) -> BinaryIO:
     """Open a stage's output for writing, after its inputs and before reading
     them: a missing input keeps an existing output's bytes, and an unwritable
     output stops the stage before it reads. ValueError if path names an input,
     which opening would empty."""
     if os.path.exists(path) and any(os.path.exists(p) and os.path.samefile(path, p) for p in inputs):
-        raise ValueError(f"{flag} {path} is also an input")
+        raise ValueError(f"--out {path} is also an input")
     return open(path, "wb")
 
 
@@ -219,7 +219,7 @@ def _run_stage(args: argparse.Namespace, worker: Callable, read: Callable, *inpu
                 failures += 1
                 _note(payload)
 
-    with nullcontext() if report else _open_output("--out", args.out, *inputs) as out:
+    with nullcontext() if report else _open_output(args.out, *inputs) as out:
         (report or out.writelines)(accepted())
     return 1 if failures else 0
 
@@ -248,11 +248,11 @@ def _read_trajectory(item: tuple[int, bytes]) -> Trajectory:
 
 # ----------------------------------------------------------------- curate
 
-def _curate_record(item: tuple[int, bytes, bytes, bytes], debug: bool) -> bytes:
+def _curate_record(item: tuple[int, bytes, bytes, bytes]) -> bytes:
     idx, src, tgt, align = item
     pair = SentencePair.from_text(src.decode(), tgt.decode(), idx)  # not UTF-8: a ValueError
     plan = plan_links(pair, parse_pharaoh(align.decode(), pair.source_len, pair.target_len, idx))
-    return jsonl_line(to_record(_verified(build_meta(plan, pair), plan), debug))
+    return jsonl_line(to_record(_verified(build_meta(plan, pair), plan)))
 
 
 def _iter_curate_inputs(*paths: str) -> Iterator[tuple[int, bytes, bytes, bytes]]:
@@ -269,17 +269,16 @@ def _curate_items(rows: Iterator, paths: tuple[str, ...]) -> Iterator[tuple[int,
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
-    worker = partial(_curate_record, debug=args.debug)
-    return _run_stage(args, worker, _iter_curate_inputs, args.src, args.tgt, args.align)
+    return _run_stage(args, _curate_record, _iter_curate_inputs, args.src, args.tgt, args.align)
 
 
 # ---------------------------------------------------------------- augment
 
-def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig, debug: bool) -> bytes:
+def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig) -> bytes:
     traj = _read_trajectory(item)
     if traj.provenance != META:
         raise ValueError(f"record {traj.pair_id}: provenance {traj.provenance!r} is not meta")
-    return jsonl_line(to_record(_verified(augment_pipeline(traj, cfg)), debug))
+    return jsonl_line(to_record(_verified(augment_pipeline(traj, cfg))))
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -290,7 +289,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         rho_min=args.rho_min,
         seed=args.seed,
     )
-    worker = partial(_augment_record, cfg=cfg, debug=args.debug)
+    worker = partial(_augment_record, cfg=cfg)
     return _run_stage(args, worker, read_records, args.in_path)
 
 
@@ -361,14 +360,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cost = CostModel(args.cost_recompute, args.cost_word)
 
     def report(latencies: Iterator) -> None:
-        with _open_output("--csv", args.csv, args.events) if args.csv else nullcontext() as csv:
-            totals = events_report(latencies)
-            data = totals._asdict()
-            print(encode_json(data))
-            print(totals.table())
-            if csv:
-                csv.write((",".join(data.keys()) + "\n").encode())
-                csv.write((",".join("" if v is None else str(v) for v in data.values()) + "\n").encode())
+        totals = events_report(latencies)
+        print(encode_json(totals._asdict()))
+        print(totals.table())
 
     return _run_stage(args, lambda run: run_latency(run[1], cost), load_events_jsonl, args.events, report=report)
 
@@ -388,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--debug", action="store_true", help="retain position indices in records")
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("augment", help="meta trajectories -> merged+shifted trajectories")
@@ -401,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-min", type=nonnegative_float, default=aug.rho_min)
     p.add_argument("--seed", type=int, default=aug.seed)
     p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--debug", action="store_true")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("format", help="trajectories -> SFT JSONL with loss masks")
@@ -432,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     cost = CostModel()
     p.add_argument("--cost-recompute", type=nonnegative_float, default=cost.per_recomputed_token)
     p.add_argument("--cost-word", type=nonnegative_float, default=cost.per_generated_word)
-    p.add_argument("--csv", default="")
     p.set_defaults(func=cmd_eval)
 
     return parser

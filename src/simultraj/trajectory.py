@@ -109,23 +109,18 @@ def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
     return violations + shape + insufficient
 
 
-def to_record(traj: Trajectory, debug_indices: bool = False) -> dict:
+def to_record(traj: Trajectory) -> dict:
     """JSON-ready record: each chunk's words are slices of the pair's word tuples
-    (arrays in JSON); 1-based positions only under debug."""
+    (arrays in JSON). A chunk's 1-based source positions are i+1..i+n_read, i the
+    words read before it; its target positions follow from the writes alike."""
     source, target = traj.pair.source, traj.pair.target
     chunks = []
-    indices = []
     i = j = 0
     for chunk in traj.chunks:
         ni, nj = i + chunk.n_read, j + chunk.n_write
         chunks.append({"read": source[i:ni], "write": target[j:nj], "shifted": chunk.shifted_prefix_len})
-        if debug_indices:
-            indices.append({"read": list(range(i + 1, ni + 1)), "write": list(range(j + 1, nj + 1))})
         i, j = ni, nj
-    record = {"id": traj.pair_id, "provenance": traj.provenance, "chunks": chunks}
-    if debug_indices:
-        record["indices"] = indices
-    return record
+    return {"id": traj.pair_id, "provenance": traj.provenance, "chunks": chunks}
 
 
 def from_record(record: object) -> Trajectory:

@@ -161,6 +161,18 @@ def write_read_counts(traj: Trajectory) -> list[int]:
     return counts
 
 
+def positions(traj: Trajectory) -> list[tuple[list[int], list[int]]]:
+    """Each chunk's 1-based source and target positions, built from the running
+    counts alone: a count past the sentence's end gives a position past it."""
+    spans = []
+    i = j = 0
+    for chunk in traj.chunks:
+        spans.append((list(range(i + 1, i + chunk.n_read + 1)), list(range(j + 1, j + chunk.n_write + 1))))
+        i += chunk.n_read
+        j += chunk.n_write
+    return spans
+
+
 def read_counts_before_write(traj: Trajectory, plan: MonotonicPlan) -> list[int]:
     """Like write_read_counts, but the final chunk's trailing flush (source past
     every write requirement) is read after the writes, not before.
@@ -368,7 +380,7 @@ def ref_cache_savings(sim: SimRun) -> dict[str, int]:
 # Position-tuple reference for trajectory construction, augmentation, records
 # and verify: each chunk lists the 1-based source and target positions it reads
 # and writes. The library stores counts instead; the differential test in
-# test_augment.py checks that both give the same records and verdicts.
+# test_augment.py checks that both give the same records, positions and verdicts.
 
 
 class RefChunk(NamedTuple):
@@ -500,8 +512,8 @@ def count_verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[st
     return violations
 
 
-def ref_to_record(traj: RefTrajectory, debug_indices: bool = False) -> dict:
-    record: dict = {
+def ref_to_record(traj: RefTrajectory) -> dict:
+    return {
         "id": traj.pair.id,
         "provenance": traj.provenance,
         "chunks": [
@@ -513,11 +525,6 @@ def ref_to_record(traj: RefTrajectory, debug_indices: bool = False) -> dict:
             for chunk in traj.chunks
         ],
     }
-    if debug_indices:
-        record["indices"] = [
-            {"read": list(chunk.read), "write": list(chunk.write)} for chunk in traj.chunks
-        ]
-    return record
 
 
 # trajectory.from_record as it was before its C-checked path: one loop checks

@@ -18,6 +18,7 @@ from conftest import (
     brute_min_read_counts,
     make_pair,
     meta_of,
+    positions,
     random_case,
     read_counts_before_write,
     realised_trajectory,
@@ -37,7 +38,7 @@ from simultraj.simulator import (
     run,
     select_prefix,
 )
-from simultraj.trajectory import build_meta, from_record, to_record, verify
+from simultraj.trajectory import build_meta, from_record, verify
 
 
 def report(line: str) -> None:
@@ -69,13 +70,9 @@ def test_criterion_02_trajectory_soundness_10k():
         shifted = shift(merged, cfg, pair_rng)
         for stage in (meta, merged, shifted):
             assert verify(stage, plan) == []
-            indices = to_record(stage, debug_indices=True)["indices"]
-            assert [i for c in indices for i in c["read"]] == list(
-                range(1, pair.source_len + 1)
-            )
-            assert [j for c in indices for j in c["write"]] == list(
-                range(1, pair.target_len + 1)
-            )
+            spans = positions(stage)
+            assert [i for reads, _ in spans for i in reads] == list(range(1, pair.source_len + 1))
+            assert [j for _, writes in spans for j in writes] == list(range(1, pair.target_len + 1))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(f"criterion 2 PASS: 10,000 pairs sound at all three stages in {elapsed:.2f} s")

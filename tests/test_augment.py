@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     make_pair,
     meta_of,
+    positions,
     random_case,
     ref_build_meta,
     ref_merge,
@@ -178,11 +179,9 @@ def test_augment_preserves_invariants_and_words():
         shifted = shift(merged, cfg, pair_rng)
         for stage in (merged, shifted):
             assert verify(stage, plan) == []
-            indices = to_record(stage, debug_indices=True)["indices"]
-            reads = [i for c in indices for i in c["read"]]
-            writes = [j for c in indices for j in c["write"]]
-            assert reads == list(range(1, pair.source_len + 1))
-            assert writes == list(range(1, pair.target_len + 1))
+            spans = positions(stage)
+            assert [i for reads, _ in spans for i in reads] == list(range(1, pair.source_len + 1))
+            assert [j for _, writes in spans for j in writes] == list(range(1, pair.target_len + 1))
 
 
 @st.composite
@@ -207,9 +206,9 @@ def test_pipeline_sound_for_arbitrary_alignments(case):
     plan, meta = meta_of(pair, links)
     out = augment_pipeline(meta, AugmentConfig(seed=seed))
     assert verify(out, plan) == []
-    indices = to_record(out, debug_indices=True)["indices"]
-    assert [i for c in indices for i in c["read"]] == list(range(1, source_len + 1))
-    assert [j for c in indices for j in c["write"]] == list(range(1, target_len + 1))
+    spans = positions(out)
+    assert [i for reads, _ in spans for i in reads] == list(range(1, source_len + 1))
+    assert [j for _, writes in spans for j in writes] == list(range(1, target_len + 1))
 
 
 def test_augmentation_only_delays_writes():
@@ -254,8 +253,8 @@ def test_counts_match_position_tuple_reference(case, cfg):
     ref_merged = ref_merge(ref_meta, cfg, ref_rng)
     ref_shifted = ref_shift(ref_merged, cfg, ref_rng)
     for stage, ref in ((meta, ref_meta), (merged, ref_merged), (shifted, ref_shifted)):
-        for debug in (False, True):
-            assert json.dumps(to_record(stage, debug)) == json.dumps(ref_to_record(ref, debug))
+        assert json.dumps(to_record(stage)) == json.dumps(ref_to_record(ref))
+        assert positions(stage) == [(list(c.read), list(c.write)) for c in ref.chunks]
         assert verify(stage) == ref_verify(ref)
         assert verify(stage, plan) == ref_verify(ref, plan)
     assert rng.random() == ref_rng.random()

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from simultraj.cli import build_parser, main
 from simultraj.jsonl import decode_line
 from simultraj.metrics import corpus_stats, corpus_stats_table
 from simultraj.trajectory import from_record
-from conftest import write_sim_case, write_toy_corpus
+from conftest import positions, write_sim_case, write_toy_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -112,26 +111,53 @@ def test_curate_rejects_bad_record_nonzero_exit(tmp_path, capsys, monkeypatch, n
         assert out.read_bytes() == expected
 
 
-def test_curate_debug_keeps_indices(tmp_path):
-    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=20)
-    out = tmp_path / "meta.jsonl"
-    assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align),
-                 "--out", str(out), "--debug"]) == 0
-    record = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
-    assert record["indices"][0]["read"][0] == 1
-    augmented = tmp_path / "aug.jsonl"
-    assert main(["augment", "--in", str(out), "--out", str(augmented), "--debug"]) == 0
-    merged = 0
-    for meta_line, line in zip(out.read_text(encoding="utf-8").splitlines(),
-                               augmented.read_text(encoding="utf-8").splitlines(), strict=True):
-        meta, record = json.loads(meta_line), json.loads(line)
-        merged += len(record["chunks"]) < len(meta["chunks"])
-        for rec, side in product((meta, record), ("read", "write")):
-            # One 1-based position per word of each chunk, running through 1..I and 1..J in order.
-            assert [len(c[side]) for c in rec["indices"]] == [len(c[side]) for c in rec["chunks"]]
-            positions = [i for c in rec["indices"] for i in c[side]]
-            assert positions == list(range(1, len(positions) + 1))
-    assert merged > 0
+def test_record_with_indices_reads_as_without(tmp_path, capsys):
+    """A record may carry an `indices` list of each chunk's 1-based positions:
+    augment, format and stats ignore it, and write the bytes they write for
+    the record without it."""
+    assert curate(tmp_path, n_pairs=20)[0] == 0
+    plain = tmp_path / "meta.jsonl"
+    with_indices = tmp_path / "meta_indices.jsonl"
+    records = [json.loads(line) for line in plain.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        spans = positions(from_record(record))
+        record["indices"] = [{"read": reads, "write": writes} for reads, writes in spans]
+    with_indices.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    outputs = {}
+    for meta in (plain, with_indices):
+        aug, sft = tmp_path / f"{meta.stem}_aug.jsonl", tmp_path / f"{meta.stem}_sft.jsonl"
+        capsys.readouterr()
+        assert main(["augment", "--in", str(meta), "--seed", "3", "--out", str(aug)]) == 0
+        assert main(["format", "--in", str(meta), "--out", str(sft)]) == 0
+        assert main(["stats", "--in", str(meta)]) == 0
+        outputs[meta] = aug.read_bytes(), sft.read_bytes(), capsys.readouterr().out
+    assert outputs[with_indices] == outputs[plain]
+    assert b'"indices"' not in outputs[plain][0]
+
+
+@pytest.mark.parametrize("stage", ["curate", "augment", "eval"])
+def test_removed_output_flags_are_usage_errors(tmp_path, capsys, stage):
+    """curate --debug, augment --debug and eval --csv are not options: each is exit 2
+    with argparse's message, and no output file is created."""
+    src, tgt, align = write_toy_corpus(tmp_path, n_pairs=3)
+    meta, events, out = tmp_path / "meta.jsonl", tmp_path / "events.jsonl", tmp_path / "out"
+    assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(meta)]) == 0
+    sim_src, model, _ = write_sim_case(tmp_path, 2)
+    assert simulate(sim_src, model, events) == 0
+    argv, removed = {
+        "curate": (["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(out)],
+                   ["--debug"]),
+        "augment": (["augment", "--in", str(meta), "--out", str(out)], ["--debug"]),
+        "eval": (["eval", "--events", str(events)], ["--csv", str(out)]),
+    }[stage]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *removed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"simultraj: error: unrecognized arguments: {' '.join(removed)}"
+    assert not out.exists()
 
 
 def test_simulate_rejects_malformed_model_file(tmp_path, capsys):
@@ -335,19 +361,6 @@ def test_simulate_model_list_length_mismatch_errors(tmp_path):
                  "--out", str(tmp_path / "e.jsonl")]) == 2
 
 
-def test_eval_csv_output(tmp_path, capsys):
-    src, model = write_sim_inputs(tmp_path)
-    events = tmp_path / "events.jsonl"
-    csv_path = tmp_path / "report.csv"
-    assert main(["simulate", "--src", str(src), "--model", str(model), "--chunk", "2",
-                 "--beam", "3", "--select", "greedy", "--out", str(events)]) == 0
-    assert main(["eval", "--events", str(events), "--cost-recompute", "1.0",
-                 "--cost-word", "1.0", "--csv", str(csv_path)]) == 0
-    header, values = csv_path.read_text(encoding="utf-8").splitlines()
-    assert header.split(",")[0] == "runs"
-    assert values.split(",")[0] == "1"
-
-
 def test_simulate_then_eval(tmp_path, capsys):
     src, model = write_sim_inputs(tmp_path)
     events = tmp_path / "events.jsonl"
@@ -513,10 +526,10 @@ def _fails_on_record_7(monkeypatch, fail):
     monkeypatch.setattr(cli, "PMAP_BATCH", 3)
     curate_record = cli._curate_record
 
-    def curate_or_fail(item, debug):
+    def curate_or_fail(item):
         if item[0] == 7:
             fail()
-        return curate_record(item, debug)
+        return curate_record(item)
 
     monkeypatch.setattr(cli, "_curate_record", curate_or_fail)
 
@@ -622,8 +635,7 @@ def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
     assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model",
                  str(tmp_path / "model.json"), "--chunk", "2", "--beam", "1",
                  "--select", "greedy", "--out", str(events)]) == 0
-    csv_path = tmp_path / "report.csv"
-    assert main(["eval", "--events", str(events), "--csv", str(csv_path)]) == 0
+    assert main(["eval", "--events", str(events)]) == 0
     out = capsys.readouterr().out
     line = json.loads(out.splitlines()[0], parse_constant=_reject_constant)
     assert line["al_mean"] is None
@@ -632,7 +644,6 @@ def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
     assert line["runs"] == 1
     assert "n/a" in out
     assert "nan" not in out.lower()
-    assert csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")[1:4] == ["", "", ""]
 
 
 GOOD_META = {"id": 7, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}
@@ -1623,45 +1634,41 @@ def test_parent_memory_does_not_grow_with_records_at_two_workers(tmp_path, corpu
 # ---------------------------------------------------- --out naming an input
 
 def out_is_input_cases(tmp_path):
-    """(argv, the input the output names, flag) per stage that writes a file."""
+    """(argv, the input its --out names) per stage that writes a file."""
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=3)
     meta = tmp_path / "meta.jsonl"
     assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(meta)]) == 0
     sim_src, model, _ = write_sim_case(tmp_path, 2)
-    events = tmp_path / "events.jsonl"
-    assert simulate(sim_src, model, events) == 0
     curate = ["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out"]
     simulate_argv = ["simulate", "--src", str(sim_src), "--model", str(model), "--chunk", "3", "--out"]
     return {
-        "curate-src": (curate + [str(src)], src, "--out"),
-        "curate-align": (curate + [str(tmp_path / "." / "align.txt")], align, "--out"),
-        "augment": (["augment", "--in", str(meta), "--out", str(meta)], meta, "--out"),
-        "format": (["format", "--in", str(meta), "--out", str(meta)], meta, "--out"),
-        "simulate-src": (simulate_argv + [str(sim_src)], sim_src, "--out"),
-        "simulate-model": (simulate_argv + [str(model)], model, "--out"),
-        "eval": (["eval", "--events", str(events), "--csv", str(events)], events, "--csv"),
+        "curate-src": (curate + [str(src)], src),
+        "curate-align": (curate + [str(tmp_path / "." / "align.txt")], align),
+        "augment": (["augment", "--in", str(meta), "--out", str(meta)], meta),
+        "format": (["format", "--in", str(meta), "--out", str(meta)], meta),
+        "simulate-src": (simulate_argv + [str(sim_src)], sim_src),
+        "simulate-model": (simulate_argv + [str(model)], model),
     }
 
 
 @pytest.mark.parametrize("case", ["curate-src", "curate-align", "augment", "format", "simulate-src",
-                                  "simulate-model", "eval"])
+                                  "simulate-model"])
 def test_output_naming_an_input_is_hard_error(tmp_path, capsys, case):
-    argv, victim, flag = out_is_input_cases(tmp_path)[case]
+    argv, victim = out_is_input_cases(tmp_path)[case]
     before = victim.read_bytes()
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {flag} {argv[-1]} is also an input\n" in err
+    assert f"error: --out {argv[-1]} is also an input\n" in err
     assert victim.read_bytes() == before
 
 
 # ------------------------------------------- inputs opened before --out
 
-# Per stage: the flags of its inputs, and the flag of the file it writes.
-INPUT_FLAGS = {"curate": (("--src", "--tgt", "--align"), "--out"), "augment": (("--in",), "--out"),
-               "format": (("--in",), "--out"), "simulate": (("--src", "--model"), "--out"),
-               "eval": (("--events",), "--csv")}
-MISSING_INPUT_CASES = [(stage, flag, workers) for stage, (flags, _) in INPUT_FLAGS.items() for flag in flags
+# The flags of each input of each stage that writes --out.
+INPUT_FLAGS = {"curate": ("--src", "--tgt", "--align"), "augment": ("--in",), "format": ("--in",),
+               "simulate": ("--src", "--model")}
+MISSING_INPUT_CASES = [(stage, flag, workers) for stage, flags in INPUT_FLAGS.items() for flag in flags
                        for workers in (("1", "2") if stage in ("curate", "augment", "format") else (None,))]
 
 
@@ -1678,9 +1685,8 @@ def test_missing_input_leaves_the_output_as_it_was(tmp_path, capsys, monkeypatch
     paths = {("curate", "--src"): src, ("curate", "--tgt"): tgt, ("curate", "--align"): align,
              ("simulate", "--src"): sim_src, ("simulate", "--model"): model}
     missing, out = tmp_path / "missing.jsonl", tmp_path / "out.jsonl"
-    flags, out_flag = INPUT_FLAGS[stage]
-    argv = [stage, *(a for f in flags for a in (f, str(missing if f == flag else paths[stage, f]))),
-            out_flag, str(out), *(["--workers", workers] if workers else [])]
+    argv = [stage, *(a for f in INPUT_FLAGS[stage] for a in (f, str(missing if f == flag else paths[stage, f]))),
+            "--out", str(out), *(["--workers", workers] if workers else [])]
     if existing:
         out.write_bytes(b"keep")
     assert main(argv) == 2
@@ -1688,21 +1694,26 @@ def test_missing_input_leaves_the_output_as_it_was(tmp_path, capsys, monkeypatch
     assert out.read_bytes() == b"keep" if existing else not out.exists()
 
 
+def test_eval_missing_input_is_hard_error_with_empty_stdout(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(["eval", "--events", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [f"error: [Errno 2] No such file or directory: '{missing}'"]
+
+
 @pytest.mark.parametrize("stage", INPUT_FLAGS)
 def test_unwritable_output_is_hard_error_with_empty_stdout(tmp_path, capsys, stage):
     """Every writing stage opens its output before it reads its inputs: an
-    output under a missing directory is exit 2 with nothing on stdout, eval's
-    report included."""
+    output under a missing directory is exit 2 with nothing on stdout."""
     src, tgt, align = write_toy_corpus(tmp_path, n_pairs=3)
     sim_src, model, _ = write_sim_case(tmp_path, 2)
-    meta, events = tmp_path / "meta.jsonl", tmp_path / "events.jsonl"
+    meta = tmp_path / "meta.jsonl"
     assert main(["curate", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(meta)]) == 0
-    assert simulate(sim_src, model, events) == 0
-    inputs = {"curate": (src, tgt, align), "augment": (meta,), "format": (meta,), "simulate": (sim_src, model),
-              "eval": (events,)}
-    flags, out_flag = INPUT_FLAGS[stage]
+    inputs = {"curate": (src, tgt, align), "augment": (meta,), "format": (meta,), "simulate": (sim_src, model)}
     out = tmp_path / "no-such-dir" / "out"
-    argv = [stage, *(a for f, path in zip(flags, inputs[stage]) for a in (f, str(path))), out_flag, str(out)]
+    argv = [stage, *(a for f, path in zip(INPUT_FLAGS[stage], inputs[stage]) for a in (f, str(path))),
+            "--out", str(out)]
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -36,7 +36,7 @@ COMMANDS = {
                  ["sim_src.txt", "model.json"]),
     "eval": (["eval", "--events", "events.jsonl"], ["events.jsonl"]),
 }
-# The flags of each subcommand that take a value (--csv and --out name files).
+# The flags of each subcommand that take a value (--out names a file).
 VALUE_FLAGS = {
     "curate": ["--workers"],
     "augment": ["--delta-min", "--delta-max", "--beta", "--rho-min", "--seed", "--workers"],

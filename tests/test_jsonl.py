@@ -76,22 +76,18 @@ def test_reader_closes_its_file(tmp_path, opened, reader, text, end):
 
 
 def test_stage_that_fails_before_reading_closes_its_inputs(tmp_path, capsys, opened):
-    """An unwritable output, eval's --csv included, stops each stage after its
-    inputs are open: each is closed when the stage returns, without waiting
-    for a garbage collection."""
+    """An unwritable --out stops each stage after its inputs are open: each is
+    closed when the stage returns, without waiting for a garbage collection."""
     src, tgt, align = map(str, write_toy_corpus(tmp_path, n_pairs=3))
     meta = tmp_path / "meta.jsonl"
     assert main(["curate", "--src", src, "--tgt", tgt, "--align", align, "--out", str(meta)]) == 0
     sim_src, model, _ = map(str, write_sim_case(tmp_path, 2))
-    events = str(tmp_path / "events.jsonl")
-    assert main(["simulate", "--src", sim_src, "--model", model, "--chunk", "3", "--out", events]) == 0
     out = str(tmp_path / "no-such-dir" / "out.jsonl")
     stages = {
         "curate": ["curate", "--src", src, "--tgt", tgt, "--align", align, "--out"],
         "augment": ["augment", "--in", str(meta), "--out"],
         "format": ["format", "--in", str(meta), "--out"],
         "simulate": ["simulate", "--src", sim_src, "--model", model, "--out"],
-        "eval": ["eval", "--events", events, "--csv"],
     }
     for stage, argv in stages.items():
         opened.clear()

@@ -61,7 +61,6 @@ def test_sweep_chunk_sizes_default_sizes():
 # print the same lines.
 DIGESTS_40_3 = """\
 meta.jsonl c12061f735dd32b9a062c0efd489ebc4041b43f7ea4946abda463da90bad6efd
-meta_debug.jsonl 5265adf8ab12950f8237555660dd5aca6c2372206e696fb1031b4d404ce6d38e
 meta_w2.jsonl c12061f735dd32b9a062c0efd489ebc4041b43f7ea4946abda463da90bad6efd
 aug.jsonl 88a28c5ae06d227bbfebe7e89f222b2ade5c1cf7f0fbd45322ac649842bb5165
 sft.jsonl 2c4d2fdaf7444eb93ff1f69086f0c5ca32fb063b9275cd5e076ad72a6b9ef217
@@ -79,9 +78,7 @@ events_greedy_offline.jsonl b682d5dc6dda7221851ccd54c2fd4391176dc513a7258297163a
 events_indent.jsonl acf2ab4affd891733fa57cc030ada5eace0f1f307a3c01f5ba0e7fc61bd0bb81
 events_one.jsonl d3fd71932d3dc8a622ca0809df7d1e45f4c8234f7f24f3f328063d4c941d3eff
 eval_1.0_1.0.stdout 8470db849a76c2ff25144adf08187a5df4875846d098c4f9de7566aa1a6d8501
-eval_1.0_1.0.csv ef9fcd316348550b5e9f39bd9ff245dc4f8cfae36092274701dae579468393a3
 eval_0.7_1.3.stdout 2b5f563c99646dd1fddaae74332cc47542934ebd3e82e18584468c25ac560428
-eval_0.7_1.3.csv 797bbeaded732b048a04a5820ffa525e44b4a5da03cf4c9ec913953349b4cd71
 curate_rejected.stderr 26ce130dc97ef8165a5d01f6cdb890e2d10a3be315d6bf226853950651cdd9c8
 augment_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
 format_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
@@ -104,7 +101,7 @@ def test_output_digests_repeat_one_line_per_output():
     assert [proc.returncode for proc in procs] == [0, 0], first_err + second_err
     assert first == second == DIGESTS_40_3
     digests = dict(line.split(" ") for line in first.splitlines())
-    assert len(digests) == len(first.splitlines()) == 28
+    assert len(digests) == len(first.splitlines()) == 25
     assert all(len(digest) == 64 for digest in digests.values())
     for name in ("meta", "aug", "sft"):  # --workers 2 writes the serial bytes
         assert digests[f"{name}_w2.jsonl"] == digests[f"{name}.jsonl"]

@@ -10,6 +10,7 @@ from conftest import (
     count_verify,
     make_pair,
     meta_of,
+    positions,
     random_case,
     read_counts_before_write,
     ref_from_record,
@@ -255,6 +256,6 @@ def test_record_words_materialized():
     traj = build_meta(MonotonicPlan((1,), (), 2), pair)
     # Words are tuples in memory and arrays in JSON: compare what a reader gets.
     record = json.loads(json.dumps(to_record(traj)))
-    assert record["chunks"] == [{"read": ["s1", "s2"], "write": ["t1"], "shifted": 0}]
-    debug = json.loads(json.dumps(to_record(traj, debug_indices=True)))
-    assert debug["indices"] == [{"read": [1, 2], "write": [1]}]
+    assert record == {"id": 0, "provenance": "meta",
+                      "chunks": [{"read": ["s1", "s2"], "write": ["t1"], "shifted": 0}]}
+    assert positions(traj) == [([1, 2], [1])]
