@@ -13,8 +13,8 @@ eval the first 5,000 of its source lines with a scripted beam model from
 simulate also reads the same scripts pretty-printed (``indent=1``), which must
 give the bytes of the compact file, and a one-script list for a file of just
 the first source line. eval runs once per cost pair (1.0/1.0 and 0.7/1.3) on
-the RALCP events; its stdout, one report of both prompt modes, is its only
-output.
+the RALCP events; its stdout, one JSON line reporting both prompt modes, is
+its only output.
 
 Then each per-record stage runs once more on a damaged copy of its input, and
 one ``<stage>_rejected.stderr <sha256>`` line is printed for its rejection

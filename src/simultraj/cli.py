@@ -358,12 +358,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cost = CostModel(args.cost_recompute, args.cost_word)
-
-    def report(latencies: Iterator) -> None:
-        totals = events_report(latencies)
-        print(encode_json(totals._asdict()))
-        print(totals.table())
-
+    report = lambda latencies: print(encode_json(events_report(latencies)._asdict()))
     return _run_stage(args, lambda run: run_latency(run[1], cost), load_events_jsonl, args.events, report=report)
 
 

@@ -161,7 +161,8 @@ def _table(rows: list[tuple[str, ...]]) -> str:
 
 
 class LatencyReport(NamedTuple):
-    """Latency over an event log; the means are None when no run committed a word."""
+    """Latency over an event log, as `eval` prints it: one strict-JSON line of
+    these fields in order. The means are None (null) when no run committed a word."""
 
     runs: int
     al_mean: float | None
@@ -170,22 +171,6 @@ class LatencyReport(NamedTuple):
     rounds_total: int
     recompute_total_conversational: int
     recompute_total_offline: int
-
-    def table(self) -> str:
-        rows = [
-            ("runs", str(self.runs)),
-            ("AL (words, mean)", _fixed4(self.al_mean)),
-            ("WWT (simulated, mean) conversational", _fixed4(self.wwt_simulated_mean_conversational)),
-            ("WWT (simulated, mean) offline", _fixed4(self.wwt_simulated_mean_offline)),
-            ("rounds total", str(self.rounds_total)),
-            ("recompute total conversational", str(self.recompute_total_conversational)),
-            ("recompute total offline", str(self.recompute_total_offline)),
-        ]
-        return _table(rows)
-
-
-def _fixed4(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.4f}"
 
 
 # Every finite float is a whole number of 2**-_ULP_BITS (the least subnormal),

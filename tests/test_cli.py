@@ -14,7 +14,7 @@ import pytest
 from simultraj import cli, jsonl
 from simultraj.cli import build_parser, main
 from simultraj.jsonl import decode_line
-from simultraj.metrics import corpus_stats, corpus_stats_table
+from simultraj.metrics import LatencyReport, corpus_stats, corpus_stats_table
 from simultraj.trajectory import from_record
 from conftest import positions, write_sim_case, write_toy_corpus
 
@@ -372,7 +372,6 @@ def test_simulate_then_eval(tmp_path, capsys):
     line = json.loads(out.splitlines()[0])
     assert line["runs"] == 1
     assert line["recompute_total_conversational"] <= line["recompute_total_offline"]
-    assert "WWT (simulated" in out
 
 
 def test_eval_one_word_session_lags_one_word(tmp_path, capsys):
@@ -642,8 +641,28 @@ def test_eval_without_commits_prints_strict_json(tmp_path, capsys):
     assert line["wwt_simulated_mean_conversational"] is None
     assert line["wwt_simulated_mean_offline"] is None
     assert line["runs"] == 1
-    assert "n/a" in out
     assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["clean", "one-run-damaged"])
+def test_eval_prints_one_strict_json_line(tmp_path, capsys, damaged):
+    """eval's stdout is its report, one strict-JSON line of LatencyReport's
+    fields in order, whether every run is accepted (exit 0) or one is rejected (exit 1)."""
+    src, model, _ = write_sim_case(tmp_path, 3)
+    events = tmp_path / "events.jsonl"
+    assert main(["simulate", "--src", str(src), "--model", str(model), "--chunk", "3",
+                 "--out", str(events)]) == 0
+    if damaged:
+        records = [json.loads(line) for line in events.read_text(encoding="utf-8").splitlines()]
+        next(r for r in records if r["id"] == 1)["round"] = 5
+        events.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--events", str(events)]) == (1 if damaged else 0)
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert tuple(report) == LatencyReport._fields
+    assert report["runs"] == (2 if damaged else 3)
 
 
 GOOD_META = {"id": 7, "provenance": "meta", "chunks": [{"read": ["a"], "write": ["x"], "shifted": 0}]}

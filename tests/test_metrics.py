@@ -327,4 +327,3 @@ def test_events_report_aggregates():
     assert report.rounds_total == 2
     assert report.al_mean == run_average_lagging(sim)
     assert report.recompute_total_conversational < report.recompute_total_offline
-    assert "AL" in report.table()

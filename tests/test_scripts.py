@@ -77,8 +77,8 @@ events_greedy_conversational.jsonl b682d5dc6dda7221851ccd54c2fd4391176dc513a7258
 events_greedy_offline.jsonl b682d5dc6dda7221851ccd54c2fd4391176dc513a7258297163a17a17ef5abfe
 events_indent.jsonl acf2ab4affd891733fa57cc030ada5eace0f1f307a3c01f5ba0e7fc61bd0bb81
 events_one.jsonl d3fd71932d3dc8a622ca0809df7d1e45f4c8234f7f24f3f328063d4c941d3eff
-eval_1.0_1.0.stdout 8470db849a76c2ff25144adf08187a5df4875846d098c4f9de7566aa1a6d8501
-eval_0.7_1.3.stdout 2b5f563c99646dd1fddaae74332cc47542934ebd3e82e18584468c25ac560428
+eval_1.0_1.0.stdout 679234ae817f9c7c1bdb29e462e3208c6af8b7ee57cc91a4cf2b1cd53d378411
+eval_0.7_1.3.stdout 9fb4b58e7bf2157b97e96c37acb36ecd1af7200f3d67770c66279508a1f013b1
 curate_rejected.stderr 26ce130dc97ef8165a5d01f6cdb890e2d10a3be315d6bf226853950651cdd9c8
 augment_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
 format_rejected.stderr 514a40cb2bcaa24ad967093a24484b0dd85dcba09a42f8862bb6e091f8314cb8
