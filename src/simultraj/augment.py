@@ -61,7 +61,7 @@ def derive_rng(seed: int, pair_id: int) -> random.Random:
 def merge(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajectory:
     """Group delta consecutive chunks at a time, concatenating reads and writes."""
     if traj.provenance != META:
-        raise ValueError(f"merge expects a meta trajectory, got {traj.provenance!r}")
+        raise ValueError(f"record {traj.pair_id}: provenance {traj.provenance!r} is not meta")
     merged: list[Chunk] = []
     pos = 0
     while pos < len(traj.chunks):
@@ -76,7 +76,7 @@ def merge(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajector
 def shift(traj: Trajectory, cfg: AugmentConfig, rng: random.Random) -> Trajectory:
     """Move the tail of each selected WRITE into the next chunk's WRITE."""
     if traj.provenance != MERGED:
-        raise ValueError(f"shift expects a merged trajectory, got {traj.provenance!r}")
+        raise ValueError(f"record {traj.pair_id}: provenance {traj.provenance!r} is not merged")
     chunks = list(traj.chunks)
     for c in range(len(chunks) - 1):
         cur = chunks[c]

@@ -53,7 +53,7 @@ from simultraj.simulator import (
     load_events_jsonl,
     run as simulate_run,
 )
-from simultraj.trajectory import META, Trajectory, build_meta, from_record, to_record, verify
+from simultraj.trajectory import Trajectory, build_meta, from_record, to_record, verify
 
 
 def positive_int(text: str) -> int:
@@ -275,10 +275,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- augment
 
 def _augment_record(item: tuple[int, bytes], cfg: AugmentConfig) -> bytes:
-    traj = _read_trajectory(item)
-    if traj.provenance != META:
-        raise ValueError(f"record {traj.pair_id}: provenance {traj.provenance!r} is not meta")
-    return jsonl_line(to_record(_verified(augment_pipeline(traj, cfg))))
+    return jsonl_line(to_record(_verified(augment_pipeline(_read_trajectory(item), cfg))))
 
 
 def cmd_augment(args: argparse.Namespace) -> int:

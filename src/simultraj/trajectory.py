@@ -110,16 +110,10 @@ def verify(traj: Trajectory, plan: MonotonicPlan | None = None) -> list[str]:
 
 
 def to_record(traj: Trajectory) -> dict:
-    """JSON-ready record: each chunk's words are slices of the pair's word tuples
-    (arrays in JSON). A chunk's 1-based source positions are i+1..i+n_read, i the
-    words read before it; its target positions follow from the writes alike."""
-    source, target = traj.pair.source, traj.pair.target
-    chunks = []
-    i = j = 0
-    for chunk in traj.chunks:
-        ni, nj = i + chunk.n_read, j + chunk.n_write
-        chunks.append({"read": source[i:ni], "write": target[j:nj], "shifted": chunk.shifted_prefix_len})
-        i, j = ni, nj
+    """JSON-ready record: each chunk's words are the slices of the pair's word
+    tuples that `Trajectory.segments` cuts (arrays in JSON)."""
+    chunks = [{"read": read, "write": write, "shifted": chunk.shifted_prefix_len}
+              for chunk, read, write in traj.segments()]
     return {"id": traj.pair_id, "provenance": traj.provenance, "chunks": chunks}
 
 

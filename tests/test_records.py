@@ -126,9 +126,9 @@ ONE_CHUNK_META = Trajectory((Chunk(2, 2),), make_pair(2, 2))
         (lambda: build_meta(MonotonicPlan((1, 2), (), 3), make_pair(2, 2, 4)), ValueError,
          "record 4: plan shape does not match sentence pair"),
         (lambda: merge(ONE_CHUNK_META._replace(provenance=MERGED), AugmentConfig(), None), ValueError,
-         "merge expects a meta trajectory, got 'merged'"),
+         "record 0: provenance 'merged' is not meta"),
         (lambda: shift(ONE_CHUNK_META, AugmentConfig(), None), ValueError,
-         "shift expects a merged trajectory, got 'meta'"),
+         "record 0: provenance 'meta' is not merged"),
     ],
     ids=["run-chunk-0", "run-beam-0", "run-prompt-mode", "run-empty-source", "run-no-candidates",
          "build-meta-target-len", "build-meta-source-len", "merge-not-meta", "shift-not-merged"],
