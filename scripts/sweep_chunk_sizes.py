@@ -7,12 +7,13 @@ mean simulated WWT and total recompute in both prompt modes, from one pass over
 the event records. Shows the conversational-vs-offline recompute gap widening
 as rounds multiply.
 
+It prints one whitespace-aligned table, a row per chunk size.
+
 Usage:
-  python scripts/sweep_chunk_sizes.py --src toy/src.txt --csv sweep.csv
+  python scripts/sweep_chunk_sizes.py --src toy/src.txt
 """
 
 import argparse
-import csv
 import sys
 
 from simultraj.cli import nonnegative_float
@@ -45,7 +46,6 @@ def main() -> None:
     parser.add_argument("--chunk-sizes", type=int, nargs="+", default=list(DEFAULT_CHUNK_SIZES))
     parser.add_argument("--cost-recompute", type=nonnegative_float, default=1.0)
     parser.add_argument("--cost-word", type=nonnegative_float, default=1.0)
-    parser.add_argument("--csv", default="", help="optional output CSV path")
     args = parser.parse_args()
 
     with open(args.src, encoding="utf-8") as f:
@@ -61,13 +61,6 @@ def main() -> None:
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(str(row[h]).ljust(w) for h, w in zip(header, widths)))
-
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as f:
-            writer = csv.DictWriter(f, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"\nwrote {args.csv}")
 
 
 if __name__ == "__main__":

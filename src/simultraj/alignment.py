@@ -66,12 +66,11 @@ def parse_pharaoh(
     that is not ASCII digits, `-`, ASCII digits, or on an index outside the
     sentence lengths.
     """
-    ascii_line = line.isascii()
     links: set[tuple[int, int]] = set()
     for token in line.split():
         left, _, right = token.partition("-")
         # isdigit alone also passes non-ASCII digits, which int() would read.
-        if not (left.isdigit() and right.isdigit() and (ascii_line or token.isascii())):
+        if not (left.isdigit() and right.isdigit() and token.isascii()):
             raise ValueError(f"record {record_id}: malformed alignment token {token!r}")
         i0, j0 = int(left), int(right)
         if not (i0 < source_len and j0 < target_len):

@@ -127,16 +127,15 @@ def select_prefix(
     """Stable prefix of the beam under the strategy; may be empty.
 
     RALCP walks positions while every candidate still has a word there, and
-    accepts the plurality word when its vote share reaches gamma; a tie for the
-    top vote stops acceptance. LCP is RALCP at gamma=1 (unanimity). GREEDY
-    returns the first candidate whole.
+    accepts the plurality word when its share of the beam, votes / len(candidates),
+    reaches gamma; a tie for the top vote stops acceptance. LCP is RALCP at
+    gamma=1 (unanimity). GREEDY returns the first candidate whole.
     """
     if not candidates:
         raise ValueError("select_prefix needs at least one candidate")
     if strategy.kind == "greedy":
         return list(candidates[0])
     total = len(candidates)
-    need = strategy.gamma * total
     prefix: list[str] = []
     for column in zip(*candidates):  # stops at the shortest candidate
         word = column[0]
@@ -149,7 +148,7 @@ def select_prefix(
             if len(leaders) > 1:
                 break
             word = leaders[0]
-        if best < need:
+        if best / total < strategy.gamma:  # the share: gamma * total can round up
             break
         prefix.append(word)
     return prefix
@@ -188,11 +187,6 @@ _event = partial(tuple.__new__, SimEvent)
 _OFFLINE_HEAD, _OFFLINE_TAIL = map(str.split, offline_frame(LLAMA2))
 
 
-def _words(texts: Iterable[str]) -> list[str]:
-    """The words of ``" ".join(texts)``, without building the joined string."""
-    return [w for t in texts for w in t.split()]
-
-
 def run(
     source: Sequence[str],
     model: ModelPort,
@@ -213,9 +207,6 @@ def run(
     if not source:
         raise ValueError("empty source")
     conversational = prompt_mode == CONVERSATIONAL
-    # A chunk's words are its prompt words when no source word is empty or
-    # holds whitespace, as with every source that str.split() cut.
-    split = tuple(" ".join(source).split()) != source
 
     # The offline prompt is _OFFLINE_HEAD (the instruction's words), the source
     # read so far, then tail: the trigger's words and the history's. The
@@ -243,7 +234,7 @@ def run(
         else:
             appended = " " + " ".join(chunk)
         rc_conv = len(appended.split())
-        new = _words(chunk) if split else chunk
+        new = " ".join(chunk).split()
         same = 0
         for word in chain(new, tail):
             if same == before or word != tail[same]:
@@ -266,7 +257,7 @@ def run(
 
         events.append(_event((pair_id, rnd, chunk, beam_words, selected, rc_conv, rc_off, read)))
         if selected:
-            tail += _words(selected)
+            tail += " ".join(selected).split()
             committed.extend(selected)
         rnd += 1
 

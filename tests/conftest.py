@@ -212,7 +212,7 @@ def ref_select_prefix(candidates: Sequence[Sequence[str]], strategy: SelectStrat
         votes = Counter(c[pos] for c in candidates)
         best = max(votes.values())
         leaders = [w for w, v in votes.items() if v == best]
-        if len(leaders) > 1 or best < gamma * total:
+        if len(leaders) > 1 or best / total < gamma:
             break
         prefix.append(leaders[0])
         pos += 1

@@ -386,6 +386,25 @@ def test_eval_one_word_session_lags_one_word(tmp_path, capsys):
     assert report["al_mean"] == 1.0
 
 
+@pytest.mark.xfail(strict=True, reason="no event marks a run's last round; ROADMAP item 11 adds one")
+def test_eval_rejects_a_run_that_lost_its_last_line(tmp_path, capsys):
+    (tmp_path / "src.txt").write_text("a b c d\ne f\n", encoding="utf-8")
+    echo = [{"rounds": [[["A", "B"]], [["C", "D"]]]}, {"rounds": [[["E", "F"]]]}]
+    (tmp_path / "model.json").write_text(json.dumps(echo), encoding="utf-8")
+    events = tmp_path / "events.jsonl"
+    assert main(["simulate", "--src", str(tmp_path / "src.txt"), "--model", str(tmp_path / "model.json"),
+                 "--chunk", "2", "--beam", "1", "--select", "greedy", "--out", str(events)]) == 0
+    lines = events.read_bytes().splitlines(keepends=True)
+    assert [json.loads(line)["id"] for line in lines] == [0, 0, 1]
+    events.write_bytes(lines[0] + lines[2])  # run 0 loses its round 1
+    capsys.readouterr()
+    assert main(["eval", "--events", str(events)]) == 1
+    out, err = capsys.readouterr()
+    rejections = err.splitlines()[1:]
+    assert len(rejections) == 1 and rejections[0].startswith("line 1 rejected: ")
+    assert json.loads(out)["runs"] == 1
+
+
 def test_simulate_unknown_select_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--src", "s", "--model", "m", "--out", "o", "--select", "beam"])

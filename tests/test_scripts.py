@@ -20,26 +20,27 @@ SWEEP_TABLE = [
     "3             2.1077        2.5786              4.2926        115                       216              ",
     "5             2.7639        2.4738              4.0268        101                       178              ",
 ]
-SWEEP_CSV = (
-    "chunk_size,al_mean,wwt_conversational,wwt_offline,recompute_conversational,recompute_offline\r\n"
-    "1,1.0,3.1473,6.0343,165,410\r\n"
-    "3,2.1077,2.5786,4.2926,115,216\r\n"
-    "5,2.7639,2.4738,4.0268,101,178\r\n"
-)
 
 
 def test_sweep_chunk_sizes_output_unchanged(tmp_path):
     src, _, _ = write_toy_corpus(tmp_path, n_pairs=12, seed=5)
-    csv_path = tmp_path / "sweep.csv"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "sweep_chunk_sizes.py"), "--src", str(src),
-         "--chunk-sizes", "1", "3", "5", "--cost-recompute", "0.7", "--cost-word", "1.3",
-         "--csv", str(csv_path)],
+         "--chunk-sizes", "1", "3", "5", "--cost-recompute", "0.7", "--cost-word", "1.3"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout == "\n".join(SWEEP_TABLE + ["", f"wrote {csv_path}", ""])
-    assert csv_path.read_bytes().decode("utf-8") == SWEEP_CSV
+    assert result.stdout == "\n".join(SWEEP_TABLE + [""])
+
+    # The table is the one output: --csv, which wrote its rows again, is a usage error.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_chunk_sizes.py"), "--src", str(src),
+         "--csv", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 2
+    assert "unrecognized arguments: --csv" in result.stderr
+    assert not (tmp_path / "sweep.csv").exists()
 
     # The costs follow the CLI's float-flag rule: finite and at least 0.
     result = subprocess.run(

@@ -112,6 +112,24 @@ def test_select_prefix_matches_counting_reference(candidates, kind, gamma):
     assert select_prefix(beam, strategy) == ref_select_prefix(beam, strategy)
 
 
+# Every (gamma, beam, votes) with gamma in 0.001, 0.002, …, 1.000 and beam in
+# 1 … 100 whose product gamma * beam rounds above votes = gamma * beam exactly.
+SHARE_EQUALS_GAMMA = [
+    (0.07, 100, 7), (0.14, 50, 7), (0.14, 100, 14), (0.28, 25, 7), (0.28, 50, 14),
+    (0.28, 75, 21), (0.28, 100, 28), (0.55, 100, 55), (0.56, 25, 14), (0.56, 50, 28),
+    (0.56, 75, 42), (0.56, 100, 56), (0.68, 75, 51),
+]
+
+
+@pytest.mark.parametrize("gamma, beam, votes", SHARE_EQUALS_GAMMA)
+def test_ralcp_accepts_a_vote_share_equal_to_gamma(gamma, beam, votes):
+    strategy = SelectStrategy("ralcp", gamma)
+    for agree, prefix in ((votes, ["w"]), (votes - 1, [])):
+        # One column: `agree` candidates say "w", every other one a word of its own.
+        column = [("w",)] * agree + [(f"o{k}",) for k in range(beam - agree)]
+        assert select_prefix(column, strategy) == ref_select_prefix(column, strategy) == prefix
+
+
 def echo_run(n=2, source_len=4, prompt_mode="conversational"):
     source = [f"w{i}" for i in range(1, source_len + 1)]
     model = scripted_echo(source, n, beam=1)
